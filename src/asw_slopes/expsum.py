@@ -272,6 +272,13 @@ def _histogram_numpy(zctx, ghat, lifted, tvecs, const, Q, mod):
     return {int(t): int(c) for t, c in enumerate(counts_arr) if c}
 
 
+def _check_budget(Q: int) -> None:
+    if Q - 1 > MAX_POINTS:
+        raise BudgetExceeded(
+            f"field size {Q} exceeds enumeration budget {MAX_POINTS}"
+        )
+
+
 def trace_histogram(
     spec: TowerSpec, k: int, digits: int, use_cache: bool = True
 ) -> TraceHistogram:
@@ -279,10 +286,7 @@ def trace_histogram(
     if k < 1 or digits < 1:
         raise ConfigError("need k >= 1 and digits >= 1")
     Q = spec.q**k
-    if Q - 1 > MAX_POINTS:
-        raise BudgetExceeded(
-            f"field size {Q} exceeds enumeration budget {MAX_POINTS}"
-        )
+    _check_budget(Q)
     if use_cache:
         hit = _load_cached(spec, k, digits)
         if hit is not None:
@@ -393,6 +397,7 @@ def l_series(
         raise ConfigError("character index must be a unit mod p (else lower level)")
     deg = l_degree(spec, m, punctured)
     K = deg if s_order is None else s_order
+    _check_budget(spec.q**K)  # the largest field enumerated, before any work
     sums = []
     for k in range(1, K + 1):
         hist = trace_histogram(spec, k, m, use_cache=use_cache)
@@ -435,6 +440,7 @@ def char_series_at_character(
     """
     if method not in ("product", "exp", "both"):
         raise ConfigError(f"unknown method {method!r}")
+    _check_budget(spec.q**s_order)
     modulus = spec.p**digits
     out_prod = out_exp = None
     if method in ("product", "both"):
@@ -482,6 +488,7 @@ def char_series(
     (binomial and exp denominators) are added up front so the output
     coefficients carry at least `digits` certified p-adic digits.
     """
+    _check_budget(spec.q**s_order)
     exp_guard = vp_factorial(s_order, spec.p)
     inner = digits + exp_guard
     sums = []

@@ -9,7 +9,7 @@ which fixes the enumeration order used for embeddings and generators.
 
 from __future__ import annotations
 
-from .errors import CtxMismatch, NotPrime
+from .errors import ConfigError, CtxMismatch, NotPrime
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -166,8 +166,20 @@ class FieldCtx:
             raise NotPrime(f"p = {p} is not prime")
         self.p = p
         self.n = n
-        self.h = tuple(h) if h is not None else find_irreducible(p, n)
-        assert len(self.h) == n + 1 and self.h[n] == 1
+        if h is None:
+            self.h = find_irreducible(p, n)
+        else:
+            self.h = tuple(h)
+            if not (
+                len(self.h) == n + 1
+                and self.h[n] == 1
+                and all(0 <= c < p for c in self.h)
+                and _is_irreducible(list(self.h), p)
+            ):
+                raise ConfigError(
+                    f"modulus {list(self.h)} is not a monic irreducible of "
+                    f"degree {n} over F_{p}"
+                )
         self._embed_cache: dict[tuple[int, ...], "FqElt"] = {}
         self._gen_cache: "FqElt | None" = None
 

@@ -5,7 +5,8 @@ Two regimes coexist and are kept visibly separate:
 * truncated: PadicInt / ZqElt hold residues mod p^N with explicit declared
   precision, with min-precision propagation and guarded exact division;
 * exact: CycInt holds exact integer vectors modulo the p^m-th cyclotomic
-  polynomial, with valuations read off resultants (never floats).
+  polynomial, with valuations read off the expansion in pi = zeta - 1
+  (never floats).
 
 Teichmuller lifts use the p^n-power iteration; traces of Teichmuller
 monomials use Frobenius orbit sums (sigma(m) = m^p holds exactly there).
@@ -465,74 +466,27 @@ class CycInt:
         return f"CycInt(p={self.p}, m={self.m}, {list(self.coeffs)})"
 
 
-def _det_bareiss(rows) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(rows)
-    M = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * pivot - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = pivot
-    return sign * M[n - 1][n - 1]
-
-
-def _resultant_with_cyclotomic(g: list[int], p: int, m: int) -> int:
-    """Res(Phi_{p^m}, g) = Norm(g(zeta)) since Phi is monic."""
-    phi_deg = _phi_pm(p, m)
-    step = p ** (m - 1)
-    Phi = [0] * (phi_deg + 1)
-    for j in range(p):
-        Phi[j * step] = 1
-    g = list(g)
-    while g and g[-1] == 0:
-        g.pop()
-    if not g:
-        return 0
-    dg = len(g) - 1
-    if dg == 0:
-        return g[0] ** phi_deg
-    size = phi_deg + dg
-    rows = []
-    phi_desc = Phi[::-1]
-    g_desc = g[::-1]
-    for i in range(dg):
-        rows.append([0] * i + phi_desc + [0] * (size - phi_deg - 1 - i))
-    for i in range(phi_deg):
-        rows.append([0] * i + g_desc + [0] * (size - dg - 1 - i))
-    return _det_bareiss(rows)
-
-
 def cyc_valuation(z: CycInt, cap: int | None = None) -> Valuation:
-    """pi_chi-adic valuation of z: v_p(Res(Phi_{p^m}, z)) exactly.
+    """pi-adic valuation of z in Z[zeta_{p^m}], pi = zeta - 1, exactly.
 
-    The extension is totally ramified of degree e = (p-1)p^{m-1}, so
-    v_pi(z) = v_p(Norm(z)) as an exact integer.  With `cap` set (truncated
+    Substituting zeta = 1 + pi rewrites z = sum_i c_i zeta^i (i < e) as
+    sum_{j<e} b_j pi^j with integers b_j = sum_i C(i, j) c_i.  The extension
+    is totally ramified of degree e = (p-1)p^{m-1}, so the terms have the
+    pairwise distinct valuations e*v_p(b_j) + j and v_pi(z) is their minimum
+    (which also equals v_p(Norm z)).  With `cap` set (truncated
     representative known mod p^M, cap = M*e) readings at or above the cap
     are demoted to lower bounds.
     """
     if z.is_zero():
         return Valuation.infinite() if cap is None else Valuation.at_least(cap)
-    if z.m == 0:
-        v = vp(z.coeffs[0], z.p)
-    else:
-        res = _resultant_with_cyclotomic(list(z.coeffs), z.p, z.m)
-        if res == 0:
-            # representative is a zero divisor mod Phi only when z == 0
-            raise AssertionError("nonzero CycInt with zero resultant")
-        v = vp(res, z.p)
+    e = len(z.coeffs)
+    # Taylor shift at 1 by Horner's rule: b <- b*(1 + pi) + c_i, top down
+    b = [0] * e
+    for top, c in enumerate(reversed(z.coeffs)):
+        for j in range(top, 0, -1):
+            b[j] += b[j - 1]
+        b[0] += c
+    v = min(e * vp(bj, z.p) + j for j, bj in enumerate(b) if bj)
     if cap is not None and v >= cap:
         return Valuation.at_least(cap)
     return Valuation.exact(v)

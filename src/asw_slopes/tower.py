@@ -8,6 +8,7 @@ single wrong digit anywhere upstream shows up as a mismatch here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -41,7 +42,8 @@ def _carry_coeffs(p: int) -> tuple[int, ...]:
 
 
 def _scalar(x: gf.FqElt, n: int) -> gf.FqElt:
-    return x * x.ctx.from_coeffs([n])
+    p = x.ctx.p
+    return gf.FqElt(x.ctx, tuple(c * n % p for c in x.coeffs))
 
 
 def witt_add(p: int, u, v):
@@ -91,42 +93,37 @@ def witt_frobenius(u):
 # ---------------------------------------------------------------------------
 # counting rational points on the m-th cover, three ways
 
-def _eval_poly(coeffs, x: gf.FqElt) -> gf.FqElt:
-    acc = x.ctx.zero()
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def count_points_witt(spec: TowerSpec, m: int, k: int) -> int:
-    """Brute force: enumerate Witt vectors y with F(y) - y = (f(x), 0)."""
+    """Brute force: #{(x, y) : F(y) - y = sum_i (b_i x^i, 0)} over F_{q^k}.
+
+    The right side is the Witt sum of the monomials' Teichmuller lifts, the
+    image of f-hat(x-hat) in W_m.  Every y in W_m is enumerated once and its
+    F(y) - y bucketed, so each x costs one lookup.
+    """
     if m not in (1, 2):
         raise ConfigError("direct Witt enumeration implemented for m <= 2")
     ctx = spec.ctx if k == 1 else gf.FieldCtx(spec.p, spec.a * k)
-    if k == 1:
-        coeffs = spec.coeffs
-    else:
-        coeffs = [gf.embed_element(spec.ctx, b, ctx) for b in spec.coeffs]
+    monos = [
+        (i, b if k == 1 else gf.embed_element(spec.ctx, b, ctx))
+        for i, b in spec.monomials()
+    ]
     p = spec.p
     Q = ctx.order
     if Q**m * Q > 4 * 10**6:
         raise ConfigError("field too large for honest enumeration")
-    count = 0
     elts = list(ctx.elements())
+    frob = {c: c.frobenius() for c in elts}
+    wp = Counter(
+        witt_sub(p, tuple(frob[c] for c in y), y)
+        for y in itertools.product(elts, repeat=m)
+    )
+    zero = ctx.zero()
+    count = 0
     for x in elts:
-        fx = _eval_poly(coeffs, x)
-        target = (fx,) if m == 1 else (fx, ctx.zero())
-        for i0 in range(Q):
-            y0 = elts[i0]
-            if m == 1:
-                if witt_sub(p, (y0**p,), (y0,)) == target:
-                    count += 1
-            else:
-                for i1 in range(Q):
-                    y1 = elts[i1]
-                    lhs = witt_sub(p, (y0**p, y1**p), (y0, y1))
-                    if lhs == target:
-                        count += 1
+        target = (zero,) * m
+        for i, b in monos:
+            target = witt_add(p, target, (b * x**i, zero)[:m])
+        count += wp[target]
     return count
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -122,12 +123,37 @@ def test_exit_code_precision(capsys):
     assert json.loads(err)["error"] == "BudgetExceeded"
 
 
+def test_budget_is_checked_before_any_histogram(capsys, tmp_path, monkeypatch):
+    # the level-3 L-series of a quadric over F_3 needs F_{3^17}, past the
+    # point budget: refuse at once, enumerating and caching nothing
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["slopes", "--p", "3", "--f", "1,0,0", "--m", "3"])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_counts_with_several_monomials(capsys):
+    code, out, _ = run(capsys, ["verify", "--p", "2", "--f", "1,0,0,1", "--check", "counts"])
+    assert code == 0
+    rows = json.loads(out)["counts"]
+    assert all(r["ok"] and r["trace"] == r["character"] == r["witt"] for r in rows)
+
+
 def test_exit_code_config(capsys):
     code, out, err = run(capsys, ["lfun", "--p", "4", "--f", "1,0", "--m", "1"])
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "NotPrime"
     code, _, err = run(capsys, ["lfun", *P2])
     assert code == 3
+    assert json.loads(err)["error"] == "ConfigError"
+    # h = u^2 is reducible over F_3, so F_3[u]/(h) is not a field
+    code, out, err = run(
+        capsys, ["lfun", "--p", "3", "--a", "2", "--f", "1,0,0", "--m", "1", "--h", "1,0,0"]
+    )
+    assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ConfigError"
 
 

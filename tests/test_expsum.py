@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from asw_slopes import expsum
 from asw_slopes.errors import (
     BudgetExceeded,
     ConfigError,
@@ -69,6 +70,25 @@ def test_trace_histogram_budget_and_args():
         trace_histogram(SPEC2, 0, 3)
     with pytest.raises(BudgetExceeded):
         trace_histogram(SPEC2, 25, 1)  # 2^25 - 1 points
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: l_series(SPEC2, 1, s_order=10),
+        lambda: char_series(SPEC2, t_order=3, s_order=10, digits=2),
+        lambda: char_series_at_character(SPEC2, 1, 10, 2, method="exp"),
+    ],
+    ids=["l_series", "char_series", "char_series_at_character"],
+)
+def test_budget_is_checked_before_any_histogram(build, monkeypatch, tmp_path):
+    # F_{2^10} is past the lowered budget: refuse before enumerating (and
+    # caching) the smaller fields
+    monkeypatch.setattr(expsum, "MAX_POINTS", 2**9)
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
+    with pytest.raises(BudgetExceeded):
+        build()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_dir_env(monkeypatch):

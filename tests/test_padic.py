@@ -154,6 +154,113 @@ def test_cyc_embed_compatible_with_valuation():
     assert cyc_valuation(up).value == 3 * cyc_valuation(a).value
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: v_pi(z) = v_p(Res(Phi_{p^m}, z)) by Sylvester determinant
+
+
+def _det_bareiss(rows) -> int:
+    """Fraction-free determinant of an integer matrix."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    M = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = M[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * pivot - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = pivot
+    return sign * M[n - 1][n - 1]
+
+
+def _resultant(a, b) -> int:
+    """Res(a, b) of ascending integer coefficient lists, nonzero leading terms."""
+    da, db = len(a) - 1, len(b) - 1
+    size = da + db
+    rows = [[0] * i + a[::-1] + [0] * (db - 1 - i) for i in range(db)]
+    rows += [[0] * i + b[::-1] + [0] * (da - 1 - i) for i in range(da)]
+    return _det_bareiss(rows) if size else 1
+
+
+def _resultant_with_cyclotomic(g, p: int, m: int) -> int:
+    """Res(Phi_{p^m}, g) = Norm(g(zeta)) since Phi is monic.
+
+    For monic g of low degree the Sylvester matrix is shrunk first:
+    Res(Phi, g) = (-1)^{deg Phi deg g} Res(g, Phi mod g).
+    """
+    step = p ** (m - 1)
+    Phi = [0] * ((p - 1) * step + 1)
+    for j in range(p):
+        Phi[j * step] = 1
+    g = list(g)
+    while g and g[-1] == 0:
+        g.pop()
+    if not g:
+        return 0
+    dg = len(g) - 1
+    if g[-1] != 1 or 2 * dg >= len(Phi):
+        return _resultant(Phi, g)
+    r = list(Phi)
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        for j in range(dg + 1):
+            r[i - dg + j] -= c * g[j]
+    r = r[:dg]
+    while r and r[-1] == 0:
+        r.pop()
+    return (-1) ** ((len(Phi) - 1) * dg) * _resultant(g, r) if r else 0
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3)])
+def test_cyc_valuation_matches_resultant_oracle(p, m):
+    rng = random.Random(f"cyc:{p}:{m}")
+    e = (p - 1) * p ** (m - 1)
+    pi = CycInt.zeta_power(p, m, 1) - CycInt.from_int(p, m, 1)
+    v_res_pi = vp(_resultant_with_cyclotomic([-1, 1], p, m), p)
+    assert cyc_valuation(pi) == Valuation.exact(v_res_pi) == Valuation.exact(1)
+    # a full-degree Sylvester determinant costs O(e^3) big-integer steps, so
+    # past e = 42 the elements are monic cubics in zeta and the pi^k factor
+    # is charged through Res(Phi, g h) = Res(Phi, g) Res(Phi, h)
+    direct = e <= 42
+    for _ in range(8 if direct else 4):
+        if direct:
+            g = [rng.randrange(-9, 10) for _ in range(e)]
+        else:
+            g = [rng.randrange(-9, 10) for _ in range(3)] + [1]
+        z = CycInt(p, m, g + [0] * (e - len(g)))
+        if z.is_zero():
+            continue
+        v_res_z = vp(_resultant_with_cyclotomic(g, p, m), p)
+        for k in sorted({0, 1, rng.randrange(2 * e + 1), 2 * e}):
+            w = z
+            sq, j = pi, k  # w = z * pi^k by repeated squaring
+            while j:
+                if j & 1:
+                    w = w * sq
+                sq, j = sq * sq, j >> 1
+            if direct:
+                want = vp(_resultant_with_cyclotomic(list(w.coeffs), p, m), p)
+                assert want == v_res_z + k * v_res_pi
+            else:
+                want = v_res_z + k * v_res_pi
+            assert cyc_valuation(w) == Valuation.exact(want)
+            # a reading at or above the cap only certifies the cap
+            assert cyc_valuation(w, cap=want) == Valuation.at_least(want)
+            assert cyc_valuation(w, cap=want + 1) == Valuation.exact(want)
+    assert cyc_valuation(CycInt.zero(p, m), cap=e) == Valuation.at_least(e)
+
+
 def test_binom_pow_homomorphism_seeded():
     rng = random.Random(5)
     p, D, N = 3, 8, 6

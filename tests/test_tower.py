@@ -88,6 +88,29 @@ def test_point_counts_three_ways(spec):
             assert out["trace"] == out["character"] == out["witt"]
 
 
+@pytest.mark.parametrize(
+    "p,a,f",
+    [
+        (2, 1, [1, 0, 0, 1]),  # x^3 + 1
+        (2, 1, [1, 1, 0, 1]),  # x^3 + x + 1
+        (3, 1, [1, 1, 2]),  # 2x^2 + x + 1
+        (3, 1, [2, 0, 1]),  # x^2 + 2
+        (5, 1, [1, 2, 1]),  # x^2 + 2x + 1
+        (2, 2, [1, 0, 0, 1]),  # x^3 + 1 over F_4
+    ],
+)
+def test_witt_counts_sum_the_monomial_lifts(p, a, f):
+    # with two or more monomials the Witt side must solve F(y) - y = the Witt
+    # sum of the monomials' Teichmuller lifts, not the lift of the value f(x)
+    spec = TowerSpec(p, a, f)
+    for m in (1, 2):
+        k = 1
+        while spec.q ** (k * (m + 1)) <= 2**15:
+            out = cross_check_counts(spec, m, k)
+            assert out["ok"] and "witt" in out
+            k += 1
+
+
 def test_genus_double_values():
     assert genus_double(SPEC2, 1) == 2
     assert genus_double(SPEC2, 2) == 12
