@@ -50,6 +50,16 @@ def _ints(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _spec(args) -> expsum.TowerSpec:
     f = list(reversed(_ints(args.f)))
     h = tuple(reversed(_ints(args.h))) if getattr(args, "h", None) else None
@@ -82,7 +92,7 @@ def _add_tower_args(sub, digits_default=6):
     sub.add_argument("--a", type=int, default=1)
     sub.add_argument("--f", required=True, help="defining poly, leading coeff first")
     sub.add_argument("--h", help="base field modulus, leading coeff first")
-    sub.add_argument("--digits", type=int, default=digits_default)
+    sub.add_argument("--digits", type=_positive_int, default=digits_default)
     sub.add_argument("--out", help="write output to a file instead of stdout")
 
 

@@ -630,12 +630,6 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
 # ---------------------------------------------------------------------------
 # weight specialization and the slope law
 
-def annulus_floor(spec) -> int:
-    """Smallest character level whose uniformizer weight sits in the
-    good annulus; identical to the stable level of the slope recursion."""
-    return stable_level(spec)
-
-
 def specialize_block(factor: BlockFactor, m: int):
     """Evaluate the block at the level-m uniformizer, exactly in Z[zeta].
 
@@ -692,7 +686,7 @@ def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels) -> dict:
             f"degree-{factor.vertex} factor cannot span {len(blocks)} blocks "
             f"of width {spec.d}"
         )
-    floor = annulus_floor(spec)
+    floor = stable_level(spec)
     base = base_slopes(spec)
     predicted: Counter = Counter()
     for b in blocks:
@@ -732,25 +726,3 @@ def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels) -> dict:
         "levels": results,
         "ok": all_ok,
     }
-
-
-def slope_progression_report(spec, factor: BlockFactor, levels) -> dict:
-    """Non-asserting diagnostic: specialized slopes per level, plus whether
-    consecutive levels repeat the multiset (they should, in the annulus)."""
-    rows = []
-    prev = None
-    for m in levels:
-        coeffs, caps = specialize_block(factor, m)
-        pts = [(k, cyc_valuation(z, c)) for k, (z, c) in enumerate(zip(coeffs, caps))]
-        got = lower_hull(pts).slope_multiset()
-        rows.append(
-            {
-                "m": m,
-                "slopes": sorted(
-                    [s.numerator, s.denominator, mult] for s, mult in got.items()
-                ),
-                "repeats_previous": None if prev is None else got == prev,
-            }
-        )
-        prev = got
-    return {"block_vertex": factor.vertex, "levels": rows}

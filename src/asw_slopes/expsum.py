@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -152,10 +154,29 @@ def _cache_name(spec: TowerSpec, k: int, digits: int) -> str:
     return f"hist_{spec.key()}_k{k}_N{digits}.json"
 
 
+def _read_entry(path: str, spec: TowerSpec, k: int, digits: int):
+    """The histogram stored at path, or None if it is not a sound entry.
+
+    An entry that does not parse, that belongs to another tower, extension
+    degree or precision, or whose counts do not cover q^k - 1 points is
+    treated as absent, so it gets recomputed rather than trusted.
+    """
+    expected = (spec.p, spec.a, list(spec.ctx.h), [b.index for b in spec.coeffs], k, digits)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if tuple(data[key] for key in ("p", "a", "h", "f", "k", "digits")) != expected:
+            return None
+        hist = TraceHistogram.from_json(data)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    return hist if hist.total == spec.q**k - 1 else None
+
+
 def _load_cached(spec: TowerSpec, k: int, digits: int):
     cdir = cache_dir()
-    prefix = f"hist_{spec.key()}_k{k}_N"
-    exact = os.path.join(cdir, _cache_name(spec, k, digits))
+    prefix = f"hist_{spec.key()}_k{k}_N"  # _cache_name up to the digits
+    exact = os.path.join(cdir, f"{prefix}{digits}.json")
     candidates = []
     if os.path.exists(exact):
         candidates.append(digits)
@@ -168,22 +189,26 @@ def _load_cached(spec: TowerSpec, k: int, digits: int):
                     continue
                 if n > digits:
                     candidates.append(n)
-    if not candidates:
-        return None
-    best = min(candidates)
-    with open(os.path.join(cdir, _cache_name(spec, k, best))) as fh:
-        hist = TraceHistogram.from_json(json.load(fh))
-    return hist.reduce(digits)
+    for n in sorted(candidates):
+        hist = _read_entry(os.path.join(cdir, f"{prefix}{n}.json"), spec, k, n)
+        if hist is not None:
+            return hist.reduce(digits)
+    return None
 
 
 def _store_cached(spec: TowerSpec, hist: TraceHistogram):
     cdir = cache_dir()
     os.makedirs(cdir, exist_ok=True)
-    path = os.path.join(cdir, _cache_name(spec, hist.k, hist.digits))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(hist.to_json(spec), fh, sort_keys=True)
-    os.replace(tmp, path)
+    name = _cache_name(spec, hist.k, hist.digits)
+    # a unique temp name per writer, so concurrent stores never interleave
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=cdir)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(hist.to_json(spec), fh, sort_keys=True)
+        os.replace(tmp, os.path.join(cdir, name))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -200,76 +225,74 @@ def _shift_u(zctx: ZqCtx, v):
     return tuple(c % zctx.mod for c in out)
 
 
-def _twisted_trace_vectors(zctx: ZqCtx, lifted):
-    """For each (i, b-hat): vector t_i with Tr(b-hat * z) = sum z_m t_i[m]."""
-    out = {}
-    for i, bh in lifted:
-        vecs = []
-        cur = bh
-        for _ in range(zctx.n):
-            vecs.append(zctx.trace(cur))
-            cur = _shift_u(zctx, cur)
-        out[i] = vecs
-    return out
+def _trace_pairing(zctx: ZqCtx, bh):
+    """n x n matrix S with x . S . y = Tr(b-hat * x * y) for coordinate vectors.
 
-
-def _histogram_python(zctx, ghat, lifted, tvecs, const, Q, mod):
-    counts: dict[int, int] = {}
-    steps = {i: zctx.pow(ghat, i) for i, _ in lifted if i > 0}
-    walkers = {i: (1,) + (0,) * (zctx.n - 1) for i in steps}
-    for _ in range(Q - 1):
-        tot = const
-        for i, tv in tvecs.items():
-            if i == 0:
-                continue
-            w = walkers[i]
-            tot += sum(wm * tm for wm, tm in zip(w, tv))
-        tot %= mod
-        counts[tot] = counts.get(tot, 0) + 1
-        for i, st in steps.items():
-            walkers[i] = zctx.mul(walkers[i], st)
-    return counts
-
-
-def _histogram_numpy(zctx, ghat, lifted, tvecs, const, Q, mod):
-    # baby-step/giant-step table of all powers of the generator; each baby
-    # step becomes one integer matmul over the giant rows, so the q^k - 1
-    # multiplications in Z_q/p^N collapse into ~sqrt(q^k) GEMMs
+    Entry (l, m) is Tr(b-hat * u^(l+m)), a Hankel matrix in the 2n - 1 traces
+    of b-hat * u^e.
+    """
     n = zctx.n
-    B = max(1, math.isqrt(Q - 1))
-    nT = (Q - 1 + B - 1) // B
-    baby = [(1,) + (0,) * (n - 1)]
-    for _ in range(1, B):
-        baby.append(zctx.mul(baby[-1], ghat))
-    gB = zctx.mul(baby[-1], ghat)
-    giant = [(1,) + (0,) * (n - 1)]
-    for _ in range(1, nT):
-        giant.append(zctx.mul(giant[-1], gB))
-    small = n * (mod - 1) ** 2 < 2**31
-    dtype = np.int32 if small else np.int64
-    G = np.array(giant, dtype=dtype)
-    W = np.empty((nT * B, n), dtype=dtype)
-    for b in range(B):
-        # columns of M are baby[b] * u^j, so G @ M.T multiplies every giant
-        # row by baby[b] at once
-        cols = []
-        cur = baby[b]
-        for _ in range(n):
-            cols.append(cur)
-            cur = _shift_u(zctx, cur)
-        M = np.array(cols, dtype=dtype)  # row j = baby[b] * u^j
-        W[b::B] = G[: len(W[b::B])] @ M
-    W = W[: Q - 1] % mod
-    total = np.full(Q - 1, const, dtype=np.int64)
-    idx_base = np.arange(Q - 1, dtype=np.int64)
-    for i, tv in tvecs.items():
+    t = []
+    cur = bh
+    for _ in range(2 * n - 1):
+        t.append(zctx.trace(cur))
+        cur = _shift_u(zctx, cur)
+    return [t[l : l + n] for l in range(n)]
+
+
+def _powers(zctx: ZqCtx, step, count: int, dtype):
+    """Rows step^j for j < count, as a (count, n) array of Z_q/p^N vectors.
+
+    Built by doubling: rows [L, 2L) are rows [0, L) times step^L, one matrix
+    product with the matrix whose row m is step^L * u^m, so log2(count)
+    products replace count - 1 multiplications in Z_q/p^N.
+    """
+    n, mod = zctx.n, zctx.mod
+    P = np.empty((count, n), dtype=dtype)
+    P[0] = (1,) + (0,) * (n - 1)
+    L, sL = 1, step
+    while L < count:
+        rows = [sL]
+        for _ in range(n - 1):
+            rows.append(_shift_u(zctx, rows[-1]))
+        block = P[L : 2 * L]
+        np.matmul(P[: len(block)], np.array(rows, dtype=dtype), out=block)
+        np.remainder(block, mod, out=block)
+        L, sL = 2 * L, zctx.mul(sL, sL)
+    return P
+
+
+def _histogram(zctx: ZqCtx, ghat, lifted, const: int, Q: int, dtype) -> dict:
+    """Counts of const + sum_i Tr(b_i-hat * x-hat^i) over x = g^j, j < Q - 1.
+
+    For one monomial put h = ghat^i and j = kB + r with B ~ sqrt(Q - 1); the
+    trace is the bilinear form h^(kB) . S . h^r in the trace pairing S of
+    b-hat, so two power tables of about sqrt(Q) rows and one (K x n)(n x B)
+    product give all Q - 1 traces.  Every factor is reduced below p^N first,
+    so with int64 each product entry sums n terms below (p^N - 1)^2 < 2^62
+    (the caller's bound), and adding it to a total below p^N stays below 2^63.
+    """
+    mod = zctx.mod
+    B = math.isqrt(Q - 1)
+    K = -(-(Q - 1) // B)
+    total = np.full(K * B, const, dtype=dtype)
+    for i, bh in lifted:
         if i == 0:
             continue
-        vec = (W.astype(np.int64) @ np.array(tv, dtype=np.int64)) % mod
-        total += vec[(i * idx_base) % (Q - 1)]
-    total %= mod
-    counts_arr = np.bincount(total, minlength=mod)
-    return {int(t): int(c) for t, c in enumerate(counts_arr) if c}
+        h = zctx.pow(ghat, i)
+        giant = _powers(zctx, zctx.pow(h, B), K, dtype)
+        left = giant @ np.array(_trace_pairing(zctx, bh), dtype=dtype)
+        np.remainder(left, mod, out=left)
+        total += (left @ _powers(zctx, h, B, dtype).T).reshape(-1)
+        np.remainder(total, mod, out=total)
+    total = total[: Q - 1]
+    # bins while there are few per point; past that a Counter, whose cost
+    # does not grow with p^N
+    if dtype is not object and mod <= 4 * (Q - 1):
+        counts = np.bincount(total)
+        t = np.flatnonzero(counts)
+        return dict(zip(t.tolist(), counts[t].tolist()))
+    return Counter(total.tolist())
 
 
 def _check_budget(Q: int) -> None:
@@ -277,6 +300,11 @@ def _check_budget(Q: int) -> None:
         raise BudgetExceeded(
             f"field size {Q} exceeds enumeration budget {MAX_POINTS}"
         )
+
+
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        raise ConfigError(f"need digits >= 1, got {digits}")
 
 
 def trace_histogram(
@@ -292,27 +320,26 @@ def trace_histogram(
         if hit is not None:
             return hit
 
-    ctx_k = spec.ctx if k == 1 else gf.FieldCtx(spec.p, spec.a * k)
+    ctx_k = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
     zctx = ZqCtx(ctx_k, digits)
     mod = spec.p**digits
     lifted = []
     for i, b in spec.monomials():
         bk = b if k == 1 else gf.embed_element(spec.ctx, b, ctx_k)
         lifted.append((i, teichmuller(zctx, bk)))
-    tvecs = _twisted_trace_vectors(zctx, lifted)
-    zero_cell = tvecs[0][0] if 0 in tvecs else 0
-    const = zero_cell  # the i = 0 monomial contributes Tr(b0-hat) everywhere
+    # the i = 0 monomial adds Tr(b0-hat) at every point, x = 0 included
+    zero_cell = zctx.trace(lifted[0][1]) if lifted[0][0] == 0 else 0
 
     ghat = teichmuller(zctx, ctx_k.multiplicative_generator())
-    numpy_safe = ctx_k.n * (mod - 1) ** 2 < 2**62 and spec.d * Q < 2**62
-    if Q - 1 >= 4096 and numpy_safe:
-        counts = _histogram_numpy(zctx, ghat, lifted, tvecs, const, Q, mod)
+    if ctx_k.n * (mod - 1) ** 2 < 2**62:
+        dtype = np.int64
     elif Q - 1 <= 500_000:
-        counts = _histogram_python(zctx, ghat, lifted, tvecs, const, Q, mod)
+        dtype = object  # exact Python ints inside numpy
     else:
         raise BudgetExceeded(
             f"precision p^{digits} too high for the vectorized path at {Q} points"
         )
+    counts = _histogram(zctx, ghat, lifted, zero_cell, Q, dtype)
     hist = TraceHistogram(spec.p, k, digits, counts, zero_cell)
     assert hist.total == Q - 1, "histogram must cover every nonzero point"
     if use_cache:
@@ -335,6 +362,7 @@ def t_adic_sum(
     Needs v_p((t_order-1)!) guard digits on top of the target; they are spent
     inside the binomial expansion, never silently.
     """
+    _check_digits(digits)
     need = digits + (vp_factorial(t_order - 1, spec.p) if t_order > 1 else 0)
     if hist is None:
         hist = trace_histogram(spec, k, need)
@@ -488,6 +516,7 @@ def char_series(
     (binomial and exp denominators) are added up front so the output
     coefficients carry at least `digits` certified p-adic digits.
     """
+    _check_digits(digits)
     _check_budget(spec.q**s_order)
     exp_guard = vp_factorial(s_order, spec.p)
     inner = digits + exp_guard

@@ -9,6 +9,8 @@ which fixes the enumeration order used for embeddings and generators.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import ConfigError, CtxMismatch, NotPrime
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -211,13 +213,6 @@ class FieldCtx:
     def one(self) -> "FqElt":
         return FqElt(self, (1,) + (0,) * (self.n - 1))
 
-    def gen(self) -> "FqElt":
-        """Residue class of u."""
-        if self.n == 1:
-            # u == -h[0] in F_p
-            return FqElt(self, ((-self.h[0]) % self.p,))
-        return self.element(self.p)
-
     def elements(self):
         for j in range(self.order):
             yield self.element(j)
@@ -336,30 +331,57 @@ class FqElt:
         return f"FqElt({list(self.coeffs)} over p={self.ctx.p}, n={self.ctx.n})"
 
 
-def embed_base(ctx: FieldCtx, base_h: tuple[int, ...]) -> FqElt:
-    """Image of the base-field generator: smallest root of base_h in ctx.
+@functools.cache
+def field(p: int, n: int) -> FieldCtx:
+    """The default-modulus F_{p^n}, built once per process.
 
-    Scans ctx in enumeration order, so the embedding is deterministic.  With
-    a = 1 the base modulus is u and the root is 0 (constant embedding).
+    Sharing the context shares its lazily filled generator and embedding
+    caches across every extension degree and query that reaches it.
+    """
+    return FieldCtx(p, n)
+
+
+def embed_base(ctx: FieldCtx, base_h: tuple[int, ...]) -> FqElt:
+    """Image of the base-field generator: smallest-index root of base_h in ctx.
+
+    base_h is the irreducible modulus of F_{p^a}, so its roots are the a
+    Frobenius conjugates of any one of them, all in the subfield
+    F_{p^a} = {0} u <g^((p^n - 1)/(p^a - 1))> of ctx (g the multiplicative
+    generator).  The subfield is walked to the first root, and the conjugate
+    of least enumeration index is kept, so the embedding is deterministic.
+    With a = 1 the base modulus is u and the root is 0 (constant embedding).
     Result is cached per (ctx, base_h).
     """
     key = tuple(base_h)
     cached = ctx._embed_cache.get(key)
     if cached is not None:
         return cached
-    if (len(base_h) - 1) and ctx.n % (len(base_h) - 1) != 0:
-        raise CtxMismatch("base degree does not divide extension degree")
-    for x in ctx.elements():
+    a = len(base_h) - 1
+    if a < 1 or ctx.n % a != 0:
+        raise CtxMismatch("base degree must be positive and divide the extension degree")
+
+    def is_root(x: FqElt) -> bool:
         acc = ctx.zero()
-        xp = ctx.one()
-        for c in base_h:
-            if c:
-                acc = acc + ctx.from_coeffs([c]) * xp
-            xp = xp * x
-        if acc.is_zero():
-            ctx._embed_cache[key] = x
-            return x
-    raise CtxMismatch("base modulus has no root in the extension")
+        for c in reversed(base_h):
+            acc = acc * x + ctx.from_coeffs([c])
+        return acc.is_zero()
+
+    x = ctx.zero()
+    if not is_root(x):
+        step = ctx.multiplicative_generator() ** ((ctx.order - 1) // (ctx.p**a - 1))
+        x = ctx.one()
+        for _ in range(ctx.p**a - 1):
+            if is_root(x):
+                break
+            x = x * step
+        else:
+            raise CtxMismatch("base modulus has no root in the extension")
+    conjugates = [x]
+    for _ in range(a - 1):
+        conjugates.append(conjugates[-1].frobenius())
+    root = min(conjugates, key=lambda r: r.index)
+    ctx._embed_cache[key] = root
+    return root
 
 
 def embed_element(base_ctx: FieldCtx, elt: FqElt, ctx: FieldCtx) -> FqElt:

@@ -102,7 +102,7 @@ def count_points_witt(spec: TowerSpec, m: int, k: int) -> int:
     """
     if m not in (1, 2):
         raise ConfigError("direct Witt enumeration implemented for m <= 2")
-    ctx = spec.ctx if k == 1 else gf.FieldCtx(spec.p, spec.a * k)
+    ctx = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
     monos = [
         (i, b if k == 1 else gf.embed_element(spec.ctx, b, ctx))
         for i, b in spec.monomials()

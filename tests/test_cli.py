@@ -157,6 +157,26 @@ def test_exit_code_config(capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+def test_digits_below_one_are_a_config_error(capsys):
+    for digits in ("0", "-1"):
+        code, out, err = run(
+            capsys, ["charfn", *P2, "--t-order", "3", "--s-order", "2", "--digits", digits]
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_truncated_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
+    argv = ["lfun", *P2, "--m", "1"]
+    _, fresh, _ = run(capsys, argv)
+    entry = sorted(tmp_path.iterdir())[0]
+    entry.write_text(entry.read_text()[:20])
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == fresh
+
+
 def test_exit_code_verification(capsys, monkeypatch):
     def boom(spec, m):
         raise DegreeViolation("forced failure")

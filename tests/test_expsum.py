@@ -1,10 +1,11 @@
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from asw_slopes import expsum
+from asw_slopes import expsum, gf
 from asw_slopes.errors import (
     BudgetExceeded,
     ConfigError,
@@ -25,7 +26,7 @@ from asw_slopes.expsum import (
     t_valuation_points,
     trace_histogram,
 )
-from asw_slopes.padic import CycInt, PadicInt, Valuation
+from asw_slopes.padic import CycInt, PadicInt, Valuation, ZqCtx, teichmuller
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])  # x^3 over F_2
 SPEC3 = TowerSpec(3, 1, [0, 0, 1])  # x^2 over F_3
@@ -63,6 +64,103 @@ def test_histogram_reduce_and_json_roundtrip():
     assert set(r.counts) <= set(range(3))
     with pytest.raises(InsufficientPrecision):
         h.reduce(5)
+
+
+def reference_histogram(spec, k, digits):
+    """Point-by-point twin of the histogram kernel: (counts, zero_cell).
+
+    Walks x = g^j for every j < q^k - 1, keeping each monomial's power x^i
+    as a Z_q/p^N vector multiplied up one step at a time, and reads each
+    trace Tr(b-hat * x^i) through the vectors t[m] = Tr(b-hat * u^m).
+    """
+    ctx = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
+    zctx = ZqCtx(ctx, digits)
+    n, mod = zctx.n, zctx.mod
+    basis = [tuple(int(l == m) for l in range(n)) for m in range(n)]
+    tvecs = {}
+    for i, b in spec.monomials():
+        bk = b if k == 1 else gf.embed_element(spec.ctx, b, ctx)
+        bh = teichmuller(zctx, bk)
+        tvecs[i] = [zctx.trace(zctx.mul(bh, e)) for e in basis]
+    const = tvecs[0][0] if 0 in tvecs else 0
+    ghat = teichmuller(zctx, ctx.multiplicative_generator())
+    steps = {i: zctx.pow(ghat, i) for i in tvecs if i > 0}
+    walkers = {i: basis[0] for i in steps}
+    counts = {}
+    for _ in range(spec.q**k - 1):
+        tot = const
+        for i, w in walkers.items():
+            tot += sum(wm * tm for wm, tm in zip(w, tvecs[i]))
+        tot %= mod
+        counts[tot] = counts.get(tot, 0) + 1
+        for i, st in steps.items():
+            walkers[i] = zctx.mul(walkers[i], st)
+    return counts, const
+
+
+# (p, a, k, digits): fields on both sides of 4096 points, counted by bins
+# or, past 4 bins a point, by a Counter
+INT64_CASES = [
+    (2, 1, 5, 3),
+    (2, 2, 5, 4),
+    (3, 1, 7, 3),
+    (3, 2, 2, 2),
+    (5, 1, 3, 2),
+    (5, 2, 1, 5),
+    (7, 2, 1, 2),
+    (2, 1, 13, 3),
+    (3, 2, 4, 2),
+    (5, 1, 6, 2),
+    (7, 1, 5, 2),
+]
+# digit depths with n (p^N - 1)^2 >= 2^62, where the kernel uses exact ints
+EXACT_INT_CASES = [(2, 1, 3, 32), (3, 2, 1, 20)]
+
+
+@pytest.mark.parametrize("p, a, k, digits", INT64_CASES + EXACT_INT_CASES)
+def test_histogram_kernel_matches_the_point_walk(p, a, k, digits):
+    rng = random.Random(1000 * p + 100 * a + k)
+    d = rng.choice([e for e in range(1, 6) if e % p])
+    q = p**a
+    coeffs = [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+    spec = TowerSpec(p, a, coeffs)
+    wide = a * k * (p**digits - 1) ** 2 >= 2**62
+    assert wide == ((p, a, k, digits) in EXACT_INT_CASES)
+    hist = trace_histogram(spec, k, digits, use_cache=False)
+    counts, zero_cell = reference_histogram(spec, k, digits)
+    assert hist.counts == counts
+    assert hist.zero_cell == zero_cell
+
+
+def test_cache_entries_that_are_not_sound_are_misses(monkeypatch, tmp_path):
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
+    fresh = trace_histogram(SPEC3, 2, 3, use_cache=False)
+    path = tmp_path / f"hist_{SPEC3.key()}_k2_N3.json"
+    good = fresh.to_json(SPEC3)
+    bad = [
+        json.dumps(good)[:40],
+        "[]",
+        json.dumps(dict(good, counts={"0": 1})),  # covers one point, not 80
+        json.dumps(dict(good, f=[0, 0, 2])),
+        json.dumps(dict(good, k=3)),
+        json.dumps(dict(good, digits=4)),
+    ]
+    for text in bad:
+        path.write_text(text)
+        assert expsum._load_cached(SPEC3, 2, 3) is None
+        hist = trace_histogram(SPEC3, 2, 3)
+        assert (hist.counts, hist.zero_cell) == (fresh.counts, fresh.zero_cell)
+        # the recomputed entry replaced the unsound one
+        assert json.loads(path.read_text()) == good
+    assert [n.name for n in tmp_path.iterdir()] == [path.name]
+
+
+def test_digits_must_be_positive():
+    for digits in (0, -1):
+        with pytest.raises(ConfigError):
+            t_adic_sum(SPEC2, 1, 3, digits)
+        with pytest.raises(ConfigError):
+            char_series(SPEC2, t_order=3, s_order=2, digits=digits)
 
 
 def test_trace_histogram_budget_and_args():

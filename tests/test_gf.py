@@ -118,6 +118,48 @@ def test_embed_base_respects_arithmetic():
             assert gf.embed_element(base, x + y, big) == ex + ey
 
 
+def scan_for_root(ctx, base_h):
+    """The first root of base_h in the enumeration order of all of ctx."""
+    for x in ctx.elements():
+        acc = ctx.zero()
+        xp = ctx.one()
+        for c in base_h:
+            if c:
+                acc = acc + ctx.from_coeffs([c]) * xp
+            xp = xp * x
+        if acc.is_zero():
+            return x
+    return None
+
+
+def test_embed_base_finds_the_first_root_in_enumeration_order():
+    cases = [
+        (p, a, k)
+        for p in (2, 3, 5, 7, 11, 13)
+        for a in range(1, 13)
+        for k in range(1, 13)
+        if p ** (a * k) <= 2**12
+    ]
+    for p, a, k in cases:
+        h = gf.FieldCtx(p, a).h
+        ctx = gf.FieldCtx(p, a * k)
+        assert gf.embed_base(ctx, h) == scan_for_root(ctx, h), (p, a, k)
+    # u^2 + u + 2 is irreducible over F_3 but not the default modulus
+    h = (2, 1, 1)
+    assert gf.find_irreducible(3, 2) != h
+    base = gf.FieldCtx(3, 2, h)
+    for k in (1, 2, 3):
+        ctx = gf.FieldCtx(3, 2 * k)
+        assert gf.embed_base(ctx, base.h) == scan_for_root(ctx, base.h)
+
+
+def test_field_is_built_once_per_process():
+    for p, n in [(2, 5), (3, 2), (5, 1)]:
+        ctx = gf.field(p, n)
+        assert gf.field(p, n) is ctx
+        assert ctx == gf.FieldCtx(p, n)
+
+
 def test_degree_must_be_positive():
     with pytest.raises(ConfigError):
         gf.FieldCtx(3, 0)
