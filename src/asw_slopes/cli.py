@@ -7,7 +7,8 @@ verifier (verify), slope-block factorization with the weight law
 (eigencurve), and histogram cache management (cache).
 
 Exit codes: 0 success, 1 a verification claim failed, 2 precision or
-budget exhausted, 3 configuration problems (including bad usage).
+budget exhausted, 3 configuration problems (including bad usage), 4 an
+internal error (any other exception, such as a failed assertion).
 Polynomials on the command line are comma-separated and written leading
 coefficient first, the conventional written order: --f 1,0,0,0 is x^3.
 """
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_PRECISION = 2
 EXIT_CONFIG = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -523,6 +525,8 @@ def main(argv=None) -> int:
         return _fail(err, EXIT_PRECISION)
     except ConfigError as err:
         return _fail(err, EXIT_CONFIG)
+    except Exception as err:  # a bug, never a verdict: keep it off exit 1
+        return _fail(err, EXIT_INTERNAL)
 
 
 def _fail(err: Exception, code: int) -> int:

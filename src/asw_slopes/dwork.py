@@ -10,8 +10,11 @@ series, every basis column j of the operator matrix is divisible by
 w^{(p-1)j}.  That single fact bounds the truncation size R, proves the
 structural lower bound on the characteristic coefficients, and makes the
 matrix entries exactly representable as finite w-expansions with p-adic
-integer coefficients.  Matrix products run over Python integers with the
-w-lanes Kronecker-packed into fixed-width bit fields, so they are exact.
+integer coefficients.  Conjugated by diag(w^i), which leaves the traces of
+all powers unchanged, entry (i, j) is the splitting coefficient c_{pj-i}
+itself, a finite expansion in pi = w^d.  Matrix products run over Python
+integers with the pi-lanes Kronecker-packed into fixed-width bit fields, so
+they are exact.
 """
 
 from __future__ import annotations
@@ -90,9 +93,12 @@ def pi_of_T(p: int, order: int, digits: int) -> TruncSeries:
 def splitting_coefficients(spec, x_max: int, w_order: int, digits: int):
     """Coefficients c_J (J < x_max) of the product splitting function.
 
-    Returned as an (x_max, w_order) int array: c[J][r] is the w^r digit,
-    nonzero only for r >= J and r a multiple of d -- both are asserted, as
-    they are the load-bearing facts for nuclearity.
+    Returned as an (x_max, w_order) list of int rows: c[J][r] is the w^r
+    digit, nonzero only for r >= J and r a multiple of d -- both are
+    asserted, as they are the load-bearing facts for nuclearity.  Each
+    entry accumulates at most n_max products of two residues before it is
+    reduced, so int64 is exact while n_max (p^digits - 1)^2 < 2^62;
+    past that the same code runs on Python ints (dtype=object).
     """
     if spec.a != 1:
         raise ConfigError("operator pathway requires a prime base field (a = 1)")
@@ -101,61 +107,38 @@ def splitting_coefficients(spec, x_max: int, w_order: int, digits: int):
     n_max = 1 + (w_order - 1) // d
     E = artin_hasse(p, n_max, digits)
     e = [c.value for c in E.coeffs]
-    use_numpy = 2 * (mod - 1).bit_length() + n_max.bit_length() < 62
-    if use_numpy:
-        F = np.zeros((x_max, w_order), dtype=np.int64)
-        F[0][0] = 1
-        for i, b in spec.monomials():
-            bh = _teich_zp(p, b.index, digits)
-            G = F
-            F = np.zeros_like(G)
-            bpow = 1
-            for n in range(n_max):
-                if i * n >= x_max or d * n >= w_order:
-                    break
-                g = (e[n] * bpow) % mod
-                if g:
-                    F[i * n :, d * n :] += g * G[: x_max - i * n, : w_order - d * n]
-                bpow = (bpow * bh) % mod
-            F %= mod
-        rows = [[int(c) for c in row] for row in F]
-    else:
-        rows = [[0] * w_order for _ in range(x_max)]
-        rows[0][0] = 1
-        for i, b in spec.monomials():
-            bh = _teich_zp(p, b.index, digits)
-            prev = rows
-            rows = [[0] * w_order for _ in range(x_max)]
-            bpow = 1
-            for n in range(n_max):
-                if i * n >= x_max or d * n >= w_order:
-                    break
-                g = (e[n] * bpow) % mod
-                if g:
-                    for x in range(x_max - i * n):
-                        src = prev[x]
-                        dst = rows[x + i * n]
-                        for r in range(w_order - d * n):
-                            if src[r]:
-                                dst[r + d * n] = (dst[r + d * n] + g * src[r]) % mod
-                bpow = (bpow * bh) % mod
-    for J in range(x_max):
-        for r in range(min(J, w_order)):
-            assert rows[J][r] == 0, "splitting coefficient below its w-floor"
-        for r in range(w_order):
-            if r % d:
-                assert rows[J][r] == 0, "w-exponent off the d-grid"
-    return rows
+    fits = 2 * (mod - 1).bit_length() + n_max.bit_length() < 62
+    dtype = np.int64 if fits else object
+    F = np.zeros((x_max, w_order), dtype=dtype)
+    F[0, 0] = 1
+    for i, b in spec.monomials():
+        bh = _teich_zp(p, b.index, digits)
+        G = F
+        F = np.zeros_like(G)
+        bpow = 1
+        for n in range(n_max):
+            if i * n >= x_max or d * n >= w_order:
+                break
+            g = (e[n] * bpow) % mod
+            if g:
+                F[i * n :, d * n :] += g * G[: x_max - i * n, : w_order - d * n]
+            bpow = (bpow * bh) % mod
+        F %= mod
+    J = np.arange(x_max)[:, None]
+    r = np.arange(w_order)[None, :]
+    assert not (F[r < J] != 0).any(), "splitting coefficient below its w-floor"
+    assert not (F[:, r[0] % d != 0] != 0).any(), "w-exponent off the d-grid"
+    return F.tolist()
 
 
 class PackedMatrix:
-    """Square matrix of w-truncated series, one packed integer per entry."""
+    """Square matrix of pi-truncated series, one packed integer per entry."""
 
     __slots__ = ("size", "lanes", "stride", "mod", "rows")
 
     def __init__(self, size, lanes, stride, mod, rows):
         self.size = size
-        self.lanes = lanes  # number of w-coefficients kept per entry
+        self.lanes = lanes  # number of pi-coefficients kept per entry
         self.stride = stride  # bytes per lane
         self.mod = mod
         self.rows = rows
@@ -179,37 +162,30 @@ def _unpack(value: int, lanes: int, stride: int, mod: int):
 
 
 def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatrix:
-    """Truncated operator matrix, exact mod (w^{d*t_order}, p^digits).
+    """Truncated operator matrix, conjugated into pi-lanes, exact mod
+    (pi^t_order, p^digits).
 
-    Size R = s_order + ceil(W/(p-1)) suffices: any path through an index
-    beyond R picks up w^{(p-1)R} >= w^W, so the dropped tail cannot touch
-    the kept window.
+    Entry (i, j) of the operator is w^{i-j} c_{pj-i}; conjugating by
+    diag(w^i) leaves exactly c_{pj-i}, which lies on the d-grid, so it packs
+    as t_order pi-coefficients instead of W = d*t_order shifted w-lanes.
+    Traces of powers are conjugation invariant, and every entry has
+    nonnegative w-valuation, so dropping w^W and beyond from each entry
+    cannot touch tr(M^k) mod w^W.  Size R = s_order + ceil(W/(p-1))
+    suffices: any closed path through an index beyond R picks up
+    w^{(p-1)R} >= w^W, so the dropped tail cannot touch the kept window.
     """
     p, d = spec.p, spec.d
     W = d * t_order
     R = s_order + -(-W // (p - 1))
-    w_c = W + R  # entries shift their source down by at most R lanes
-    c = splitting_coefficients(spec, p * R, w_c, digits)
+    c = splitting_coefficients(spec, p * R, W, digits)
     mod = p**digits
-    # trace contractions sum R^2 entry products into one packed integer
-    lane_bits = 2 * (mod - 1).bit_length() + (R * R * W).bit_length() + 1
+    # trace contractions sum R^2 entry products into one packed integer,
+    # each lane of a product a sum of at most t_order digit products
+    lane_bits = 2 * (mod - 1).bit_length() + (R * R * t_order).bit_length() + 1
     stride = (lane_bits + 7) // 8
-    rows = []
-    for i in range(R):
-        row = []
-        for j in range(R):
-            J = p * j - i
-            if J < 0:
-                row.append(0)
-                continue
-            src = c[J]
-            shift = i - j
-            entry = [
-                src[r - shift] if 0 <= r - shift < w_c else 0 for r in range(W)
-            ]
-            row.append(_pack(entry, stride))
-        rows.append(row)
-    return PackedMatrix(R, W, stride, mod, rows)
+    packed = [_pack(row[::d], stride) for row in c]
+    rows = [[packed[p * j - i] if p * j >= i else 0 for j in range(R)] for i in range(R)]
+    return PackedMatrix(R, t_order, stride, mod, rows)
 
 
 def _matmul(A: PackedMatrix, B: PackedMatrix) -> PackedMatrix:
@@ -258,7 +234,7 @@ def _trace(A: PackedMatrix):
 
 
 def nuclear_traces(spec, s_order: int, t_order: int, digits: int):
-    """Traces of the first s_order operator powers as w-coefficient lists."""
+    """Traces of the first s_order operator powers as pi-coefficient lists."""
     M = nuclear_matrix(spec, s_order, t_order, digits)
     top = -(-s_order // 2)
     powers = {1: M}
@@ -270,15 +246,8 @@ def nuclear_traces(spec, s_order: int, t_order: int, digits: int):
     return out
 
 
-def _w_to_pi(wcoeffs, spec, t_order: int, digits: int) -> TruncSeries:
-    d, p = spec.d, spec.p
-    out = []
-    for n in range(t_order):
-        out.append(PadicInt(p, wcoeffs[d * n] if d * n < len(wcoeffs) else 0, digits))
-    for r, cval in enumerate(wcoeffs):
-        if r % d:
-            assert cval == 0, "trace has w-exponent off the d-grid"
-    return TruncSeries("pi", out, prec=digits)
+def _pi_series(coeffs, p: int, digits: int) -> TruncSeries:
+    return TruncSeries("pi", [PadicInt(p, c, digits) for c in coeffs], prec=digits)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +260,7 @@ def t_adic_sum_via_operator(spec, k: int, t_order: int, digits: int) -> TruncSer
     sides share no code past TowerSpec, which is the point.
     """
     trs = nuclear_traces(spec, k, t_order, digits)
-    tr_pi = _w_to_pi(trs[k - 1], spec, t_order, digits)
+    tr_pi = _pi_series(trs[k - 1], spec.p, digits)
     unit = PadicInt(spec.p, spec.p**k - 1, digits)
     scaled = tr_pi.scale(unit)
     return compose(scaled, pi_of_T(spec.p, t_order, digits))
@@ -308,7 +277,7 @@ def char_series_via_operator(
     """
     inner = digits + vp_factorial(s_order, spec.p)
     trs = nuclear_traces(spec, s_order, t_order, inner)
-    sums = [-_w_to_pi(t, spec, t_order, inner) for t in trs]
+    sums = [-_pi_series(t, spec.p, inner) for t in trs]
     C = exp_from_power_sums(sums, "s")
     piT = pi_of_T(spec.p, t_order, inner)
     cols = [compose(a, piT) for a in C.coeffs]

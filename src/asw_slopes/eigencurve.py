@@ -452,19 +452,17 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
         return -((-fr.numerator) // fr.denominator)
 
     # slots: (i, j) = coefficient j of block i; i == count is the tail
-    vals: dict = {}
     mark: dict = {}
     for i in range(count):
         for j in range(1, d + 1):
-            vals[(i, j)] = np.zeros(N, dtype=np.int64)
             mark[(i, j)] = ceil_frac(_hull_eval(poly, i * d + j) - corner[i])
     for n in range(1, K + 1):
-        vals[(count, n)] = np.zeros(N, dtype=np.int64)
         mark[(count, n)] = ceil_frac(_hull_eval(poly, count * d + n) - corner[count])
     floors = dict(mark)
 
+    # terms list their slots in block order, so a slot tuple is canonical
     terms: list = [[] for _ in range(K + 1)]
-    slot_terms: dict = {s: [] for s in vals}
+    slot_eqs: dict = {s: set() for s in mark}
     for jv in itertools.product(range(d + 1), repeat=count):
         s_deg = sum(jv)
         if s_deg > K:
@@ -474,41 +472,77 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
             jm = n - s_deg
             fs = base_fs + (((count, jm),) if jm else ())
             terms[n].append(fs)
-            tid = (n, len(terms[n]) - 1)
             for f in fs:
-                slot_terms[f].append(tid)
+                slot_eqs[f].add(n)
 
-    conv_cache: dict = {}
+    # Each known-part product (a slot tuple) gets one id; slot_comps[f]
+    # lists the products that read slot f.  Every term's (unknown subset,
+    # known complement) splits are built once.
+    comp_id: dict = {}
+    slot_comps: dict = {s: [] for s in mark}
 
-    def conv_known(fs) -> np.ndarray:
-        key = tuple(sorted((f, mark[f]) for f in fs))
-        hit = conv_cache.get(key)
-        if hit is not None:
-            return hit
-        out = np.zeros(N, dtype=np.int64)
-        out[0] = 1
-        for f in fs:
-            out = np.convolve(out, vals[f])[:N] % mod
-        conv_cache[key] = out
-        return out
+    def name(comp) -> int:
+        c = comp_id.get(comp)
+        if c is None:
+            c = comp_id[comp] = len(comp_id)
+            for f in comp:
+                slot_comps[f].append(c)
+        return c
 
-    # per-sweep vectors, patched incrementally after each solved digit
-    term_conv = [[None] * len(terms[n]) for n in range(K + 1)]
-    acc_row = [np.zeros(N, dtype=np.int64) for _ in range(K + 1)]
+    splits = [
+        [
+            [
+                (
+                    tuple(f for u, f in enumerate(fs) if bits >> u & 1),
+                    name(tuple(f for u, f in enumerate(fs) if not bits >> u & 1)),
+                )
+                for bits in range(1, 1 << len(fs))
+            ]
+            for fs in terms[n]
+        ]
+        for n in range(K + 1)
+    ]
+    term_ids = [[name(fs) for fs in terms[n]] for n in range(K + 1)]
+    comps = list(comp_id)
 
-    def rebuild(n: int, ti: int):
-        term_conv[n][ti] = conv_known(terms[n][ti])
+    # A convolution entry sums at most N products of two residues and an
+    # acc_row entry at most len(terms[n]) residues, so int64 is exact under
+    # max(N, terms) (mod - 1)^2 < 2^62; past that, Python ints in numpy.
+    widest = max(N, max(len(t) for t in terms))
+    dtype = np.int64 if widest * (mod - 1) ** 2 < 2**62 else object
+    vals = {f: np.zeros(N, dtype=dtype) for f in mark}
+    unit = np.zeros(N, dtype=dtype)
+    unit[0] = 1
 
-    for n in range(1, K + 1):
-        for ti in range(len(terms[n])):
-            rebuild(n, ti)
-        acc_row[n] = sum(term_conv[n]) % mod
+    # known-part products with their first nonzero index (N if zero),
+    # dropped whenever one of their slots gains a digit
+    known: list = [None] * len(comps)
+
+    def conv_known(c: int):
+        hit = known[c]
+        if hit is None:
+            out = unit
+            for f in comps[c]:
+                out = np.convolve(out, vals[f])[:N] % mod
+            nz = np.flatnonzero(out)
+            hit = known[c] = (out, int(nz[0]) if len(nz) else N)
+        return hit
+
+    def row_sum(n: int):
+        return sum((conv_known(c)[0] for c in term_ids[n]), np.zeros(N, dtype=dtype)) % mod
+
+    acc_row = [row_sum(n) for n in range(K + 1)]
 
     rhs = [
-        np.array([cf.value % mod for cf in cols[n].coeffs], dtype=np.int64)
+        np.array([cf.value % mod for cf in cols[n].coeffs], dtype=dtype)
         for n in range(K + 1)
     ]
 
+    # The verdict of an equation digit that solved nothing (skipped, or a
+    # verified check) holds until some slot of its terms gains a digit,
+    # which bumps the equation's version.
+    version = [0] * (K + 1)
+    verdict: dict = {}
     solved_digits = 0
     checks = 0
     sweeps = 0
@@ -521,30 +555,31 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
             for n in range(1, K + 1):
                 if w >= W[n]:
                     continue
+                seen = verdict.get((n, w))
+                if seen is not None and seen[0] == version[n]:
+                    checks += seen[1]
+                    continue
+                verdict[(n, w)] = (version[n], 0)
                 usable = True
                 pivots: dict = {}
-                for ti, fs in enumerate(terms[n]):
+                for fs, pairs in zip(terms[n], splits[n]):
                     if min(mark[f] for f in fs) > w:
                         continue
-                    r_ = len(fs)
-                    for bits in range(1, 1 << r_):
-                        sel = [fs[u] for u in range(r_) if bits >> u & 1]
-                        base = sum(mark[f] for f in sel)
+                    for sel, comp in pairs:
+                        base = sum(map(mark.__getitem__, sel))
                         if base > w:
                             continue
-                        rest = conv_known(
-                            tuple(fs[u] for u in range(r_) if not bits >> u & 1)
-                        )
+                        rest, v = conv_known(comp)
                         if len(sel) == 1:
                             f = sel[0]
-                            idx = w - mark[f]
+                            idx = w - base
                             cof = int(rest[idx])
                             if cof:
                                 pivots[f] = (pivots.get(f, 0) + cof) % mod
-                            if idx > 0 and rest[:idx].any():
+                            if v < idx:
                                 usable = False
                                 break
-                        elif rest[: w - base + 1].any():
+                        elif v <= w - base:
                             usable = False
                             break
                     if not usable:
@@ -563,6 +598,7 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
                             f"s^{n} T^{w}"
                         )
                     checks += 1
+                    verdict[(n, w)] = (version[n], 1)
                     continue
                 if len(live) > 1:
                     continue
@@ -572,9 +608,11 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
                 mark[f] += 1
                 solved_digits += 1
                 progress = True
-                for tn, ti in slot_terms[f]:
-                    rebuild(tn, ti)
-                    acc_row[tn] = sum(term_conv[tn]) % mod
+                for c in slot_comps[f]:
+                    known[c] = None
+                for tn in slot_eqs[f]:
+                    acc_row[tn] = row_sum(tn)
+                    version[tn] += 1
 
     factors = []
     for i in range(count):

@@ -1,9 +1,11 @@
 """Exception taxonomy.
 
 Three families, matching the CLI exit codes: verification failures (an exact
-identity that should hold did not), precision/budget problems (the requested
-computation cannot be certified at the configured truncations), and invalid
-configuration (caller error).
+identity that should hold did not; exit 1), precision/budget problems (the
+requested computation cannot be certified at the configured truncations;
+exit 2), and invalid configuration (caller error; exit 3).  Any other
+exception reaching the CLI, such as a failed internal assertion, is a bug,
+not a verdict: it exits 4, never 1.
 """
 
 

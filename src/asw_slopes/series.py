@@ -218,8 +218,12 @@ def compose(F: TruncSeries, G: TruncSeries) -> TruncSeries:
 def reversion(F: TruncSeries) -> TruncSeries:
     """Compositional inverse G with F(G) = var, for F = f_1 var + ...
 
-    f_1 must be a unit (NonUnitLinearTerm behaviour folded into ConfigError);
-    fixed-point iteration G <- f_1^{-1}(var - R(G)), one order per pass.
+    f_1 must be a unit (NonUnitLinearTerm behaviour folded into ConfigError).
+    Solved one coefficient at a time: with P[j][n] = [var^n] G^j, which for
+    j >= 2 involves only g_1..g_{n-1}, F(G) = var reads
+    g_n = -f_1^{-1} sum_{j>=2} f_j P[j][n] and g_1 = f_1^{-1}.  That is
+    O(L^3/6) ring operations, only multiplications and the one unit inverse;
+    every coefficient carries the least precision among F's coefficients.
     """
     f = F.coeffs
     if not f[0].is_zero():
@@ -234,11 +238,24 @@ def reversion(F: TruncSeries) -> TruncSeries:
     else:
         raise ConfigError("reversion over exact rings needs linear term 1")
     L = F.order
+    # every sum starts from a zero at the least precision among F's terms
     zero = f[0].zero_like()
-    # R = F - f_1 var
-    R = TruncSeries(F.var, [zero, zero] + f[2:])
-    var_series = TruncSeries(F.var, [zero, f[0].one_like()] + [zero] * (L - 2))
-    G = var_series.scale(f1_inv)
-    for _ in range(L - 1):
-        G = (var_series - compose(R, G)).scale(f1_inv)
-    return G
+    for c in f[1:]:
+        zero = zero + c.zero_like()
+    g = [zero, zero + f1_inv]
+    # P[j][n] for 2 <= j <= n < L; P[1] is g itself
+    P = [None, g] + [[zero] * L for _ in range(2, L)]
+    for n in range(2, L):
+        acc = zero
+        for j in range(2, n + 1):
+            prev = P[j - 1]
+            pjn = zero
+            for i in range(1, n - j + 2):
+                a, b = g[i], prev[n - i]
+                if not (a.is_zero() or b.is_zero()):
+                    pjn = pjn + a * b
+            P[j][n] = pjn
+            if not (f[j].is_zero() or pjn.is_zero()):
+                acc = acc + f[j] * pjn
+        g.append(-acc * f1_inv)
+    return TruncSeries(F.var, g)

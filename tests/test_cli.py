@@ -188,6 +188,88 @@ def test_exit_code_verification(capsys, monkeypatch):
     assert doc["error"] == "DegreeViolation" and doc["message"] == "forced failure"
 
 
+def test_internal_error_exits_4(capsys, monkeypatch):
+    # a bug is neither a verdict (1) nor a precision (2) or usage (3) problem
+    def boom(args):
+        raise AssertionError("splitting coefficient below its w-floor")
+
+    monkeypatch.setattr(cli, "_cmd_zeta", boom)
+    code, out, err = run(capsys, ["zeta", *P2, "--m", "1"])
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    doc = json.loads(err)
+    assert doc == {
+        "error": "AssertionError",
+        "message": "splitting coefficient below its w-floor",
+    }
+
+
+def _eigencurve_blocks(capsys, argv):
+    code, out, err = run(capsys, ["eigencurve", *argv])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert all(b["law"]["ok"] for b in doc["blocks"])
+    return doc
+
+
+def test_eigencurve_wide_digits_stay_exact(capsys):
+    # at 21 digits N (3^21 - 1)^2 passes 2^63: the elimination must leave
+    # int64, and its answer must reduce to the 19-digit one
+    tower = ["--p", "3", "--f", "1,0,2", "--components", "2"]
+    narrow = _eigencurve_blocks(capsys, [*tower, "--digits", "19"])
+    wide = _eigencurve_blocks(capsys, [*tower, "--digits", "21"])
+    assert wide["engine"] == narrow["engine"]
+    for a, b in zip(narrow["blocks"], wide["blocks"]):
+        assert [[v % 3**19 for v in row] for row in b["coefficients"]] == a["coefficients"]
+
+
+@pytest.mark.parametrize(
+    "argv,engine,blocks",
+    [
+        (
+            ["--p", "2", "--f", "1,0,0,1", "--digits", "6", "--levels", "2,3"],
+            {
+                "orders": {
+                    "0,1": 4, "0,2": 4, "0,3": 5, "1,1": 4, "1,2": 5,
+                    "1,3": 7, "2,1": 4, "2,2": 6, "2,3": 8,
+                },
+                "solved_digits": 24,
+                "sweeps": 5,
+                "tail_orders": [4, 6, 9, 12, 15, 18, 21, 24, 27, 30],
+                "verified_digits": 81,
+            },
+            [
+                [[127, 127, 0, 0], [0, 127, 126, 127], [0, 1, 3, 3, 95]],
+                [[0, 127, 42, 57], [0, 0, 0, 85, 51], [0, 0, 0, 0, 43, 63, 1]],
+                [[0, 0, 85, 54], [0, 0, 0, 0, 0, 91], [0, 0, 0, 0, 0, 0, 0, 55]],
+            ],
+        ),
+        (
+            ["--p", "3", "--f", "1,0,2"],
+            {
+                "orders": {"0,1": 7, "0,2": 7, "1,1": 7, "1,2": 9, "2,1": 7, "2,2": 11},
+                "solved_digits": 28,
+                "sweeps": 7,
+                "tail_orders": [7, 12, 18, 24, 30, 36, 42],
+                "verified_digits": 84,
+            },
+            [
+                [[80, 0, 41, 70, 67, 16, 14], [0, 1, 38, 55, 39, 27, 39]],
+                [[0, 0, 40, 11, 12, 36, 21], [0, 0, 0, 0, 0, 76, 63, 7, 59]],
+                [[0, 0, 0, 0, 2, 29, 72], [0, 0, 0, 0, 0, 0, 0, 0, 0, 70, 31]],
+            ],
+        ),
+    ],
+)
+def test_eigencurve_engine_and_factors_are_pinned(capsys, argv, engine, blocks):
+    # the elimination's sweep order fixes its counters as well as its digits
+    doc = _eigencurve_blocks(capsys, [*argv, "--components", "3"])
+    assert doc["engine"] == engine
+    for entry, want in zip(doc["blocks"], blocks):
+        head, *rest = entry["coefficients"]
+        assert head == [1] + [0] * (len(head) - 1)
+        assert rest == want
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, ["zeta", *P2, "--m", "1", "--out", str(target)])

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from asw_slopes.dwork import (
+    _teich_zp,
     artin_hasse,
     char_series_via_operator,
+    nuclear_matrix,
+    nuclear_traces,
     pi_of_T,
     splitting_coefficients,
     structural_floor,
@@ -72,12 +76,115 @@ def test_splitting_coefficients_grid():
                 assert rows[J][r] == 0
 
 
+def reference_splitting_coefficients(spec, x_max, w_order, digits):
+    """Pure-Python product of the monomials' splitting series: the oracle
+    for the numpy kernel, on plain ints with a reduction after every add."""
+    p, d = spec.p, spec.d
+    mod = p**digits
+    n_max = 1 + (w_order - 1) // d
+    e = [c.value for c in artin_hasse(p, n_max, digits).coeffs]
+    rows = [[0] * w_order for _ in range(x_max)]
+    rows[0][0] = 1
+    for i, b in spec.monomials():
+        bh = _teich_zp(p, b.index, digits)
+        prev = rows
+        rows = [[0] * w_order for _ in range(x_max)]
+        bpow = 1
+        for n in range(n_max):
+            if i * n >= x_max or d * n >= w_order:
+                break
+            g = (e[n] * bpow) % mod
+            if g:
+                for x in range(x_max - i * n):
+                    src = prev[x]
+                    dst = rows[x + i * n]
+                    for r in range(w_order - d * n):
+                        if src[r]:
+                            dst[r + d * n] = (dst[r + d * n] + g * src[r]) % mod
+            bpow = (bpow * bh) % mod
+    return rows
+
+
 def test_splitting_coefficients_paths_agree():
-    # digits 31 pushes the accumulator past the int64 budget: python path
-    wide = splitting_coefficients(SPEC2, 6, 9, 31)
-    fast = splitting_coefficients(SPEC2, 6, 9, 4)
-    for rw, rf in zip(wide, fast):
-        assert [x % 2**4 for x in rw] == rf
+    # digits 31 pushes the accumulator past the int64 bound: dtype=object.
+    # Wrapped int64 sums would keep their residues mod 2^31, so only the
+    # odd prime shows a wrong dtype.
+    for spec in (SPEC2, TowerSpec(3, 1, [1, 1, 1])):
+        wide = splitting_coefficients(spec, 6, 9, 31)
+        fast = splitting_coefficients(spec, 6, 9, 4)
+        assert wide == reference_splitting_coefficients(spec, 6, 9, 31)
+        assert fast == reference_splitting_coefficients(spec, 6, 9, 4)
+        assert all(type(x) is int for row in wide + fast for x in row)
+        for rw, rf in zip(wide, fast):
+            assert [x % spec.p**4 for x in rw] == rf
+
+
+def _ref_pack(coeffs, stride):
+    return int.from_bytes(
+        b"".join(int(c).to_bytes(stride, "little") for c in coeffs), "little"
+    )
+
+
+def _ref_unpack(value, lanes, stride, mod):
+    data = value.to_bytes(max((value.bit_length() + 7) // 8, lanes * stride), "little")
+    return [
+        int.from_bytes(data[r * stride : (r + 1) * stride], "little") % mod
+        for r in range(lanes)
+    ]
+
+
+def reference_nuclear_traces(spec, s_order, t_order, digits):
+    """tr(M^k), k <= s_order, from the unconjugated operator: entry (i, j) is
+    w^{i-j} c_{pj-i} kept as W = d t_order w-lanes, so it reads W + R
+    splitting columns.  Returns w-coefficient lists of length W."""
+    p, d = spec.p, spec.d
+    W = d * t_order
+    R = s_order + -(-W // (p - 1))
+    w_c = W + R
+    c = reference_splitting_coefficients(spec, p * R, w_c, digits)
+    mod = p**digits
+    stride = (2 * (mod - 1).bit_length() + (R * R * W).bit_length() + 8) // 8
+    M = [[0] * R for _ in range(R)]
+    for i in range(R):
+        for j in range(R):
+            J, shift = p * j - i, i - j
+            if J >= 0:
+                entry = [c[J][r - shift] if 0 <= r - shift < w_c else 0 for r in range(W)]
+                M[i][j] = _ref_pack(entry, stride)
+
+    def reduce(v):
+        return _ref_pack(_ref_unpack(v, W, stride, mod), stride)
+
+    power = M
+    out = []
+    for k in range(1, s_order + 1):
+        if k > 1:
+            power = [
+                [reduce(sum(power[i][u] * M[u][j] for u in range(R))) for j in range(R)]
+                for i in range(R)
+            ]
+        out.append(_ref_unpack(sum(power[i][i] for i in range(R)), W, stride, mod))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pi_lane_traces_match_the_w_lane_operator(p):
+    # the deeper windows drive lane sums well past 2 bits(p^digits - 1) + 1
+    # bits, so a lane width short of its bound shows as a wrong trace
+    rng = random.Random(p)
+    for d in (2, 3, 4, 5):
+        if d % p == 0:
+            continue
+        f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        spec = TowerSpec(p, 1, f)
+        for s_order, t_order, digits in ((3, 4, 5), (5, 6, 4), (6, 8, 7)):
+            M = nuclear_matrix(spec, s_order, t_order, digits)
+            assert M.lanes == t_order
+            got = nuclear_traces(spec, s_order, t_order, digits)
+            want = reference_nuclear_traces(spec, s_order, t_order, digits)
+            for g, w in zip(got, want):
+                assert g == w[::d], (p, d, s_order)
+                assert not any(w[r] for r in range(len(w)) if r % d), (p, d)
 
 
 def test_operator_requires_prime_base():

@@ -97,3 +97,36 @@ def test_min_prec_tracks_worst_coefficient():
 def test_degree_ignores_trailing_zeros():
     a = S([2, 1, 0, 0])
     assert a.degree() == 1
+
+
+def reference_reversion(F):
+    """The fixed-point reversion G <- f_1^{-1}(var - R(G)), one order per
+    pass, each pass a full Horner composition: the oracle for reversion."""
+    f = F.coeffs
+    f1_inv = f[1].unit_inverse()
+    L = F.order
+    zero = f[0].zero_like()
+    R = TruncSeries(F.var, [zero, zero] + f[2:])
+    var_series = TruncSeries(F.var, [zero, f[0].one_like()] + [zero] * (L - 2))
+    G = var_series.scale(f1_inv)
+    for _ in range(L - 1):
+        G = (var_series - compose(R, G)).scale(f1_inv)
+    return G
+
+
+def test_reversion_matches_the_fixed_point_oracle_seeded():
+    # random unit f_1, sparse coefficients and a precision per coefficient;
+    # == compares every value and every PadicInt.prec
+    rng = random.Random(41)
+    orders = [2, 3, 5, 8, 13, 21, 40]
+    for case in range(28):
+        p = (2, 3, 5, 7)[case % 4]
+        L = orders[case % len(orders)]
+        precs = [rng.randrange(1, 10) for _ in range(L)]
+        coeffs = [PadicInt(p, 0, precs[0])]
+        coeffs.append(PadicInt(p, rng.randrange(1, p) + p * rng.randrange(p**9), precs[1]))
+        for k in range(2, L):
+            v = 0 if rng.random() < 0.3 else rng.randrange(p ** precs[k])
+            coeffs.append(PadicInt(p, v, precs[k]))
+        F = TruncSeries("x", coeffs)
+        assert reversion(F) == reference_reversion(F), (p, L, precs)
