@@ -21,13 +21,12 @@ from .errors import (
     NotPrime,
     PathwayMismatch,
     PrecisionError,
-    TraceNotRational,
     VerificationError,
     WeightOutsideAnnulus,
 )
 from .gf import FieldCtx, FqElt, find_irreducible
 from .padic import CycInt, PadicInt, Valuation, ZqCtx, binom_pow, teichmuller
-from .series import TruncSeries, exp_from_power_sums, log_series
+from .series import TruncSeries, exp_from_power_sums
 from .newton import (
     NewtonPolygon,
     hodge_polygon,

@@ -38,11 +38,8 @@ def _mobius(n: int) -> int:
 
 def _teich_zp(p: int, residue: int, digits: int) -> int:
     """Teichmuller lift in Z_p/p^digits of a prime-field residue."""
-    mod = p**digits
-    w = residue % mod
-    for _ in range(digits):
-        w = pow(w, p, mod)
-    return w
+    # w^(p^k) agrees with the lift mod p^(k+1)
+    return pow(residue, p ** (digits - 1), p**digits)
 
 
 def artin_hasse(p: int, order: int, digits: int) -> TruncSeries:
@@ -263,7 +260,7 @@ def t_adic_sum_via_operator(spec, k: int, t_order: int, digits: int) -> TruncSer
     tr_pi = _pi_series(trs[k - 1], spec.p, digits)
     unit = PadicInt(spec.p, spec.p**k - 1, digits)
     scaled = tr_pi.scale(unit)
-    return compose(scaled, pi_of_T(spec.p, t_order, digits))
+    return compose([scaled], pi_of_T(spec.p, t_order, digits))[0]
 
 
 def char_series_via_operator(
@@ -280,8 +277,7 @@ def char_series_via_operator(
     sums = [-_pi_series(t, spec.p, inner) for t in trs]
     C = exp_from_power_sums(sums, "s")
     piT = pi_of_T(spec.p, t_order, inner)
-    cols = [compose(a, piT) for a in C.coeffs]
-    out = TruncSeries("s", cols)
+    out = TruncSeries("s", compose(C.coeffs, piT))
     if out.min_prec() < digits:
         raise InsufficientPrecision(
             f"operator series certified only to {out.min_prec()} digits"

@@ -61,10 +61,6 @@ class NonIntegralResult(VerificationError):
     """An exact division left a remainder where integrality is guaranteed."""
 
 
-class TraceNotRational(VerificationError):
-    """A trace sum kept non-constant coordinates at full precision."""
-
-
 class DegreeViolation(VerificationError):
     """An L-function coefficient beyond the forced degree is nonzero."""
 

@@ -8,8 +8,7 @@ Two regimes coexist and are kept visibly separate:
   polynomial, with valuations read off the expansion in pi = zeta - 1
   (never floats).
 
-Teichmuller lifts use the p^n-power iteration; traces of Teichmuller
-monomials use Frobenius orbit sums (sigma(m) = m^p holds exactly there).
+Teichmuller lifts use Newton's method on omega^{q-1} = 1.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .errors import (
     CtxMismatch,
     InsufficientGuard,
     NonIntegralResult,
-    TraceNotRational,
 )
 
 
@@ -262,48 +260,31 @@ class ZqCtx:
 
 
 def teichmuller(zctx: ZqCtx, x) -> tuple[int, ...]:
-    """Teichmuller lift: iterate omega <- omega^{p^n}, N times.
+    """Teichmuller lift mod p^N by Newton's method on omega^{q-1} = 1.
 
-    Each pass gains one digit of agreement with the true lift, so after N
-    passes the result is the fixed point mod p^N (omega^{p^n} = omega there).
+    The step omega <- omega (1 - (omega^{q-1} - 1)/(q - 1)) turns an error
+    omega^{q-1} = 1 + eps into 1 + O(eps^2), and any lift of a nonzero
+    residue starts with p | eps, so ceil(log2 N) steps reach the lift mod
+    p^N.  That lift is unique, so the coordinates are the same as those of
+    omega^{q^N}.  A residue 0 lifts to 0.
     """
     if isinstance(x, gf.FqElt):
         omega = zctx.lift(x)
     else:
         omega = tuple(int(c) % zctx.mod for c in x)
-    q = zctx.p**zctx.n
-    for _ in range(zctx.N):
-        omega = zctx.pow(omega, q)
+    p, n, mod = zctx.p, zctx.n, zctx.mod
+    if all(c % p == 0 for c in omega):
+        return (0,) * n
+    q = p**n
+    inv = pow(q - 1, -1, mod)
+    digits = 1
+    while digits < zctx.N:
+        err = zctx.pow(omega, q - 1)
+        step = [(-c * inv) % mod for c in err]
+        step[0] = (step[0] + 1 + inv) % mod
+        omega = zctx.mul(omega, step)
+        digits *= 2
     return omega
-
-
-def teich_trace(ctx: gf.FieldCtx, x: gf.FqElt, f_coeffs, N: int) -> PadicInt:
-    """Tr_{Q_{q^k}/Q_p} of f-hat at the Teichmuller lift of x, mod p^N.
-
-    f_coeffs are field elements of ctx (ascending, already embedded).  Each
-    monomial m_i = omega(b_i) * omega(x)^i is a Teichmuller element, so its
-    orbit sum sum_j m_i^{p^j} is Frobenius-stable and must land in Z_p; the
-    non-constant coordinates are asserted to vanish at full precision.
-    """
-    zctx = ZqCtx(ctx, N)
-    wx = teichmuller(zctx, x)
-    n = ctx.n
-    total = [0] * n
-    xpow = (1,) + (0,) * (n - 1)
-    for i, b in enumerate(f_coeffs):
-        if i > 0:
-            xpow = zctx.mul(xpow, wx)
-        if b.is_zero():
-            continue
-        mono = zctx.mul(teichmuller(zctx, b), xpow)
-        y = mono
-        for _ in range(n):
-            total = [a + c for a, c in zip(total, y)]
-            y = zctx.pow(y, ctx.p)
-    total = [c % zctx.mod for c in total]
-    if any(total[1:]):
-        raise TraceNotRational(f"non-constant trace coordinates {total[1:]}")
-    return PadicInt(ctx.p, total[0], N)
 
 
 # ---------------------------------------------------------------------------

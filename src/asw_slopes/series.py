@@ -3,14 +3,21 @@
 A TruncSeries of length L represents a series modulo var^L.  Coefficients
 may be PadicInt, CycInt, or another TruncSeries (bivariate case); they only
 need +, -, *, exact_div_int, zero_like/one_like/from_int_like and is_zero.
-Divisions happen in exactly two places (exp/log recurrences), always by a
-visible integer, and always through exact_div_int so precision loss is
-tracked element by element instead of by a worst-case formula.
+Division happens in one place, the exp recurrence, always by a visible
+integer, so precision loss is tracked element by element instead of by a
+worst-case formula.
+
+TruncSeries and PadicInt are the API edge.  The hot kernels -- the exp
+recurrence over series coefficients and composition with pi(T) -- run on
+flat vectors of Python ints with one declared precision per coefficient,
+and hand back the same values and precisions the PadicInt arithmetic
+would.
 """
 
 from __future__ import annotations
 
 from .errors import ConfigError, CtxMismatch, InsufficientGuard
+from .padic import PadicInt
 
 
 def _coeff_prec(c):
@@ -135,11 +142,15 @@ def exp_from_power_sums(power_sums, var: str = "s") -> TruncSeries:
 
     Newton recurrence a_n = (1/n) sum_{k=1}^{n} c_k a_{n-k}; every division is
     an exact_div_int, so over exact rings integrality is asserted and over
-    truncated rings the declared precision drops by v_p(n) at step n.
+    truncated rings the declared precision drops by v_p(n) at step n.  When
+    the c_k are series of PadicInt the recurrence runs on flat vectors (see
+    _exp_flat) with the same values and the same precision per coefficient.
     """
     cs = list(power_sums)
     if not cs:
         raise ConfigError("need at least one power sum")
+    if isinstance(cs[0], TruncSeries) and isinstance(cs[0].coeffs[0], PadicInt):
+        return _exp_flat(cs, var)
     one = cs[0].one_like()
     out = [one]
     for n in range(1, len(cs) + 1):
@@ -153,109 +164,111 @@ def exp_from_power_sums(power_sums, var: str = "s") -> TruncSeries:
     return ts
 
 
-def log_series(F: TruncSeries) -> TruncSeries:
-    """log F for F = 1 + higher terms, same truncation order."""
-    f = F.coeffs
-    if not (f[0] - f[0].one_like()).is_zero():
-        raise ConfigError("log needs constant term 1")
-    zero = f[0].zero_like()
-    L = [zero]
-    for n in range(1, F.order):
-        if n == 1:
-            L.append(f[1])
-            continue
-        acc = zero
-        for k in range(1, n):
-            if not (L[k].is_zero() or f[n - k].is_zero()):
-                acc = acc + _int_scale(L[k] * f[n - k], k)
-        L.append(f[n] - acc.exact_div_int(n))
-    ts = TruncSeries(F.var, L)
+def _exp_flat(cs, var):
+    """The exp recurrence for series coefficients on flat vectors: Python
+    ints plus one declared precision per coefficient.
+
+    As in TruncSeries arithmetic on PadicInt, a product starts from a zero
+    at the precision of the left factor's constant term and takes the least
+    precision among the nonzero products it adds (a zero factor adds no
+    bound), and a sum takes the least of its terms.  Every reduction on the
+    way is by a modulus the last one divides, so each coefficient is its
+    exact sum reduced once, then divided by n through PadicInt.
+    """
+    inner = cs[0].var
+    if any(not isinstance(c, TruncSeries) or c.var != inner for c in cs):
+        raise CtxMismatch("power sums must be series in one variable")
+
+    def flat(coeffs):
+        return [x.value for x in coeffs], [x.prec for x in coeffs]
+
+    p = cs[0].coeffs[0].p
+    sums = [flat(c.coeffs) for c in cs]
+    res = [cs[0].one_like()]
+    out = [flat(res[0].coeffs)]
+    for n in range(1, len(cs) + 1):
+        terms = [(sums[n - 1], out[0])]
+        terms += [(sums[k - 1], out[n - k]) for k in range(1, n) if any(sums[k - 1][0])]
+        L = min(min(len(a[0]), len(b[0])) for a, b in terms)
+        acc = [0] * L
+        prec = [min(a[1][0] for a, _ in terms)] * L
+        for (av, ap), (bv, bp) in terms:
+            nzb = [(j, bv[j], bp[j]) for j in range(L) if bv[j]]
+            for i in range(L):
+                if av[i]:
+                    for j, y, f in nzb:
+                        if i + j >= L:
+                            break
+                        acc[i + j] += av[i] * y
+                        prec[i + j] = min(prec[i + j], ap[i], f)
+        quo = [PadicInt(p, x, e).exact_div_int(n) for x, e in zip(acc, prec)]
+        res.append(TruncSeries(inner, quo))
+        out.append(flat(quo))
+    ts = TruncSeries(var, res)
     ts.prec = ts.min_prec()
     return ts
 
 
-def _int_scale(c, k: int):
-    acc = c.zero_like()
-    add = c
-    m = k
-    while m:
-        if m & 1:
-            acc = acc + add
-        add = add + add
-        m >>= 1
-    return acc
+def compose(columns, G: TruncSeries) -> list:
+    """F(G) for every series F in columns, G(0) = 0, sharing the powers of G.
 
-
-def inverse(F: TruncSeries) -> TruncSeries:
-    """1/F for F with constant term 1."""
-    f = F.coeffs
-    if not (f[0] - f[0].one_like()).is_zero():
-        raise ConfigError("series inverse needs constant term 1")
-    g = [f[0].one_like()]
-    for n in range(1, F.order):
-        acc = f[0].zero_like()
-        for k in range(1, n + 1):
-            if not (f[k].is_zero() or g[n - k].is_zero()):
-                acc = acc + f[k] * g[n - k]
-        g.append(-acc)
-    return TruncSeries(F.var, g)
-
-
-def compose(F: TruncSeries, G: TruncSeries) -> TruncSeries:
-    """F(G) by Horner; G may live in a different variable, G(0) = 0."""
-    if not G.coeffs[0].is_zero():
+    G^j is built once as ints mod p^g, g the least precision in G, and each
+    column is sum_j f_j G^j in G's variable and truncation.  Precisions are
+    those of Horner's rule f_0 + G(f_1 + G(f_2 + ...)) on PadicInt when G
+    carries one precision, as pi(T) does, and never more otherwise: every
+    term gets min(g, prec f_1, prec f_2, ...), the constant term also
+    prec f_0.
+    """
+    g = G.coeffs
+    if not g[0].is_zero():
         raise ConfigError("composition needs G(0) = 0")
-    L = G.order
-    zero = G.coeffs[0].zero_like()
-    acc = TruncSeries(G.var, [zero] * L)
-    for k in range(F.order - 1, -1, -1):
-        acc = acc * G
-        ck = F.coeffs[k]
-        acc.coeffs[0] = acc.coeffs[0] + ck
-    return acc
+    p, L = g[0].p, len(g)
+    gprec = min(c.prec for c in g)
+    mod = p**gprec
+    G1 = [c.value % mod for c in g]
+    powers = [None, G1]
+    for j in range(2, min(L, max(F.order for F in columns))):
+        # G^(j-1) vanishes below var^(j-1)
+        prev = powers[-1]
+        powers.append([sum(prev[i] * G1[n - i] for i in range(j - 1, n)) % mod for n in range(L)])
+    out = []
+    for F in columns:
+        f = F.coeffs
+        tail = min([gprec] + [c.prec for c in f[1:]])
+        J = min(len(f), L)
+        vals = [sum(f[j].value * powers[j][n] for j in range(1, min(J, n + 1))) for n in range(L)]
+        coeffs = [PadicInt(p, f[0].value, min(tail, f[0].prec))]
+        out.append(TruncSeries(G.var, coeffs + [PadicInt(p, x, tail) for x in vals[1:]]))
+    return out
 
 
 def reversion(F: TruncSeries) -> TruncSeries:
-    """Compositional inverse G with F(G) = var, for F = f_1 var + ...
+    """Compositional inverse G with F(G) = var, for F = f_1 var + ..., f_1 a unit.
 
-    f_1 must be a unit (NonUnitLinearTerm behaviour folded into ConfigError).
-    Solved one coefficient at a time: with P[j][n] = [var^n] G^j, which for
+    Solved one coefficient at a time on ints mod p^e, e the least precision
+    among F's PadicInt coefficients: with P[j][n] = [var^n] G^j, which for
     j >= 2 involves only g_1..g_{n-1}, F(G) = var reads
     g_n = -f_1^{-1} sum_{j>=2} f_j P[j][n] and g_1 = f_1^{-1}.  That is
-    O(L^3/6) ring operations, only multiplications and the one unit inverse;
-    every coefficient carries the least precision among F's coefficients.
+    O(L^3/6) multiplications and one unit inverse, so every coefficient
+    keeps precision e, the same as the PadicInt evaluation declares.
     """
     f = F.coeffs
     if not f[0].is_zero():
         raise ConfigError("reversion needs zero constant term")
     if F.order < 2 or f[1].is_zero():
         raise ConfigError("reversion needs a unit linear term")
-    f1 = f[1]
-    if hasattr(f1, "unit_inverse"):
-        f1_inv = f1.unit_inverse()
-    elif (f1 - f1.one_like()).is_zero():
-        f1_inv = f1.one_like()
-    else:
-        raise ConfigError("reversion over exact rings needs linear term 1")
-    L = F.order
-    # every sum starts from a zero at the least precision among F's terms
-    zero = f[0].zero_like()
-    for c in f[1:]:
-        zero = zero + c.zero_like()
-    g = [zero, zero + f1_inv]
+    f1_inv = f[1].unit_inverse().value
+    p, L = f[0].p, F.order
+    e = min(c.prec for c in f)
+    mod = p**e
+    g = [0, f1_inv % mod]
     # P[j][n] for 2 <= j <= n < L; P[1] is g itself
-    P = [None, g] + [[zero] * L for _ in range(2, L)]
+    P = [None, g] + [[0] * L for _ in range(2, L)]
     for n in range(2, L):
-        acc = zero
+        acc = 0
         for j in range(2, n + 1):
             prev = P[j - 1]
-            pjn = zero
-            for i in range(1, n - j + 2):
-                a, b = g[i], prev[n - i]
-                if not (a.is_zero() or b.is_zero()):
-                    pjn = pjn + a * b
-            P[j][n] = pjn
-            if not (f[j].is_zero() or pjn.is_zero()):
-                acc = acc + f[j] * pjn
-        g.append(-acc * f1_inv)
-    return TruncSeries(F.var, g)
+            P[j][n] = sum(g[i] * prev[n - i] for i in range(1, n - j + 2)) % mod
+            acc += f[j].value * P[j][n]
+        g.append(-acc * f1_inv % mod)
+    return TruncSeries(F.var, [PadicInt(p, x, e) for x in g])

