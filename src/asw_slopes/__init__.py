@@ -16,7 +16,6 @@ from .errors import (
     InsufficientGuard,
     InsufficientPrecision,
     NoGapAtVertex,
-    NonConvergence,
     NonIntegralResult,
     NotPrime,
     PathwayMismatch,
@@ -77,10 +76,8 @@ from .tower import (
 )
 from .eigencurve import (
     BlockFactor,
-    block_ratio,
     observed_polygon,
     predicted_block_slopes,
-    slope_factor,
     specialize_block,
     verify_weight_slope_law,
 )

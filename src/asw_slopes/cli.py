@@ -23,9 +23,11 @@ from fractions import Fraction
 
 from . import expsum, tower
 from .eigencurve import (
+    block_product,
+    block_window,
     nested_block_factors,
     observed_polygon,
-    slope_factor,
+    pick_levels,
     verify_weight_slope_law,
 )
 from .errors import ConfigError, PathwayMismatch, PrecisionError, VerificationError
@@ -286,10 +288,7 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_turning(spec, args) -> dict:
-    s_order = args.s_order or 2 * spec.d + 1
-    t_order = args.t_order or (
-        1 + (spec.p - 1) * (s_order * (s_order - 1)) // (2 * spec.d)
-    )
+    t_order, s_order = tower.turning_window(spec, args.t_order, args.s_order)
     C = expsum.char_series(spec, t_order, s_order, args.digits)
     poly = observed_polygon(C)
     bound = hodge_polygon(spec.d, poly.width).rescale(
@@ -310,14 +309,11 @@ def _verify_turning(spec, args) -> dict:
     return {"ok": ok, "touch": rows, "polygon": poly.to_json(), "svg": svg}
 
 
-def _ceil(x: Fraction) -> int:
-    return int(-(-x // 1))
-
-
-def _factor_json(factor, p: int) -> dict:
+def _factor_json(factor) -> dict:
     return {
         "coefficients": [
-            [c.value % p**factor.digits for c in ts.coeffs] for ts in factor.coeffs
+            [c.value % factor.p**factor.digits for c in ts.coeffs]
+            for ts in factor.coeffs
         ],
         "t_digits": factor.t_digits,
         "p_digits": factor.digits,
@@ -327,93 +323,40 @@ def _factor_json(factor, p: int) -> dict:
 def _cmd_eigencurve(args) -> int:
     spec = _spec(args)
     d = spec.d
-    e0 = spec.a * (spec.p - 1) * spec.p ** (tower.stable_level(spec) - 1)
-    alphas = tower.base_slopes(spec)
-    s_alpha = sum(alphas, Fraction(0, 1))
-    gap = e0 * (1 - (max(alphas) if alphas else Fraction(0, 1)))
-    if gap <= 0:
-        raise ConfigError("no slope gap at block vertices for this tower")
-    user_levels = _ints(args.levels) if args.levels else None
-    payload = _base_payload(args, spec)
-    payload["digits"] = args.digits
-
-    # T-adic hull height at the block corner x = i*d: block slopes are
-    # e0*(i-1) once and e0*(i-1+alpha_j) each, so corners are integral
-    def corner_y(i: int) -> int:
-        return _ceil(e0 * (Fraction(d * i * (i - 1), 2) + i * s_alpha))
-
-    def pick_levels(h_max: int, p_digits: int) -> list[int]:
-        # smallest annulus level whose cap p_digits*e exceeds the deepest
-        # specialized reading, so every hull point stays exact
-        if user_levels is not None:
-            return user_levels
-        m = tower.stable_level(spec)
-        while p_digits * (spec.p - 1) * spec.p ** (m - 1) <= h_max:
-            m += 1
-        return [m, m + 1]
-
-    if args.vertex is not None:
-        vertex = args.vertex
-        if vertex <= 0 or vertex % d:
-            raise ConfigError(f"vertex {vertex} must be a positive multiple of d = {d}")
-        i = vertex // d
-        # honest depth after the rescaled split is gap*(t_order - y_v)/beta_hi,
-        # less the left factor's own T-content under the rescaling; two spare
-        # orders cover that loss at the gammas the chooser actually picks
-        beta_hi = Fraction(e0 * i)
-        t_order = args.t_order or _ceil(args.t_digits * beta_hi / gap + corner_y(i)) + 2
-        # lanes above the vertex must cover the window even at the flattest
-        # gamma the chooser may fall back to (63/64 of the gap)
-        s_order = args.s_order or vertex + _ceil(t_order / (gap * Fraction(63, 64))) + 1
-        C = expsum.char_series(spec, t_order, s_order, args.digits)
-        factor = slope_factor(C, vertex, args.t_digits)
-        levels = pick_levels(corner_y(i), factor.digits)
-        law = verify_weight_slope_law(spec, factor, list(range(1, i + 1)), levels)
-        payload.update(
-            {
-                "mode": "vertex",
-                "vertex": vertex,
-                "t_order": t_order,
-                "s_order": s_order,
-                "levels": levels,
-                "gamma": [factor.gamma.numerator, factor.gamma.denominator],
-                "factor": _factor_json(factor, spec.p),
-                "law": law,
-            }
-        )
-        _emit_json(args, payload)
-        return EXIT_OK if law["ok"] else EXIT_VERIFICATION
-
-    count = args.components
-    if count < 1:
-        raise ConfigError("need at least one component")
-    # anchor the hull one column past the last corner so x = count*d is interior
-    t_order = args.t_order or corner_y(count) + e0 * count + 2
-    s_order = args.s_order or count * d + 1
+    vertex = args.vertex
+    if vertex is not None and vertex % d:
+        raise ConfigError(f"vertex {vertex} must be a multiple of d = {d}")
+    count = args.components if vertex is None else vertex // d
+    levels = _ints(args.levels) if args.levels else None
+    t_order, s_order = block_window(spec, count, args.t_order, args.s_order)
     C = expsum.char_series(spec, t_order, s_order, args.digits)
     factors, stats = nested_block_factors(C, d, count)
-    levels = pick_levels(corner_y(count) - corner_y(count - 1), C.min_prec())
-    blocks = []
-    all_ok = True
-    for i, factor in enumerate(factors, start=1):
-        law = verify_weight_slope_law(spec, factor, i, levels)
-        all_ok = all_ok and law["ok"]
-        entry = _factor_json(factor, spec.p)
-        entry.update({"block": i, "law": law})
-        blocks.append(entry)
-    payload.update(
-        {
-            "mode": "components",
-            "components": count,
-            "t_order": t_order,
-            "s_order": s_order,
-            "levels": levels,
-            "engine": stats,
-            "blocks": blocks,
-        }
-    )
+    payload = _base_payload(args, spec)
+    payload.update({"digits": args.digits, "t_order": t_order, "s_order": s_order})
+
+    if vertex is not None:
+        factor = block_product(factors)
+        spans = list(range(1, count + 1))
+        levels = pick_levels(spec, spans, C.min_prec(), levels)
+        law = verify_weight_slope_law(spec, factor, spans, levels)
+        payload.update(
+            {"mode": "vertex", "vertex": vertex, "factor": _factor_json(factor), "law": law}
+        )
+        ok = law["ok"]
+    else:
+        # the deepest block needs the highest level; all share it
+        levels = pick_levels(spec, [count], C.min_prec(), levels)
+        blocks = []
+        for i, factor in enumerate(factors, start=1):
+            law = verify_weight_slope_law(spec, factor, i, levels)
+            blocks.append({**_factor_json(factor), "block": i, "law": law})
+        payload.update(
+            {"mode": "components", "components": count, "engine": stats, "blocks": blocks}
+        )
+        ok = all(b["law"]["ok"] for b in blocks)
+    payload["levels"] = levels
     _emit_json(args, payload)
-    return EXIT_OK if all_ok else EXIT_VERIFICATION
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def _cmd_cache(args) -> int:
@@ -448,7 +391,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("expsum", parents=[], help="T-adic exponential sum over one extension")
     _add_tower_args(s)
     s.add_argument("--k", type=int, default=1)
-    s.add_argument("--t-order", type=int, default=8)
+    s.add_argument("--t-order", type=_positive_int, default=8)
     s.add_argument("--method", choices=["points", "operator", "both"], default="points")
     s.set_defaults(func=_cmd_expsum)
 
@@ -461,8 +404,8 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("charfn", help="bivariate characteristic series")
     _add_tower_args(s)
-    s.add_argument("--t-order", type=int, default=8)
-    s.add_argument("--s-order", type=int, default=6)
+    s.add_argument("--t-order", type=_positive_int, default=8)
+    s.add_argument("--s-order", type=_positive_int, default=6)
     s.add_argument("--method", choices=["points", "operator", "both"], default="points")
     s.set_defaults(func=_cmd_charfn)
 
@@ -485,25 +428,23 @@ def build_parser() -> _Parser:
         choices=["periodicity", "hodge", "counts", "turning", "all"],
         default="all",
     )
-    s.add_argument("--m-max", type=int)
-    s.add_argument("--t-order", type=int)
-    s.add_argument("--s-order", type=int)
+    s.add_argument("--m-max", type=_positive_int)
+    s.add_argument("--t-order", type=_positive_int)
+    s.add_argument("--s-order", type=_positive_int)
     s.add_argument("--format", choices=["json", "svg"], default="json")
     s.set_defaults(func=_cmd_verify)
 
     s = subs.add_parser("eigencurve", help="slope-block factors and the weight law")
     _add_tower_args(s, digits_default=4)
-    s.add_argument(
-        "--components", type=int, default=1, help="peel this many leading blocks"
+    mode = s.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--components", type=_positive_int, default=1, help="peel this many leading blocks"
     )
-    s.add_argument(
-        "--vertex", type=int, help="rescaled split through this vertex instead"
+    mode.add_argument(
+        "--vertex", type=_positive_int, help="product of the blocks up to this vertex"
     )
-    s.add_argument(
-        "--t-digits", type=int, default=2, help="certified T-digits (vertex mode)"
-    )
-    s.add_argument("--t-order", type=int)
-    s.add_argument("--s-order", type=int)
+    s.add_argument("--t-order", type=_positive_int)
+    s.add_argument("--s-order", type=_positive_int)
     s.add_argument("--levels", help="character levels (conductor exponents), comma-separated")
     s.set_defaults(func=_cmd_eigencurve)
 

@@ -1,13 +1,12 @@
 """Slope-block factorization of the characteristic series and weight laws.
 
 The bivariate characteristic series factors over Z_p[[T]] into blocks, one
-per polygon segment between consecutive touching vertices.  The split is a
-two-sided multiplicative (Wiener-Hopf style) iteration after a rescaling
-s -> sigma T'^{-g} that turns the chosen vertex into the unique valuation
-minimum: everything left of it goes into a polynomial factor, everything
-right into a unit power series, and the corrector shrinks quadratically.
-No step divides by p, so p-adic precision rides through untouched; the
-T-adic window bookkeeping is the whole game and is spelled out inline.
+per polygon segment between consecutive block corners x = i*d.  A graded
+elimination solves the T-digits of the leading blocks all at once from the
+product equations; the lower factor through the vertex i*d is the product of
+the first i blocks, each T-expansion kept on the window its inputs certify.
+The T-order, s-order and character levels of a run are planned here from the
+tower's base slopes.
 
 Specializing the parameter at a finite character's uniformizer then turns
 each block into a polynomial over a cyclotomic ring whose Newton polygon
@@ -18,7 +17,6 @@ multiset comparison.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -28,13 +26,12 @@ from .errors import (
     ConfigError,
     InsufficientPrecision,
     NoGapAtVertex,
-    NonConvergence,
     VerificationError,
     WeightOutsideAnnulus,
 )
 from .expsum import t_valuation_points
 from .newton import NewtonPolygon, lower_hull
-from .padic import CycInt, PadicInt, cyc_valuation, vp
+from .padic import CycInt, PadicInt, cyc_valuation
 from .series import TruncSeries
 from .tower import base_slopes, stable_level
 
@@ -44,99 +41,6 @@ def observed_polygon(C: TruncSeries) -> NewtonPolygon:
     return lower_hull(t_valuation_points(C), source="T-adic")
 
 
-# ---------------------------------------------------------------------------
-# sigma-window panels: lanes = sigma exponents, columns = T'-digits
-
-class _Panel:
-    __slots__ = ("lo", "digits", "mod", "data")
-
-    def __init__(self, lo: int, digits: int, mod: int, data):
-        self.lo = lo
-        self.digits = digits
-        self.mod = mod
-        self.data = data  # int64 array, shape (lanes, digits)
-
-    @classmethod
-    def zeros(cls, lo: int, hi: int, digits: int, mod: int) -> "_Panel":
-        return cls(lo, digits, mod, np.zeros((hi - lo + 1, digits), dtype=np.int64))
-
-    def one(self) -> "_Panel":
-        out = _Panel(self.lo, self.digits, self.mod, np.zeros_like(self.data))
-        out.data[-self.lo][0] = 1
-        return out
-
-    def copy(self) -> "_Panel":
-        return _Panel(self.lo, self.digits, self.mod, self.data.copy())
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.data.shape[0] - 1
-
-    def row(self, lane: int):
-        return self.data[lane - self.lo]
-
-    def is_zero(self) -> bool:
-        return not self.data.any()
-
-    def val(self):
-        """Minimum T'-valuation over all lanes (None if identically zero)."""
-        nz = np.nonzero(self.data.any(axis=0))[0]
-        return None if len(nz) == 0 else int(nz[0])
-
-    def add(self, other: "_Panel") -> "_Panel":
-        return _Panel(self.lo, self.digits, self.mod, (self.data + other.data) % self.mod)
-
-    def sub(self, other: "_Panel") -> "_Panel":
-        return _Panel(self.lo, self.digits, self.mod, (self.data - other.data) % self.mod)
-
-    def mul(self, other: "_Panel") -> "_Panel":
-        """Windowed product; lanes falling outside the window are dropped,
-        which is sound exactly because every operand obeys the cone bound."""
-        D = self.digits
-        out = np.zeros_like(self.data)
-        lanes = self.data.shape[0]
-        nza = [lane for lane in range(lanes) if self.data[lane].any()]
-        nzb = [lane for lane in range(lanes) if other.data[lane].any()]
-        for ia in nza:
-            ra = self.data[ia]
-            for ib in nzb:
-                lane = ia + ib + self.lo  # (ia+lo)+(ib+lo)-lo
-                if 0 <= lane < lanes:
-                    conv = np.convolve(ra, other.data[ib])[:D]
-                    out[lane, : len(conv)] = (out[lane, : len(conv)] + conv) % self.mod
-        return _Panel(self.lo, D, self.mod, out)
-
-    def proj_neg(self) -> "_Panel":
-        out = np.zeros_like(self.data)
-        out[: -self.lo] = self.data[: -self.lo]
-        return _Panel(self.lo, self.digits, self.mod, out)
-
-    def proj_nonneg(self) -> "_Panel":
-        out = np.zeros_like(self.data)
-        out[-self.lo :] = self.data[-self.lo :]
-        return _Panel(self.lo, self.digits, self.mod, out)
-
-
-def _panel_inverse(X: _Panel) -> _Panel:
-    """(1 + N)^{-1} by Newton doubling; N must have positive T'-valuation."""
-    N = X.sub(X.one())
-    g = N.val()
-    if N.is_zero():
-        return X.one()
-    if g == 0:
-        raise ConfigError("panel inverse needs a 1 + O(T') argument")
-    Y = X.one()
-    reached = 0
-    while reached < X.digits:
-        err = X.one().sub(X.mul(Y))
-        Y = Y.add(Y.mul(err))
-        reached = max(reached * 2, g)
-    return Y
-
-
-# ---------------------------------------------------------------------------
-# the block split
-
 class BlockFactor:
     """Lower factor of the characteristic series at one polygon vertex.
 
@@ -144,255 +48,72 @@ class BlockFactor:
     t_digits says how far the expansions are certified.
     """
 
-    __slots__ = ("vertex", "gamma", "rescale_order", "p", "digits", "t_digits", "coeffs")
+    __slots__ = ("vertex", "p", "digits", "t_digits", "coeffs")
 
-    def __init__(self, vertex, gamma, rescale_order, p, digits, t_digits, coeffs):
+    def __init__(self, vertex, p, digits, t_digits, coeffs):
         self.vertex = vertex
-        self.gamma = gamma
-        self.rescale_order = rescale_order
         self.p = p
         self.digits = digits
         self.t_digits = t_digits
         self.coeffs = coeffs
 
 
-def _vertex_slopes(poly: NewtonPolygon, v: int):
-    xs = [x for x, _ in poly.vertices]
-    if v not in xs or v == xs[0] or v == xs[-1]:
-        raise NoGapAtVertex(f"x = {v} is not an interior vertex of {xs}")
-    i = xs.index(v)
-    (x0, y0), (x1, y1), (x2, y2) = poly.vertices[i - 1], poly.vertices[i], poly.vertices[i + 1]
-    return Fraction(y1 - y0, x1 - x0), Fraction(y2 - y1, x2 - x1)
+# ---------------------------------------------------------------------------
+# window planning: block corners, T/s-orders and character levels
+
+def _slope_step(spec) -> int:
+    """pi-adic slope step between blocks, a(p-1)p^{m0-1}."""
+    return spec.a * (spec.p - 1) * spec.p ** (stable_level(spec) - 1)
 
 
-def _choose_gamma(beta_lo: Fraction, beta_hi: Fraction, lanes_hi: int, d_prime_of_r):
-    """Pick gamma in (beta_lo, beta_hi) so the data window suffices.
+def corner_y(spec, i: int) -> int:
+    """T-adic hull height at the block corner x = i*d.
 
-    Pushing gamma toward the lower slope costs only array lanes on the left
-    but buys the steeper right cone that the limited s-order needs.
+    Block j has slopes e0*(j-1) once and e0*(j-1+alpha) for each base slope
+    alpha, so the corners are integral; the ceiling is only a guard.
     """
-    gap = beta_hi - beta_lo
-    for k in range(1, 7):
-        gamma = beta_lo + gap / 2**k
-        r = gamma.denominator
-        Dp = d_prime_of_r(r)
-        lam_hi = r * (beta_hi - gamma)
-        need_hi = int(-(Fraction(-Dp) / lam_hi // 1))
-        lam_lo = r * (gamma - beta_lo)
-        need_lo = int(-(Fraction(-Dp) / lam_lo // 1))
-        if need_hi <= lanes_hi and need_lo <= 4000 and Dp <= 4000:
-            return gamma, r, need_lo, need_hi
-    raise InsufficientPrecision(
-        f"s-order leaves only {lanes_hi} lanes above the vertex; "
-        "raise the s-truncation of the characteristic series"
-    )
+    e0 = _slope_step(spec)
+    s_alpha = sum(base_slopes(spec), Fraction(0))
+    return -(-(e0 * (Fraction(spec.d * i * (i - 1), 2) + i * s_alpha)) // 1)
 
 
-def slope_factor(C: TruncSeries, vertex: int, t_digits_out: int) -> BlockFactor:
-    """Split off the polygon's lower part through the given vertex.
+def block_window(spec, count: int, t_order=None, s_order=None) -> tuple[int, int]:
+    """(T-order, s-order) that pins the first `count` blocks; None plans it.
 
-    Certifies along the way: the vertex is interior with a genuine slope
-    gap, its coefficient is unit-leading, the left factor truncates to a
-    degree-`vertex` polynomial, and the returned coefficients live in
-    Z_p[[T]] (no fractional T'-digits survive the unscaling).
+    The s-order reaches one column past the last corner so that x = count*d
+    is interior; the T-order anchors the hull there, e0*count past the corner.
     """
-    cols = C.coeffs
-    K = len(cols) - 1
-    p = cols[0].coeffs[0].p
-    digits = C.min_prec()
-    mod = p**digits
-    D_T = cols[0].order
-    poly = observed_polygon(C)
-    beta_lo, beta_hi = _vertex_slopes(poly, vertex)
-
-    y_v = poly.y_at(vertex)
-    assert y_v.denominator == 1
-    lead = cols[vertex].coeffs[int(y_v)]
-    if lead.value % p == 0:
-        raise VerificationError(
-            f"vertex coefficient at x = {vertex} is not unit-leading"
-        )
-
-    gamma, r, need_lo, need_hi = _choose_gamma(
-        beta_lo, beta_hi, K - vertex, lambda r_: r_ * D_T
-    )
-    g = int(gamma * r)
-    Dp = r * D_T
-    c = int(r * y_v) - g * vertex
-    lo, hi = -need_lo, need_hi
-    if (Dp + g * vertex) * (mod - 1) ** 2 >= 2**62:
-        raise InsufficientPrecision("panel modulus too wide for exact int64 convolution")
-
-    # build the rescaled panel: T-digit t of s^k lands in T'-digit rt - gk - c
-    G = _Panel.zeros(lo, hi, Dp, mod)
-    for k in range(max(0, vertex + lo), min(K, vertex + hi) + 1):
-        row = G.data[k - vertex - lo]
-        for t, cf in enumerate(cols[k].coeffs):
-            if cf.is_zero():
-                continue
-            e = r * t - g * k - c
-            assert e >= 0, "rescaled exponent fell below zero: not above the hull"
-            if e < Dp:
-                row[e] = cf.value % mod
-    # normalize the pivot lane to exactly 1
-    pivot = G.data[-lo].copy()
-    inv0 = pow(int(pivot[0]), -1, mod)
-    pivot_inv = np.zeros(Dp, dtype=np.int64)
-    pivot_inv[0] = inv0
-    # series inverse of the pivot row, digit by digit
-    for t in range(1, Dp):
-        acc = 0
-        for u in range(1, t + 1):
-            acc += int(pivot[u]) * int(pivot_inv[t - u])
-        pivot_inv[t] = (-acc * inv0) % mod
-    for lane in range(G.data.shape[0]):
-        if G.data[lane].any():
-            G.data[lane] = np.convolve(G.data[lane], pivot_inv)[:Dp] % mod
-
-    one = G.one()
-    R = G.sub(one)
-    U_minus = one.copy()
-    U_plus = one.copy()
-    rounds = 0
-    last_val = 0
-    while not R.is_zero():
-        rounds += 1
-        if rounds > int(math.log2(Dp)) + 6:
-            raise NonConvergence("splitting corrector stopped shrinking")
-        vR = R.val()
-        if vR is not None and vR <= last_val and rounds > 1:
-            raise NonConvergence(f"corrector valuation stuck at {vR}")
-        last_val = vR if vR is not None else Dp
-        A = R.proj_neg()
-        B = R.proj_nonneg()
-        oneA = one.add(A)
-        oneB = one.add(B)
-        U_minus = U_minus.mul(oneA)
-        U_plus = oneB.mul(U_plus)
-        R = _panel_inverse(oneA).mul(one.add(R)).mul(_panel_inverse(oneB)).sub(one)
-
-    # lower factor: pivot * sigma^vertex * U_minus, support must close up
-    for lane in range(lo, -vertex):
-        if U_minus.row(lane).any():
-            raise VerificationError(
-                "left factor has sigma-support below the vertex degree: "
-                "the polygon segment does not split off a polynomial"
-            )
-    ptilde = []
-    for k in range(vertex + 1):
-        rowU = U_minus.row(k - vertex)
-        ptilde.append(np.convolve(rowU, pivot)[:Dp] % mod)
-
-    v0 = g * vertex - int(r * y_v)  # T'-valuation of ptilde[0], by exactness
-    q0 = ptilde[0]
-    if int(q0[v0]) % p == 0 or q0[:v0].any():
-        raise VerificationError("left factor constant term has unexpected valuation")
-    inv_q0 = np.zeros(Dp, dtype=np.int64)
-    inv_q0[0] = pow(int(q0[v0]), -1, mod)
-    unit0 = q0[v0:].copy()
-    for t in range(1, Dp - v0):
-        acc = 0
-        for u in range(1, t + 1):
-            acc += int(unit0[u]) * int(inv_q0[t - u])
-        inv_q0[t] = (-acc * int(inv_q0[0])) % mod
-
-    # Input rows are only certified to T'-depth Dp - r*y_v - g*lane, while
-    # rows past the cone crossing are pinned by the polygon instead; errors
-    # from the worst lane ride down into the factor picking up lambda_minus
-    # per step.  That caps the usable panel depth below the raw window Dp.
-    dip = (beta_hi - beta_lo) * (Dp - int(r * y_v)) / beta_hi
-    D_eff = min(Dp, int(dip))
-
-    # Per-coefficient certified depth.  P_k = ptilde_k T'^{gk - v0} / unit:
-    # the unknown tail of ptilde_k sits past D_eff + gk - v0, the unknown
-    # tail of the inverted unit past (D_eff - v0) + v(numerator).
-    coeffs = []
-    t_digits = None
-    for k in range(vertex + 1):
-        src = ptilde[k]
-        off = g * k - v0
-        nz = np.nonzero(src)[0]
-        v_n = (int(nz[0]) + off) if len(nz) else None
-        if k == 0:
-            # identically 1 after the normalization by construction
-            order_0 = (Dp - 1) // r + 1
-            tc = [PadicInt(p, 1 if e == 0 else 0, digits) for e in range(order_0)]
-            coeffs.append(TruncSeries("T", tc, prec=digits))
-            t_digits = order_0
-            continue
-        E_k = D_eff + off
-        if v_n is not None:
-            E_k = min(E_k, (D_eff - v0) + max(v_n, 0))
-        if E_k < r:
-            raise InsufficientPrecision(f"no certified T-digits at s^{k}")
-        shifted = np.zeros(E_k, dtype=np.int64)
-        if off < 0:
-            assert not src[:-off].any(), "block coefficient not divisible as claimed"
-            shifted[:] = src[-off : -off + E_k]
-        else:
-            upto = min(Dp, E_k - off)
-            shifted[off : off + upto] = src[:upto]
-        pad = np.zeros(E_k, dtype=np.int64)
-        pad[: min(E_k, Dp)] = inv_q0[: min(E_k, Dp)]
-        quot = np.convolve(shifted, pad)[:E_k] % mod
-        for e in range(E_k):
-            if e % r and quot[e]:
-                raise VerificationError(
-                    "block coefficient has fractional T-exponent "
-                    f"{Fraction(e, r)} at s^{k}: not defined over the base ring"
-                )
-        order_k = (E_k - 1) // r + 1
-        tc = [PadicInt(p, int(quot[e * r]), digits) for e in range(order_k)]
-        coeffs.append(TruncSeries("T", tc, prec=digits))
-        t_digits = order_k if t_digits is None else min(t_digits, order_k)
-    if t_digits < t_digits_out:
-        raise InsufficientPrecision(
-            f"only {t_digits} certified T-digits in the block, need {t_digits_out}"
-        )
-    return BlockFactor(vertex, gamma, r, p, digits, t_digits, coeffs)
+    if max(base_slopes(spec), default=0) >= 1:
+        raise ConfigError("no slope gap at block vertices for this tower")
+    if t_order is None:
+        t_order = corner_y(spec, count) + _slope_step(spec) * count + 2
+    if s_order is None:
+        s_order = count * spec.d + 1
+    return t_order, s_order
 
 
-def block_ratio(hi_factor: BlockFactor, lo_factor: BlockFactor, width: int):
-    """Quotient of nested lower factors: the single block between vertices.
+def pick_levels(spec, blocks, p_digits: int, levels=None) -> list[int]:
+    """Character levels for the weight law on a factor spanning `blocks`.
 
-    Exact series division (lower constant terms are 1); s-degrees past
-    `width` must vanish, which certifies the block structure itself.
+    None plans them: the smallest annulus level whose cap p_digits*e exceeds
+    the factor's deepest specialized reading, its top corner's height above
+    the bottom one, so every hull point stays exact, and the level above it.
     """
-    if hi_factor.p != lo_factor.p:
-        raise ConfigError("mixed primes in block ratio")
-    a = hi_factor.coeffs
-    b = lo_factor.coeffs
-    n_out = hi_factor.vertex + 1
-    quo = []
-    for j in range(n_out):
-        acc = a[j]
-        for u in range(1, min(j, len(b) - 1) + 1):
-            acc = acc - b[u] * quo[j - u]
-        quo.append(acc)  # b[0] = 1, so no division happens
-    for j in range(width + 1, n_out):
-        if not quo[j].is_zero():
-            raise VerificationError(
-                f"block ratio has s-degree {j} > {width}: vertices not nested"
-            )
-    quo = quo[: width + 1]
-    return BlockFactor(
-        vertex=width,
-        gamma=None,
-        rescale_order=None,
-        p=hi_factor.p,
-        digits=min(hi_factor.digits, lo_factor.digits),
-        t_digits=min(len(ts.coeffs) for ts in quo),
-        coeffs=quo,
-    )
+    if levels is not None:
+        return levels
+    h_max = corner_y(spec, max(blocks)) - corner_y(spec, min(blocks) - 1)
+    m = stable_level(spec)
+    while p_digits * (spec.p - 1) * spec.p ** (m - 1) <= h_max:
+        m += 1
+    return [m, m + 1]
 
 
 # ---------------------------------------------------------------------------
 # graded elimination: all leading blocks at once from deep-T data
 #
-# The rescaled split above trades T-depth for s-width, which is the right
-# shape near the first vertex but starves for the deeper blocks: their
-# defining digits sit at large T-valuation in coefficients of *small*
-# s-degree.  Working directly with the product equations
+# The deeper blocks' defining digits sit at large T-valuation in
+# coefficients of *small* s-degree.  Working directly with the product
+# equations
 #     C_n = sum  b[0,j0] b[1,j1] ... b[count-1,j_{count-1}] m[jm]
 # in the T-digit grading recovers exactly the digits the data determines.
 # Each unknown T-digit is solved only when some equation digit pins it with
@@ -415,8 +136,9 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
     Returns (factors, stats): one degree-`block_size` BlockFactor per block,
     each coefficient stamped with the digit window the elimination actually
     certified, plus counters (solved digits, verified equation digits,
-    sweeps).  Raises if a block corner is not an interior vertex, if a
-    hull-touching coefficient is not unit-leading, or if the data ran out
+    sweeps).  Raises if a block corner is not an interior vertex (a precision
+    shortfall when it is not left of the last vertex the T-window shows), if
+    a hull-touching coefficient is not unit-leading, or if the data ran out
     before the leading digit of some b[i, block_size].
     """
     d = block_size
@@ -442,8 +164,15 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
         raise VerificationError("constant term of the series is not 1")
 
     poly = observed_polygon(C)
-    for i in range(1, count + 1):
-        _vertex_slopes(poly, i * d)  # interior vertex with a slope gap
+    xs = [x for x, _ in poly.vertices]
+    for v in range(d, count * d + 1, d):
+        if v >= xs[-1]:
+            raise InsufficientPrecision(
+                f"corner x = {v} is not left of the last vertex x = {xs[-1]} "
+                f"seen at T-order {N}; raise the T-order"
+            )
+        if v not in xs:
+            raise NoGapAtVertex(f"x = {v} is not an interior vertex of {xs}")
     corner = [_hull_eval(poly, i * d) for i in range(count + 1)]
     if any(y.denominator != 1 for y in corner):
         raise VerificationError("block corner heights are not integral")
@@ -647,8 +376,6 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
         factors.append(
             BlockFactor(
                 vertex=d,
-                gamma=None,
-                rescale_order=None,
                 p=p,
                 digits=digits,
                 t_digits=min(mark[(i, j)] for j in range(1, d + 1)),
@@ -663,6 +390,47 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
         "tail_orders": [mark[(count, n)] for n in range(1, K + 1)],
     }
     return factors, stats
+
+
+def _lead(row) -> int:
+    return next((t for t, x in enumerate(row) if x), len(row))
+
+
+def block_product(factors) -> BlockFactor:
+    """Product of block factors: the lower factor through their last corner.
+
+    A T-expansion a known mod T^wa times b known mod T^wb is known mod
+    T^min(wa + vb, wb + va), v being the index of the first nonzero known
+    digit (w if there is none), and each product coefficient keeps the least
+    window over its terms.  Cutting every term to min(wa, wb), as truncated
+    series multiplication does, would lose the digits that a deep leading
+    coefficient certifies.
+    """
+    p = factors[0].p
+    digits = min(f.digits for f in factors)
+    mod = p**digits
+    acc = [[c.value % mod for c in ts.coeffs] for ts in factors[0].coeffs]
+    for f in factors[1:]:
+        b = [[c.value % mod for c in ts.coeffs] for ts in f.coeffs]
+        win: dict = {}
+        for j, x in enumerate(acc):
+            for k, y in enumerate(b):
+                w = min(len(x) + _lead(y), len(y) + _lead(x))
+                win[j + k] = min(win.get(j + k, w), w)
+        out = [[0] * win[n] for n in range(len(win))]
+        # digits past a window meet the other factor's valuation, so the
+        # known digits alone fill the product window
+        for j, x in enumerate(acc):
+            for k, y in enumerate(b):
+                row = out[j + k]
+                for s, xs in enumerate(x[: len(row)]):
+                    for t, yt in enumerate(y[: len(row) - s]):
+                        row[s + t] = (row[s + t] + xs * yt) % mod
+        acc = out
+    coeffs = [
+        TruncSeries("T", [PadicInt(p, x, digits) for x in row], prec=digits) for row in acc
+    ]
+    return BlockFactor(len(acc) - 1, p, digits, min(map(len, acc[1:])), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +467,7 @@ def predicted_block_slopes(spec, block_index: int, base=None) -> Counter:
     """Level-independent pi-adic slopes of block i: a(p-1)p^{m0-1}(i-1+alpha)."""
     if base is None:
         base = base_slopes(spec)
-    e0 = spec.a * (spec.p - 1) * spec.p ** (stable_level(spec) - 1)
+    e0 = _slope_step(spec)
     out: Counter = Counter()
     out[Fraction(e0 * (block_index - 1))] += 1
     for alpha in base:
@@ -724,6 +492,8 @@ def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels) -> dict:
             f"degree-{factor.vertex} factor cannot span {len(blocks)} blocks "
             f"of width {spec.d}"
         )
+    if not levels:
+        raise ConfigError("no character levels to check the law at")
     floor = stable_level(spec)
     base = base_slopes(spec)
     predicted: Counter = Counter()

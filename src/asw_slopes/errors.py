@@ -49,10 +49,6 @@ class BudgetExceeded(PrecisionError):
     """Enumeration or truncation budget exceeded."""
 
 
-class NonConvergence(PrecisionError):
-    """An iteration failed to contract (factor splitting)."""
-
-
 class VerificationError(AswError):
     """A mechanical identity check failed (CLI exit code 1)."""
 

@@ -314,6 +314,20 @@ def verify_hodge(spec: TowerSpec, m: int) -> dict:
     }
 
 
+def turning_window(spec: TowerSpec, t_order=None, s_order=None) -> tuple[int, int]:
+    """(T-order, s-order) for the turning-point check; None plans it.
+
+    The planned s-order 2d + 1 takes in the forced contact points x = nd and
+    nd + 1 for n <= 2; the T-order reaches one past the scaled lower bound
+    (p-1)x(x-1)/(2d) at the last column.
+    """
+    if s_order is None:
+        s_order = 2 * spec.d + 1
+    if t_order is None:
+        t_order = 1 + (spec.p - 1) * (s_order * (s_order - 1)) // (2 * spec.d)
+    return t_order, s_order
+
+
 def cross_check_counts(spec: TowerSpec, m: int, k: int) -> dict:
     """All three point counts for the m-th cover over the k-th extension."""
     via_trace = count_points_trace(spec, m, k)

@@ -15,13 +15,3 @@ def _hermetic_cache(tmp_path_factory):
     else:
         os.environ["ASW_CACHE_DIR"] = old
 
-
-@pytest.fixture(scope="session")
-def rescaled_first_block(_hermetic_cache):
-    # the rescaled split at the first vertex is the priciest single object
-    # the suite needs; build it once
-    from asw_slopes.eigencurve import slope_factor
-    from asw_slopes.expsum import TowerSpec, char_series
-
-    C = char_series(TowerSpec(2, 1, [0, 0, 0, 1]), 7, 19, 4)
-    return slope_factor(C, 3, 2)

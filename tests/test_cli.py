@@ -8,6 +8,7 @@ from asw_slopes import cli
 from asw_slopes.errors import DegreeViolation
 
 P2 = ["--p", "2", "--a", "1", "--f", "1,0,0,0"]  # x^3 over F_2
+P3 = ["--p", "3", "--f", "1,0,2"]  # x^2 + 2 over F_3
 
 
 def run(capsys, argv):
@@ -111,14 +112,54 @@ def test_eigencurve_vertex_mode(capsys):
     assert code2 == 3  # not a multiple of d
 
 
+@pytest.mark.parametrize(
+    "tower,vertex,count",
+    [(P2, 3, 1), (P2, 6, 2), (P2, 9, 3), (P3, 2, 1), (P3, 4, 2), (P3, 6, 3),
+     ([*P3, "--digits", "20"], 2, 1)],
+)
+def test_vertex_factor_is_the_product_of_components(capsys, tower, vertex, count):
+    code, out, err = run(capsys, ["eigencurve", *tower, "--vertex", str(vertex)])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["law"]["ok"] and doc["law"]["blocks"] == list(range(1, count + 1))
+    assert "gamma" not in doc
+    comp = _eigencurve_blocks(capsys, [*tower, "--components", str(count)])
+    assert (doc["t_order"], doc["s_order"]) == (comp["t_order"], comp["s_order"])
+    # plain bivariate convolution of the blocks: a digit it reads past some
+    # input's window lands past the product's certified window, so on that
+    # window it must agree with the vertex factor digit for digit
+    prod = [[1]]
+    for block in comp["blocks"]:
+        rows = block["coefficients"]
+        out_rows = [[] for _ in range(len(prod) + len(rows) - 1)]
+        for j, a in enumerate(prod):
+            for k, b in enumerate(rows):
+                acc = out_rows[j + k]
+                acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
+                for s, x in enumerate(a):
+                    for t, y in enumerate(b):
+                        acc[s + t] += x * y
+        prod = out_rows
+    factor = doc["factor"]
+    mod = int(tower[1]) ** factor["p_digits"]
+    assert len(factor["coefficients"]) == vertex + 1 == len(prod)
+    for got, full in zip(factor["coefficients"], prod):
+        assert got == [v % mod for v in full[: len(got)]]
+    assert factor["t_digits"] == min(len(c) for c in factor["coefficients"][1:])
+
+
 def test_exit_code_precision(capsys):
-    code, out, err = run(
-        capsys,
-        ["eigencurve", *P2, "--vertex", "3", "--t-order", "5", "--s-order", "8"],
-    )
-    assert code == 2 and out == ""
-    doc = json.loads(err)
-    assert doc["error"] == "InsufficientPrecision"
+    # a T-window too short to show a vertex past the block corner
+    for argv in (
+        ["--vertex", "3", "--t-order", "2"],
+        ["--components", "1", "--t-order", "2", "--s-order", "8"],
+        ["--components", "1", "--t-order", "1", "--s-order", "8"],
+    ):
+        code, out, err = run(capsys, ["eigencurve", *P2, *argv])
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "InsufficientPrecision"
+        assert "T-order" in doc["message"]
     code, _, err = run(capsys, ["expsum", *P2, "--k", "25"])
     assert code == 2
     assert json.loads(err)["error"] == "BudgetExceeded"
@@ -156,6 +197,23 @@ def test_exit_code_config(capsys):
     )
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ConfigError"
+    # window flags are checked at the edge, and the two eigencurve modes
+    # exclude each other
+    for argv in (
+        ["eigencurve", *P2, "--t-order", "0"],
+        ["eigencurve", *P2, "--s-order", "0"],
+        ["eigencurve", *P2, "--s-order", "-2"],
+        ["eigencurve", *P2, "--components", "0"],
+        ["eigencurve", *P2, "--vertex", "0"],
+        ["eigencurve", *P2, "--components", "2", "--vertex", "3"],
+        ["eigencurve", *P2, "--levels", ","],
+        ["verify", *P2, "--m-max", "0"],
+        ["charfn", *P2, "--s-order", "0"],
+        ["verify", *P2, "--check", "turning", "--t-order", "-1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "ConfigError"
 
 
 def test_digits_below_one_are_a_config_error(capsys):

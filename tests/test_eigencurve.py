@@ -6,11 +6,13 @@ import pytest
 
 from asw_slopes.eigencurve import (
     BlockFactor,
-    block_ratio,
+    block_product,
+    block_window,
+    corner_y,
     nested_block_factors,
     observed_polygon,
+    pick_levels,
     predicted_block_slopes,
-    slope_factor,
     specialize_block,
     verify_weight_slope_law,
 )
@@ -24,6 +26,7 @@ from asw_slopes.errors import (
 from asw_slopes.expsum import TowerSpec, char_series
 from asw_slopes.padic import PadicInt
 from asw_slopes.series import TruncSeries
+from asw_slopes.tower import turning_window
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])
 SPEC3 = TowerSpec(3, 1, [0, 0, 1])
@@ -56,8 +59,10 @@ def test_observed_polygon_vertices():
     ]
 
 
-def test_slope_factor_first_vertex(rescaled_first_block):
-    F = rescaled_first_block
+def test_slope_factor_first_vertex():
+    # the lower factor through x = 3 on the window the planner picks for it
+    C = char_series(SPEC2, *block_window(SPEC2, 1), 4)
+    F = block_product(nested_block_factors(C, 3, 1)[0])
     assert F.vertex == 3
     assert F.t_digits >= 2
     mod = 2**F.digits
@@ -67,17 +72,6 @@ def test_slope_factor_first_vertex(rescaled_first_block):
     assert vals[1][0] == mod - 1
     assert vals[2][:2] == [0, mod - 1]
     assert vals[3][:2] == [0, 1]
-
-
-def test_slope_factor_needs_interior_vertex():
-    with pytest.raises(NoGapAtVertex):
-        slope_factor(peel_series(), 2, 1)
-
-
-def test_slope_factor_lane_budget():
-    # s-order 7 leaves too few lanes above vertex 3 for any workable gamma
-    with pytest.raises(InsufficientPrecision):
-        slope_factor(peel_series(), 3, 2)
 
 
 def test_nested_factors_values():
@@ -95,16 +89,18 @@ def test_nested_factors_values():
     assert stats["orders"]["0,3"] == 4 and stats["orders"]["1,3"] == 5
 
 
-def test_nested_agrees_with_rescaled_split(rescaled_first_block):
-    facs, _ = peel_factors()
-    F = rescaled_first_block
-    G = facs[0]
-    mod = 2 ** min(F.digits, G.digits)
-    for a, b in zip(F.coeffs, G.coeffs):
-        n = min(len(a.coeffs), len(b.coeffs))
-        assert [c.value % mod for c in a.coeffs[:n]] == [
-            c.value % mod for c in b.coeffs[:n]
-        ]
+# The rescaled Wiener-Hopf split that vertex mode used to run, at vertex 3
+# of char_series(SPEC2, 7, 19, 4): its certified output mod 16, 3 T-digits.
+RESCALED_SPLIT_VERTEX_3 = [[1, 0, 0, 0, 0, 0, 0], [15, 0, 0], [0, 15, 0, 0], [0, 1, 0, 0]]
+
+
+def test_nested_agrees_with_rescaled_split():
+    G = block_product(peel_factors()[0][:1])
+    assert G.vertex == 3
+    for got, want in zip(_vals(G), RESCALED_SPLIT_VERTEX_3):
+        n = min(len(got), len(want))
+        assert n >= 3
+        assert [v % 16 for v in got[:n]] == want[:n]
 
 
 def test_nested_validates_input():
@@ -135,25 +131,22 @@ def test_nested_rejects_corrupted_series():
         nested_block_factors(_corrupt(C, 2, 0), 3, 2)  # polygon loses its vertex
 
 
-def test_block_ratio_fabricated():
+def test_block_product_fabricated():
     def ts(vals):
         return TruncSeries("T", [PadicInt(2, v, 6) for v in vals])
 
-    # (1 + T s)(1 + 3 T^2 s) = 1 + (T + 3T^2) s + 3 T^3 s^2
-    hi = BlockFactor(2, None, None, 2, 6, 5,
-                     [ts([1, 0, 0, 0, 0]), ts([0, 1, 3, 0, 0]), ts([0, 0, 0, 3, 0])])
-    lo = BlockFactor(1, None, None, 2, 6, 5,
-                     [ts([1, 0, 0, 0, 0]), ts([0, 1, 0, 0, 0])])
-    q = block_ratio(hi, lo, 1)
-    assert q.vertex == 1
-    assert [[c.value % 64 for c in t.coeffs] for t in q.coeffs] == [
-        [1, 0, 0, 0, 0],
-        [0, 0, 3, 0, 0],
+    # lo x quotient = hi: (1 + T s)(1 + 3 T^2 s) = 1 + (T + 3T^2) s + 3 T^3 s^2
+    lo = BlockFactor(1, 2, 6, 5, [ts([1, 0, 0, 0, 0]), ts([0, 1, 0, 0, 0])])
+    quo = BlockFactor(1, 2, 6, 5, [ts([1, 0, 0, 0, 0]), ts([0, 0, 3, 0, 0])])
+    hi = block_product([lo, quo])
+    assert (hi.vertex, hi.p, hi.digits, hi.t_digits) == (2, 2, 6, 5)
+    # s^2 is known mod T^min(5 + 2, 5 + 1): one digit past both inputs
+    assert _vals(hi) == [[1, 0, 0, 0, 0], [0, 1, 3, 0, 0], [0, 0, 0, 3, 0, 0]]
+    # a coefficient known to be zero mod T^3 has valuation 3 in the rule
+    short = BlockFactor(1, 2, 6, 3, [ts([1, 0, 0, 0, 0]), ts([0, 0, 0])])
+    assert _vals(block_product([short, quo])) == [
+        [1, 0, 0, 0, 0], [0, 0, 3], [0, 0, 0, 0, 0]
     ]
-    lo_bad = BlockFactor(1, None, None, 2, 6, 5,
-                         [ts([1, 0, 0, 0, 0]), ts([0, 3, 0, 0, 0])])
-    with pytest.raises(VerificationError):
-        block_ratio(hi, lo_bad, 1)
 
 
 def test_predicted_block_slopes_values():
@@ -188,7 +181,27 @@ def test_weight_slope_law_guards():
     with pytest.raises(WeightOutsideAnnulus):
         verify_weight_slope_law(SPEC2, facs[0], 1, [0])
     f = facs[1]
-    shallow = BlockFactor(f.vertex, f.gamma, f.rescale_order, f.p, 1, f.t_digits, f.coeffs)
+    shallow = BlockFactor(f.vertex, f.p, 1, f.t_digits, f.coeffs)
     with pytest.raises(InsufficientPrecision):
         # one p-digit cannot pin the T^4 leading reading at level 1
         verify_weight_slope_law(SPEC2, shallow, 2, [1])
+    with pytest.raises(ConfigError):
+        verify_weight_slope_law(SPEC2, facs[0], 1, [])  # a law at no level is vacuous
+
+
+def test_window_planners_are_pinned():
+    # the windows and levels eigencurve and verify plan for x^3 over F_2
+    # and x^2 over F_3 (base slopes 1/2, 1/2 and 1/2; slope step e0 = 1, 2)
+    assert [corner_y(SPEC2, i) for i in range(4)] == [0, 1, 5, 12]
+    assert [corner_y(SPEC3, i) for i in range(4)] == [0, 1, 6, 15]
+    assert [block_window(SPEC2, c) for c in (1, 2, 3)] == [(4, 4), (9, 7), (17, 10)]
+    assert [block_window(SPEC3, c) for c in (1, 2, 3)] == [(5, 3), (12, 5), (23, 7)]
+    assert block_window(SPEC2, 2, t_order=5) == (5, 7)
+    assert block_window(SPEC2, 2, s_order=9) == (9, 9)
+    assert [pick_levels(SPEC2, [c], 4) for c in (1, 2, 3)] == [[1, 2], [2, 3], [2, 3]]
+    assert pick_levels(SPEC2, [1, 2, 3], 4) == [3, 4]
+    assert pick_levels(SPEC3, [3], 4) == [2, 3] and pick_levels(SPEC3, [3], 6) == [1, 2]
+    assert pick_levels(SPEC2, [3], 4, [5]) == [5]
+    assert turning_window(SPEC2) == (8, 7) and turning_window(SPEC3) == (11, 5)
+    assert turning_window(SPEC2, s_order=5) == (4, 5)
+    assert turning_window(SPEC2, t_order=3) == (3, 7)
