@@ -24,7 +24,7 @@ from .errors import (
     WeightOutsideAnnulus,
 )
 from .gf import FieldCtx, FqElt, find_irreducible
-from .padic import CycInt, PadicInt, Valuation, ZqCtx, binom_pow, teichmuller
+from .padic import CycInt, Valuation, ZqCtx, binom_pow, teichmuller
 from .series import TruncSeries, exp_from_power_sums
 from .newton import (
     NewtonPolygon,

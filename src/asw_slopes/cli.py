@@ -110,12 +110,12 @@ def _cmd_expsum(args) -> int:
     mod = spec.p**args.digits
     if args.method in ("points", "both"):
         S = expsum.t_adic_sum(spec, args.k, args.t_order, args.digits)
-        pts = [c.value % mod for c in S.coeffs]
+        pts = [c % mod for c in S.coeffs]
     if args.method in ("operator", "both"):
         from . import dwork
 
         S2 = dwork.t_adic_sum_via_operator(spec, args.k, args.t_order, args.digits)
-        ops = [c.value % mod for c in S2.coeffs]
+        ops = [c % mod for c in S2.coeffs]
     if args.method == "both" and pts != ops:
         raise PathwayMismatch(f"point sum {pts} != operator sum {ops}")
     payload["coefficients"] = pts if args.method != "operator" else ops
@@ -158,12 +158,12 @@ def _cmd_charfn(args) -> int:
     rows = None
     if args.method in ("points", "both"):
         C = expsum.char_series(spec, args.t_order, args.s_order, args.digits)
-        rows = [[c.value % mod for c in col.coeffs] for col in C.coeffs]
+        rows = [[c % mod for c in col.coeffs] for col in C.coeffs]
     if args.method in ("operator", "both"):
         from . import dwork
 
         C2 = dwork.char_series_via_operator(spec, args.t_order, args.s_order, args.digits)
-        rows2 = [[c.value % mod for c in col.coeffs] for col in C2.coeffs]
+        rows2 = [[c % mod for c in col.coeffs] for col in C2.coeffs]
         if rows is not None and rows != rows2:
             raise PathwayMismatch("point and operator characteristic series differ")
         if rows is None:
@@ -311,10 +311,7 @@ def _verify_turning(spec, args) -> dict:
 
 def _factor_json(factor) -> dict:
     return {
-        "coefficients": [
-            [c.value % factor.p**factor.digits for c in ts.coeffs]
-            for ts in factor.coeffs
-        ],
+        "coefficients": [ts.coeffs for ts in factor.coeffs],
         "t_digits": factor.t_digits,
         "p_digits": factor.digits,
     }
@@ -337,7 +334,7 @@ def _cmd_eigencurve(args) -> int:
     if vertex is not None:
         factor = block_product(factors)
         spans = list(range(1, count + 1))
-        levels = pick_levels(spec, spans, C.min_prec(), levels)
+        levels = pick_levels(spec, spans, factor.digits, levels)
         law = verify_weight_slope_law(spec, factor, spans, levels)
         payload.update(
             {"mode": "vertex", "vertex": vertex, "factor": _factor_json(factor), "law": law}
@@ -345,7 +342,7 @@ def _cmd_eigencurve(args) -> int:
         ok = law["ok"]
     else:
         # the deepest block needs the highest level; all share it
-        levels = pick_levels(spec, [count], C.min_prec(), levels)
+        levels = pick_levels(spec, [count], factors[-1].digits, levels)
         blocks = []
         for i, factor in enumerate(factors, start=1):
             law = verify_weight_slope_law(spec, factor, i, levels)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientPrecision
 from .gf import factorize
-from .padic import PadicInt, binom_pow, vp_factorial
+from .padic import binom_pow, vp_factorial
 from .series import TruncSeries, compose, exp_from_power_sums, reversion
 
 
@@ -49,8 +49,8 @@ def artin_hasse(p: int, order: int, digits: int) -> TruncSeries:
     p-adic unit multiple of a unit, so each factor is a binomial series of a
     p-adic integer and the guard arithmetic lives inside binom_pow.
     """
-    one = PadicInt(p, 1, digits)
-    out = TruncSeries("pi", [one] + [PadicInt(p, 0, digits)] * (order - 1))
+    mod = p**digits
+    out = [1] + [0] * (order - 1)
     for i in range(1, order):
         if i % p == 0:
             continue
@@ -58,18 +58,17 @@ def artin_hasse(p: int, order: int, digits: int) -> TruncSeries:
         if mu == 0:
             continue
         Di = 1 + (order - 1) // i
-        guard = vp_factorial(Di - 1, p) if Di > 1 else 0
+        guard = vp_factorial(Di - 1, p)
         work = p ** (digits + guard)
-        alpha = PadicInt(p, (-mu * pow(i, -1, work)) % work, digits + guard)
-        B = binom_pow(alpha, Di, digits)
-        coeffs = [PadicInt(p, 0, digits)] * order
-        for n in range(Di):
-            c = B.coeffs[n]
-            coeffs[i * n] = -c if n % 2 else c
-        out = out * TruncSeries("pi", coeffs)
-    if out.min_prec() < digits:
-        raise InsufficientPrecision("splitting series lost guard digits")
-    return out
+        B = binom_pow(p, -mu * pow(i, -1, work) % work, digits + guard, Di)
+        if B.prec < digits:
+            raise InsufficientPrecision("splitting series lost guard digits")
+        # times sum_n (-1)^n B_n x^(i n)
+        out = [
+            sum((-1) ** n * B.coeffs[n] * out[m - i * n] for n in range(m // i + 1)) % mod
+            for m in range(order)
+        ]
+    return TruncSeries("pi", out, digits, p)
 
 
 def pi_of_T(p: int, order: int, digits: int) -> TruncSeries:
@@ -79,9 +78,8 @@ def pi_of_T(p: int, order: int, digits: int) -> TruncSeries:
     survives.
     """
     E = artin_hasse(p, order, digits)
-    F = TruncSeries("pi", [PadicInt(p, 0, digits)] + E.coeffs[1:])
-    G = reversion(F)
-    return TruncSeries("T", G.coeffs, prec=digits)
+    G = reversion(TruncSeries("pi", [0] + E.coeffs[1:], E.prec, p))
+    return TruncSeries("T", G.coeffs, G.prec, p)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +101,7 @@ def splitting_coefficients(spec, x_max: int, w_order: int, digits: int):
     mod = p**digits
     n_max = 1 + (w_order - 1) // d
     E = artin_hasse(p, n_max, digits)
-    e = [c.value for c in E.coeffs]
+    e = E.coeffs
     fits = 2 * (mod - 1).bit_length() + n_max.bit_length() < 62
     dtype = np.int64 if fits else object
     F = np.zeros((x_max, w_order), dtype=dtype)
@@ -243,10 +241,6 @@ def nuclear_traces(spec, s_order: int, t_order: int, digits: int):
     return out
 
 
-def _pi_series(coeffs, p: int, digits: int) -> TruncSeries:
-    return TruncSeries("pi", [PadicInt(p, c, digits) for c in coeffs], prec=digits)
-
-
 # ---------------------------------------------------------------------------
 # public pathway surface
 
@@ -256,11 +250,10 @@ def t_adic_sum_via_operator(spec, k: int, t_order: int, digits: int) -> TruncSer
     Comparable coefficient-for-coefficient with expsum.t_adic_sum; the two
     sides share no code past TowerSpec, which is the point.
     """
+    p = spec.p
     trs = nuclear_traces(spec, k, t_order, digits)
-    tr_pi = _pi_series(trs[k - 1], spec.p, digits)
-    unit = PadicInt(spec.p, spec.p**k - 1, digits)
-    scaled = tr_pi.scale(unit)
-    return compose([scaled], pi_of_T(spec.p, t_order, digits))[0]
+    scaled = TruncSeries("pi", trs[k - 1], digits, p).scale(p**k - 1)
+    return compose([scaled], pi_of_T(p, t_order, digits))[0]
 
 
 def char_series_via_operator(
@@ -272,16 +265,14 @@ def char_series_via_operator(
     series is a determinant in disguise; exp guard digits are budgeted up
     front and verified on exit.
     """
-    inner = digits + vp_factorial(s_order, spec.p)
+    p = spec.p
+    inner = digits + vp_factorial(s_order, p)
     trs = nuclear_traces(spec, s_order, t_order, inner)
-    sums = [-_pi_series(t, spec.p, inner) for t in trs]
-    C = exp_from_power_sums(sums, "s")
-    piT = pi_of_T(spec.p, t_order, inner)
-    out = TruncSeries("s", compose(C.coeffs, piT))
-    if out.min_prec() < digits:
-        raise InsufficientPrecision(
-            f"operator series certified only to {out.min_prec()} digits"
-        )
+    C = exp_from_power_sums([-TruncSeries("pi", t, inner, p) for t in trs], "s")
+    out = TruncSeries("s", compose(C.coeffs, pi_of_T(p, t_order, inner)))
+    got = min(col.prec for col in out.coeffs)
+    if got < digits:
+        raise InsufficientPrecision(f"operator series certified only to {got} digits")
     return out
 
 

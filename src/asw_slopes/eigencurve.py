@@ -31,7 +31,7 @@ from .errors import (
 )
 from .expsum import t_valuation_points
 from .newton import NewtonPolygon, lower_hull
-from .padic import CycInt, PadicInt, cyc_valuation
+from .padic import CycInt, cyc_valuation
 from .series import TruncSeries
 from .tower import base_slopes, stable_level
 
@@ -153,14 +153,12 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
         )
     if (d + 1) ** count > 100_000:
         raise ConfigError("block layout too wide for term enumeration")
-    p = cols[0].coeffs[0].p
-    digits = C.min_prec()
+    p = cols[0].p
+    digits = min(c.prec for c in cols)
     mod = p**digits
     W = [len(c.coeffs) for c in cols]
     N = max(W)
-    if cols[0].coeffs[0].value % mod != 1 or any(
-        not cf.is_zero() for cf in cols[0].coeffs[1:]
-    ):
+    if cols[0].coeffs[0] % mod != 1 or any(cf % mod for cf in cols[0].coeffs[1:]):
         raise VerificationError("constant term of the series is not 1")
 
     poly = observed_polygon(C)
@@ -263,7 +261,7 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
     acc_row = [row_sum(n) for n in range(K + 1)]
 
     rhs = [
-        np.array([cf.value % mod for cf in cols[n].coeffs], dtype=dtype)
+        np.array([cf % mod for cf in cols[n].coeffs], dtype=dtype)
         for n in range(K + 1)
     ]
 
@@ -345,12 +343,7 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
 
     factors = []
     for i in range(count):
-        coeffs = [
-            TruncSeries(
-                "T", [PadicInt(p, 1 if t == 0 else 0, digits) for t in range(N)],
-                prec=digits,
-            )
-        ]
+        coeffs = [TruncSeries("T", [1] + [0] * (N - 1), digits, p)]
         for j in range(1, d + 1):
             phi = floors[(i, j)]
             got = mark[(i, j)]
@@ -366,13 +359,7 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
                     f"block {i}: hull-touching coefficient at s^{j} is not "
                     "unit-leading"
                 )
-            coeffs.append(
-                TruncSeries(
-                    "T",
-                    [PadicInt(p, int(v), digits) for v in vals[(i, j)][:got]],
-                    prec=digits,
-                )
-            )
+            coeffs.append(TruncSeries("T", [int(v) for v in vals[(i, j)][:got]], digits, p))
         factors.append(
             BlockFactor(
                 vertex=d,
@@ -409,9 +396,9 @@ def block_product(factors) -> BlockFactor:
     p = factors[0].p
     digits = min(f.digits for f in factors)
     mod = p**digits
-    acc = [[c.value % mod for c in ts.coeffs] for ts in factors[0].coeffs]
+    acc = [[c % mod for c in ts.coeffs] for ts in factors[0].coeffs]
     for f in factors[1:]:
-        b = [[c.value % mod for c in ts.coeffs] for ts in f.coeffs]
+        b = [[c % mod for c in ts.coeffs] for ts in f.coeffs]
         win: dict = {}
         for j, x in enumerate(acc):
             for k, y in enumerate(b):
@@ -427,9 +414,7 @@ def block_product(factors) -> BlockFactor:
                     for t, yt in enumerate(y[: len(row) - s]):
                         row[s + t] = (row[s + t] + xs * yt) % mod
         acc = out
-    coeffs = [
-        TruncSeries("T", [PadicInt(p, x, digits) for x in row], prec=digits) for row in acc
-    ]
+    coeffs = [TruncSeries("T", row, digits, p) for row in acc]
     return BlockFactor(len(acc) - 1, p, digits, min(map(len, acc[1:])), coeffs)
 
 
@@ -456,8 +441,8 @@ def specialize_block(factor: BlockFactor, m: int):
     for ts in factor.coeffs:
         acc = CycInt.zero(p, m)
         for t, cf in enumerate(ts.coeffs):
-            if not cf.is_zero():
-                acc = acc + pi_pows[t].scale(cf.value)
+            if cf:
+                acc = acc + pi_pows[t].scale(cf)
         out.append(acc)
         caps.append(min(factor.digits * e, len(ts.coeffs)))
     return out, caps

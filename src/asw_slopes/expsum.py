@@ -25,19 +25,9 @@ from .errors import (
     DegreeNotCoprime,
     DegreeViolation,
     InsufficientPrecision,
-    PathwayMismatch,
 )
 from .newton import NewtonPolygon, lower_hull
-from .padic import (
-    CycInt,
-    PadicInt,
-    Valuation,
-    ZqCtx,
-    cyc_valuation,
-    teichmuller,
-    vp,
-    vp_factorial,
-)
+from .padic import CycInt, Valuation, ZqCtx, cyc_valuation, teichmuller, vp_factorial
 from .series import TruncSeries, exp_from_power_sums
 
 MAX_POINTS = 2 * 10**7  # hard budget on |field| for histogram enumeration
@@ -386,8 +376,8 @@ def t_adic_sum(
             w = w * ((t - (n - 1)) % M) % M
         S, pv = int(w.sum()) % M, p ** vp_factorial(n, p)
         assert S % pv == 0, "falling-factorial moment must be divisible by n!"
-        coeffs.append(PadicInt(p, S // pv * pow(math.factorial(n) // pv, -1, out_mod), digits))
-    return TruncSeries("T", coeffs, prec=digits)
+        coeffs.append(S // pv * pow(math.factorial(n) // pv, -1, out_mod))
+    return TruncSeries("T", coeffs, digits, p)
 
 
 def character_sum(
@@ -461,59 +451,21 @@ def _dilate(L: TruncSeries, factor: int) -> TruncSeries:
 
 
 def char_series_at_character(
-    spec: TowerSpec,
-    m: int,
-    s_order: int,
-    digits: int,
-    c: int = 1,
-    method: str = "product",
+    spec: TowerSpec, m: int, s_order: int, digits: int, c: int = 1
 ) -> TruncSeries:
     """Characteristic series at a fixed character, mod (p^digits, s^{s_order+1}).
 
-    "product": finite product of q-power dilates of the punctured L-series
-    (factor j is 1 + O(q^j), so j < ceil(digits/a) terms suffice).  "exp":
-    exponential of unit-normalized power sums with explicit guard digits.
-    "both" runs the two and insists they agree.
+    The finite product of q-power dilates of the punctured L-series: factor
+    j is 1 + O(q^j), so j < ceil(digits/a) terms suffice.
     """
-    if method not in ("product", "exp", "both"):
-        raise ConfigError(f"unknown method {method!r}")
     _check_budget(spec.q**s_order)
     modulus = spec.p**digits
-    out_prod = out_exp = None
-    if method in ("product", "both"):
-        J = -(-digits // spec.a)
-        L = l_series(spec, m, c, punctured=True, s_order=s_order)
-        acc = None
-        for j in range(J):
-            factor = _dilate(L, spec.q**j).truncate(s_order + 1)
-            acc = factor if acc is None else (acc * factor)
-        out_prod = TruncSeries("s", [a.reduce_mod(modulus) for a in acc.coeffs])
-    if method in ("exp", "both"):
-        guard = vp_factorial(s_order, spec.p)
-        work = spec.p ** (digits + guard)
-        sums = []
-        for k in range(1, s_order + 1):
-            hist = trace_histogram(spec, k, m)
-            sk = character_sum(hist, m, c, include_zero=False)
-            inv = pow(1 - spec.q**k, -1, work)
-            sums.append(sk.scale(inv).reduce_mod(work))
-        coeffs = [CycInt.from_int(spec.p, m, 1)]
-        trusted = digits + guard
-        for n in range(1, s_order + 1):
-            acc = sums[n - 1]
-            for k in range(1, n):
-                acc = acc + sums[k - 1] * coeffs[n - k]
-            # divide by n = p^v * u: unit part by modular inverse, p-part
-            # exactly; the trusted modulus drops by v
-            v = vp(n, spec.p) if n % spec.p == 0 else 0
-            u = n // spec.p**v
-            acc = acc.scale(pow(u, -1, work)).reduce_mod(work)
-            acc = acc.exact_div_int(spec.p**v)
-            coeffs.append(acc.reduce_mod(work // spec.p**v))
-        out_exp = TruncSeries("s", [a.reduce_mod(modulus) for a in coeffs])
-    if method == "both" and out_prod.coeffs != out_exp.coeffs:
-        raise PathwayMismatch("product and exp characteristic series disagree")
-    return out_prod if out_prod is not None else out_exp
+    L = l_series(spec, m, c, punctured=True, s_order=s_order)
+    acc = None
+    for j in range(-(-digits // spec.a)):
+        factor = _dilate(L, spec.q**j).truncate(s_order + 1)
+        acc = factor if acc is None else (acc * factor)
+    return TruncSeries("s", [a.reduce_mod(modulus) for a in acc.coeffs])
 
 
 def char_series(
@@ -522,23 +474,21 @@ def char_series(
     """Bivariate characteristic series mod (T^t_order, s^{s_order+1}, p^digits).
 
     Built as exp of the unit-normalized T-adic sums; both guard layers
-    (binomial and exp denominators) are added up front so the output
-    coefficients carry at least `digits` certified p-adic digits.
+    (binomial and exp denominators) are added up front, so column n carries
+    exactly digits + v_p(s_order!) - v_p(n!) p-adic digits, the last one
+    `digits`.
     """
     _check_digits(digits)
     _check_budget(spec.q**s_order)
-    exp_guard = vp_factorial(s_order, spec.p)
-    inner = digits + exp_guard
+    inner = digits + vp_factorial(s_order, spec.p)
     sums = []
     for k in range(1, s_order + 1):
         sk = t_adic_sum(spec, k, t_order, inner)
-        inv = PadicInt(spec.p, 1 - spec.q**k, inner).unit_inverse()
-        sums.append(sk.scale(inv))
+        sums.append(sk.scale(pow(1 - spec.q**k, -1, spec.p**inner)))
     C = exp_from_power_sums(sums, "s")
-    if C.min_prec() < digits:
-        raise InsufficientPrecision(
-            f"characteristic series only certified to {C.min_prec()} digits"
-        )
+    got = min(col.prec for col in C.coeffs)
+    if got < digits:
+        raise InsufficientPrecision(f"characteristic series only certified to {got} digits")
     return C
 
 
@@ -571,7 +521,7 @@ def newton_from_cyclotomic(
     return poly.rescale(scale, source) if scale != 1 else poly
 
 
-def t_valuation_points(C: TruncSeries, declared_digits: int | None = None):
+def t_valuation_points(C: TruncSeries):
     """(k, v_T) observations for a series whose coefficients are T-series.
 
     A coefficient nonzero mod p^digits is certainly nonzero, so the reading
@@ -581,11 +531,7 @@ def t_valuation_points(C: TruncSeries, declared_digits: int | None = None):
     """
     pts = []
     for k, col in enumerate(C.coeffs):
-        v = None
-        for i, c in enumerate(col.coeffs):
-            if not c.is_zero():
-                v = i
-                break
+        v = next((i for i, c in enumerate(col.coeffs) if c), None)
         if v is None:
             pts.append((k, Valuation.at_least(col.order)))
         else:

@@ -307,16 +307,6 @@ class FqElt:
     def frobenius(self) -> "FqElt":
         return self**self.ctx.p
 
-    def trace_to_prime(self) -> int:
-        """Classical absolute trace to F_p (Frobenius orbit sum)."""
-        acc = self.ctx.zero()
-        y = self
-        for _ in range(self.ctx.n):
-            acc = acc + y
-            y = y.frobenius()
-        assert not any(acc.coeffs[1:])
-        return acc.coeffs[0]
-
     def __eq__(self, other):
         return (
             isinstance(other, FqElt)

@@ -2,8 +2,8 @@
 
 Two regimes coexist and are kept visibly separate:
 
-* truncated: PadicInt / ZqElt hold residues mod p^N with explicit declared
-  precision, with min-precision propagation and guarded exact division;
+* truncated: Python ints and Z_q coordinate tuples reduced mod p^N, one
+  precision N per context (ZqCtx) or per series (series.TruncSeries);
 * exact: CycInt holds exact integer vectors modulo the p^m-th cyclotomic
   polynomial, with valuations read off the expansion in pi = zeta - 1
   (never floats).
@@ -75,11 +75,6 @@ class Valuation:
     def is_exact(self):
         return self.kind == self.EXACT
 
-    def scaled(self, factor) -> "Valuation":
-        if self.kind == self.INFINITE:
-            return self
-        return Valuation(self.kind, self.value * Fraction(factor))
-
     def __eq__(self, other):
         return (
             isinstance(other, Valuation)
@@ -91,100 +86,6 @@ class Valuation:
         if self.kind == self.INFINITE:
             return "Valuation(inf)"
         return f"Valuation({self.kind}, {self.value})"
-
-
-# ---------------------------------------------------------------------------
-# PadicInt: Z/p^N with declared precision
-
-
-class PadicInt:
-    __slots__ = ("p", "prec", "value")
-
-    def __init__(self, p: int, value: int, prec: int):
-        if prec < 0:
-            raise InsufficientGuard("negative working precision")
-        self.p = p
-        self.prec = prec
-        self.value = value % (p**prec) if prec > 0 else 0
-
-    def _join(self, other) -> "PadicInt":
-        if not isinstance(other, PadicInt):
-            raise CtxMismatch(f"cannot mix PadicInt with {type(other).__name__}")
-        if self.p != other.p:
-            raise CtxMismatch("mixed primes")
-        return other
-
-    def __add__(self, other):
-        other = self._join(other)
-        return PadicInt(self.p, self.value + other.value, min(self.prec, other.prec))
-
-    def __sub__(self, other):
-        other = self._join(other)
-        return PadicInt(self.p, self.value - other.value, min(self.prec, other.prec))
-
-    def __neg__(self):
-        return PadicInt(self.p, -self.value, self.prec)
-
-    def __mul__(self, other):
-        other = self._join(other)
-        return PadicInt(self.p, self.value * other.value, min(self.prec, other.prec))
-
-    def reduce(self, prec: int) -> "PadicInt":
-        if prec > self.prec:
-            raise InsufficientGuard(f"cannot raise precision {self.prec} -> {prec}")
-        return PadicInt(self.p, self.value, prec)
-
-    def exact_div_int(self, n: int) -> "PadicInt":
-        """Divide by a nonzero integer; the p-part must divide exactly.
-
-        Precision drops by v_p(n): the quotient of a residue known mod p^N is
-        determined mod p^{N - v_p(n)} only.
-        """
-        if n < 0:
-            return (-self).exact_div_int(-n)
-        v = vp(n, self.p)
-        unit = n // self.p**v
-        if v:
-            if self.prec < v:
-                raise InsufficientGuard("division by p^v below working precision")
-            if self.value % self.p**v:
-                raise NonIntegralResult(f"{self.value} not divisible by {self.p}^{v}")
-        new_prec = self.prec - v
-        mod = self.p**new_prec
-        if mod == 1:
-            return PadicInt(self.p, 0, 0)
-        val = (self.value // self.p**v) * pow(unit, -1, mod)
-        return PadicInt(self.p, val, new_prec)
-
-    def unit_inverse(self) -> "PadicInt":
-        if self.value % self.p == 0:
-            raise NonIntegralResult("not a unit")
-        return PadicInt(self.p, pow(self.value, -1, self.p**self.prec), self.prec)
-
-    # series-coefficient protocol
-    def zero_like(self):
-        return PadicInt(self.p, 0, self.prec)
-
-    def one_like(self):
-        return PadicInt(self.p, 1, self.prec)
-
-    def from_int_like(self, n: int):
-        return PadicInt(self.p, n, self.prec)
-
-    def is_zero(self):
-        return self.value == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PadicInt)
-            and (self.p, self.prec, self.value) == (other.p, other.prec, other.value)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self.value))
-
-    def __repr__(self):
-        return f"PadicInt({self.value} mod {self.p}^{self.prec})"
 
 
 # ---------------------------------------------------------------------------
@@ -477,32 +378,29 @@ def cyc_valuation(z: CycInt, cap: int | None = None) -> Valuation:
 # binomial transfer: (1+T)^t as a truncated series
 
 
-def binom_pow(t: PadicInt, D: int, N: int | None = None):
-    """(1+T)^t = sum_{n<D} C(t, n) T^n with coefficients declared mod p^N.
+def binom_pow(p: int, t: int, prec: int, D: int):
+    """(1+T)^t = sum_{n<D} C(t, n) T^n for t known mod p^prec, as a p-adic
+    series mod p^(prec - v_p((D-1)!)).
 
-    C(t, n) is the exact integer binomial of the representative, so the p-part
-    division is exact; the cost is that coefficient n is only determined mod
-    p^{prec(t) - v_p(n!)}.  Requires prec(t) >= N + v_p((D-1)!).
+    C(t, n) is the exact integer binomial of the representative, so the
+    p-part division is exact; the cost is that coefficient n is only
+    determined mod p^{prec - v_p(n!)}, and the series declares the least.
     """
     from .series import TruncSeries
 
-    p = t.p
-    guard_needed = vp_factorial(D - 1, p) if D > 1 else 0
-    if N is None:
-        N = t.prec - guard_needed
-    if t.prec < N + guard_needed or N <= 0:
+    N = prec - vp_factorial(D - 1, p)
+    if N <= 0:
         raise InsufficientGuard(
-            f"need precision {N}+{guard_needed} on t, have {t.prec}"
+            f"t known to {prec} digits leaves none for {D} binomial terms"
         )
     coeffs = []
     num = 1
     fact = 1
-    tv = t.value
     for n in range(D):
         if n > 0:
-            num *= tv - (n - 1)
+            num *= t - (n - 1)
             fact *= n
         c = num // fact
         assert num == c * fact, "falling factorial must be divisible by n!"
-        coeffs.append(PadicInt(p, c, N))
-    return TruncSeries("T", coeffs, prec=N)
+        coeffs.append(c)
+    return TruncSeries("T", coeffs, N, p)

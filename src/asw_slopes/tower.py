@@ -279,17 +279,6 @@ def verify_periodicity(spec: TowerSpec, m_max: int) -> dict:
     return {"stable_level": m0, "ok": all_ok, "levels": levels}
 
 
-def periodicity_csv(report: dict) -> str:
-    lines = ["m,slope_num,slope_den,predicted,computed,ok"]
-    for lvl in report["levels"]:
-        for row in lvl["slopes"]:
-            lines.append(
-                f"{lvl['m']},{row['slope'][0]},{row['slope'][1]},"
-                f"{row['predicted']},{row['computed']},{str(row['ok']).lower()}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def l_hodge_polygon(d_eff: int, width: int) -> NewtonPolygon:
     """Lower bound polygon for a level's L-series: slopes k/d_eff, k >= 1."""
     return NewtonPolygon(

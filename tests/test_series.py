@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from asw_slopes.errors import CtxMismatch
-from asw_slopes.padic import PadicInt
+from asw_slopes.errors import CtxMismatch, InsufficientGuard, NonIntegralResult
+from asw_slopes.padic import vp_factorial
 from asw_slopes.series import TruncSeries, compose, exp_from_power_sums, reversion
-from oracles import reference_compose, reference_exp, reference_inverse, reference_log
+from oracles import (
+    PadicInt,
+    padic_coeffs,
+    reference_compose,
+    reference_exp,
+    reference_inverse,
+    reference_log,
+)
 
 P = 3
 PREC = 24
@@ -34,9 +41,9 @@ def test_var_mismatch_rejected():
 
 def test_shift_and_scale():
     a = S([1, 2, 7, 0])
-    # shift keeps the truncation window, so top coefficients fall off
-    assert vals(a.shift(2), 4) == [0, 0, 1, 2]
     assert vals(a.scale(PadicInt(P, 5, PREC)), 4) == [5, 10, 35, 0]
+    b = TruncSeries("s", [1, 2, 7, 0], 3, P).scale(5)
+    assert (b.coeffs, b.prec) == ([5, 10, 8, 0], 3)
 
 
 def test_geometric_series_from_power_sums():
@@ -70,130 +77,134 @@ def test_inverse():
 
 def test_compose_with_reversion_is_identity():
     # F = s + 2s^2 + 5s^3 ...; F(rev(F)) = s to the shared order
-    F = S([0, 1, 2, 5, 1, 3])
-    R = reversion(F)
-    I = compose([F], R)[0]
-    got = vals(I, 6)
-    assert got[0] == 0 and got[1] == 1 and all(v == 0 for v in got[2:])
+    F = TruncSeries("s", [0, 1, 2, 5, 1, 3], PREC, P)
+    I = compose([F], reversion(F))[0]
+    assert I.coeffs == [0, 1, 0, 0, 0, 0] and I.prec == PREC
 
 
-def test_exact_div_int_serieswise():
-    F = S([3, 6, 9])
-    G = F.exact_div_int(3)
-    assert vals(G, 6) == [1, 2, 3]
-
-
-def test_min_prec_tracks_worst_coefficient():
-    a = TruncSeries("s", [PadicInt(P, 1, 9), PadicInt(P, 1, 4)])
-    assert a.min_prec() == 4
-
-
-def test_degree_ignores_trailing_zeros():
-    a = S([2, 1, 0, 0])
-    assert a.degree() == 1
+def test_padic_series_holds_one_precision():
+    # coefficients are reduced mod p^prec, and a sum is known to the least
+    # precision of its terms
+    a = TruncSeries("s", [1, -1, 3**5], 4, P)
+    b = TruncSeries("s", [1, 1], 9, P)
+    assert (a.coeffs, a.prec) == ([1, 80, 0], 4)
+    assert ((a + b).coeffs, (a + b).prec) == ([2, 0], 4)
+    assert (-b).coeffs == [3**9 - 1, 3**9 - 1]
 
 
 def reference_reversion(F):
-    """The fixed-point reversion G <- f_1^{-1}(var - R(G)), one order per
-    pass, each pass a full Horner composition: the oracle for reversion."""
+    """The fixed-point reversion G <- f_1^{-1}(var - R(G)), R = F - f_1 var:
+    [var^n] R(G) needs only g_1..g_{n-1}, so pass n, a full Horner
+    composition mod var^(n+1), fixes g_n.  The oracle for reversion."""
     f = F.coeffs
     f1_inv = f[1].unit_inverse()
-    L = F.order
-    zero = f[0].zero_like()
-    R = TruncSeries(F.var, [zero, zero] + f[2:])
-    var_series = TruncSeries(F.var, [zero, f[0].one_like()] + [zero] * (L - 2))
-    G = var_series.scale(f1_inv)
-    for _ in range(L - 1):
-        G = (var_series - reference_compose(R, G)).scale(f1_inv)
-    return G
+    zero, one = f[0].zero_like(), f[0].one_like()
+    g = [zero, f1_inv]
+    for n in range(2, F.order):
+        var_series = TruncSeries(F.var, [zero, one] + [zero] * (n - 1))
+        R = TruncSeries(F.var, [zero, zero] + f[2 : n + 1])
+        G = TruncSeries(F.var, g + [zero])
+        g = (var_series - reference_compose(R, G)).scale(f1_inv).coeffs
+    return TruncSeries(F.var, g)
 
 
 def test_reversion_matches_the_fixed_point_oracle_seeded():
-    # random unit f_1, sparse coefficients and a precision per coefficient;
-    # == compares every value and every PadicInt.prec
+    # random unit f_1, sparse coefficients and one precision e: every
+    # coefficient of the oracle, run on PadicInt, is known mod p^e too
     rng = random.Random(41)
     orders = [2, 3, 5, 8, 13, 21, 40]
     for case in range(28):
         p = (2, 3, 5, 7)[case % 4]
         L = orders[case % len(orders)]
-        precs = [rng.randrange(1, 10) for _ in range(L)]
-        coeffs = [PadicInt(p, 0, precs[0])]
-        coeffs.append(PadicInt(p, rng.randrange(1, p) + p * rng.randrange(p**9), precs[1]))
-        for k in range(2, L):
-            v = 0 if rng.random() < 0.3 else rng.randrange(p ** precs[k])
-            coeffs.append(PadicInt(p, v, precs[k]))
-        F = TruncSeries("x", coeffs)
-        assert reversion(F) == reference_reversion(F), (p, L, precs)
+        e = rng.randrange(1, 10)
+        coeffs = [0, rng.randrange(1, p) + p * rng.randrange(p**9)]
+        coeffs += [0 if rng.random() < 0.3 else rng.randrange(p**e) for _ in range(2, L)]
+        F = TruncSeries("x", coeffs, e, p)
+        got, want = reversion(F), reference_reversion(padic_coeffs(F))
+        assert got.prec == e and {c.prec for c in want.coeffs} == {e}, (p, L, e)
+        assert got.coeffs == [c.value for c in want.coeffs], (p, L, e)
 
 
-def _random_series(rng, p, L, var, precs, zero_rate=0.3):
-    coeffs = []
-    for e in precs[:L]:
-        v = 0 if rng.random() < zero_rate else rng.randrange(p**e)
-        coeffs.append(PadicInt(p, v, e))
-    return TruncSeries(var, coeffs)
+def _random_series(rng, p, L, var, e, zero_rate=0.3):
+    coeffs = [0 if rng.random() < zero_rate else rng.randrange(p**e) for _ in range(L)]
+    return TruncSeries(var, coeffs, e, p)
+
+
+def _agrees_below(got, want):
+    """want, a series of PadicInt, declares at least got's precision and
+    agrees with got's values mod p^prec."""
+    mod = got.p**got.prec
+    return all(c.prec >= got.prec for c in want.coeffs) and got.coeffs == [
+        c.value % mod for c in want.coeffs
+    ]
 
 
 def test_compose_matches_horner_seeded():
-    # columns with a precision per coefficient and zero coefficients, some
-    # longer and some shorter than G, against Horner on PadicInt; == compares
-    # every value and every PadicInt.prec
+    # columns with zero coefficients, some longer and some shorter than G,
+    # against Horner on PadicInt: compose declares min(prec G, prec F) and
+    # agrees with Horner's values to that precision
     rng = random.Random(61)
     for case in range(32):
         p = (2, 3, 5, 7)[case % 4]
         L = rng.choice([1, 2, 3, 6, 11, 20, 28])
         g = rng.randrange(1, 12)
-        G = _random_series(rng, p, L, "T", [g] * L, zero_rate=rng.choice([0, 0.3]))
-        G.coeffs[0] = PadicInt(p, 0, g)
-        cols = []
-        for _ in range(rng.randrange(1, 5)):
-            n = rng.randrange(1, L + 4)
-            precs = [rng.randrange(0, 14) for _ in range(n)]
-            cols.append(_random_series(rng, p, n, "pi", precs, rng.choice([0, 0.4, 1])))
-        got = compose(cols, G)
-        assert got == [reference_compose(F, G) for F in cols], (p, L, g)
+        G = _random_series(rng, p, L, "T", g, zero_rate=rng.choice([0, 0.3]))
+        G.coeffs[0] = 0
+        cols = [
+            _random_series(rng, p, rng.randrange(1, L + 4), "pi", rng.randrange(0, 14),
+                           rng.choice([0, 0.4, 1]))
+            for _ in range(rng.randrange(1, 5))
+        ]
+        for F, got in zip(cols, compose(cols, G)):
+            assert got.prec == min(g, F.prec) and got.order == L, (p, L, g)
+            assert _agrees_below(got, reference_compose(padic_coeffs(F), padic_coeffs(G)))
 
 
 def test_compose_never_claims_more_than_horner():
-    # when G's coefficients carry different precisions, compose declares the
-    # least of them; Horner can claim more where it skips zero products,
-    # never less, and the values agree to the declared precision
+    # Horner on PadicInt declares at least min(prec G, prec F) everywhere;
+    # compose declares exactly that minimum
     rng = random.Random(67)
     for case in range(16):
         p = (2, 3, 5, 7)[case % 4]
         L = rng.choice([3, 7, 12])
-        G = _random_series(rng, p, L, "T", [rng.randrange(1, 9) for _ in range(L)])
-        G.coeffs[0] = G.coeffs[0].zero_like()
-        F = _random_series(rng, p, L, "pi", [rng.randrange(1, 9) for _ in range(L)])
-        (got,), want = compose([F], G), reference_compose(F, G)
-        for a, b in zip(got.coeffs, want.coeffs):
-            assert a.prec <= b.prec
-            assert (a.value - b.value) % p**a.prec == 0
+        G = _random_series(rng, p, L, "T", rng.randrange(1, 9))
+        G.coeffs[0] = 0
+        F = _random_series(rng, p, L, "pi", rng.randrange(1, 9))
+        (got,), want = compose([F], G), reference_compose(padic_coeffs(F), padic_coeffs(G))
+        assert got.prec == min(G.prec, F.prec)
+        assert _agrees_below(got, want)
 
 
 def _power_sums(rng, p, L, K, lo):
     """c_k = sum_i a_i^k over random T-series roots a_i, plus pairs (b, -b)
     whose odd power sums cancel, so exp(sum c_k s^k/k) = prod 1/(1 - a_i s)
-    is integral and odd-k sums can be all zero."""
-    roots = [_random_series(rng, p, L, "T", [rng.randrange(lo, 16) for _ in range(L)])
-             for _ in range(rng.randrange(0, 3))]
+    is integral and odd-k sums can be all zero.  The roots are series of
+    PadicInt; the sums come back as p-adic series, each at its least
+    declared precision."""
+    def root():
+        return padic_coeffs(_random_series(rng, p, L, "T", rng.randrange(lo, 16)))
+
+    roots = [root() for _ in range(rng.randrange(0, 3))]
     for _ in range(rng.randrange(0, 2)):
-        b = _random_series(rng, p, L, "T", [rng.randrange(lo, 16) for _ in range(L)])
+        b = root()
         roots += [b, -b]
-    zero = TruncSeries("T", [PadicInt(p, 0, rng.randrange(lo, 16)) for _ in range(L)])
+    zero = padic_coeffs(TruncSeries("T", [0] * L, rng.randrange(lo, 16), p))
     sums, powers = [], list(roots)
     for _ in range(K):
         acc = zero
         for x in powers:
             acc = acc + x
-        sums.append(acc)
+        e = min(c.prec for c in acc.coeffs)
+        sums.append(TruncSeries("T", [c.value for c in acc.coeffs], e, p))
         powers = [x * r for x, r in zip(powers, roots)]
     return sums
 
 
 def test_flat_exp_matches_the_padic_recurrence_seeded():
-    # same values, the same precision per coefficient, the same series
-    # precisions, or the same exception type when the guard runs out
+    # column n declares exactly e_0 - v_p(n!), e_0 the least precision of
+    # the sums; the zero-skipping oracle never declares less and agrees to
+    # that precision.  The guard runs out exactly when e_0 < v_p(K!), and a
+    # remainder in a division is NonIntegralResult on both sides.
     rng = random.Random(71)
     cases = []
     for case in range(60):
@@ -203,30 +214,36 @@ def test_flat_exp_matches_the_padic_recurrence_seeded():
         if K < p and case % 3:
             # every n <= K < p is a unit, so any sums are integral: random
             # values, precisions and zeros, all-zero sums included
-            sums = [_random_series(rng, p, L, "T", [rng.randrange(lo, 16) for _ in range(L)],
+            sums = [_random_series(rng, p, L, "T", rng.randrange(lo, 16),
                                    rng.choice([0.2, 0.6, 1])) for _ in range(K)]
-            for c in sums:
-                if rng.random() < 0.3:  # a zero constant term of low precision
-                    c.coeffs[0] = PadicInt(p, 0, rng.randrange(1, 5))
         else:
             sums = _power_sums(rng, p, L, K, lo)
         cases.append(sums)
     # a_2 = (c_2 + c_1 a_1)/2 is 1/2 for c = (1, 0), and needs a digit that
     # precision 0 does not have
-    T = lambda *vs: TruncSeries("T", [PadicInt(2, v, e) for v, e in vs])
-    cases += [[T((1, 5), (0, 5)), T((0, 5), (0, 5))], [T((0, 0), (2, 5)), T((0, 0), (0, 5))]]
-    raised = set()
+    cases += [[TruncSeries("T", [1, 0], 5, 2), TruncSeries("T", [0, 0], 5, 2)],
+              [TruncSeries("T", [0, 2], 0, 2), TruncSeries("T", [0, 0], 5, 2)]]
+    raised, more = set(), 0
     for sums in cases:
+        p, K = sums[0].p, len(sums)
+        e0 = min(c.prec for c in sums)
+        oracle = [padic_coeffs(c) for c in sums]
         try:
-            want = reference_exp(sums, "s")
-        except Exception as exc:
-            raised.add(type(exc).__name__)
-            with pytest.raises(type(exc)):
-                exp_from_power_sums(sums, "s")
+            got = exp_from_power_sums(sums, "s")
+        except InsufficientGuard:
+            raised.add("InsufficientGuard")
+            assert e0 < vp_factorial(K, p)
             continue
-        got = exp_from_power_sums(sums, "s")
-        assert got == want
-        assert got.prec == want.prec
-        assert [c.prec for c in got.coeffs] == [c.prec for c in want.coeffs]
-    assert any(s.is_zero() for sums in cases for s in sums)
+        except NonIntegralResult:
+            raised.add("NonIntegralResult")
+            with pytest.raises(NonIntegralResult):
+                reference_exp(oracle, "s")
+            continue
+        want = reference_exp(oracle, "s")
+        for n, (col, ref) in enumerate(zip(got.coeffs, want.coeffs)):
+            assert col.prec == e0 - vp_factorial(n, p)
+            assert _agrees_below(col, ref)
+            more += any(c.prec > col.prec for c in ref.coeffs)
+    assert any(not any(s.coeffs) for sums in cases for s in sums)
     assert raised == {"InsufficientGuard", "NonIntegralResult"}
+    assert more

@@ -14,7 +14,6 @@ from asw_slopes.tower import (
     genus_double,
     l_hodge_polygon,
     l_newton,
-    periodicity_csv,
     predicted_slopes,
     stable_level,
     verify_hodge,
@@ -161,15 +160,6 @@ def test_verify_periodicity_report():
     assert [lvl["m"] for lvl in report["levels"]] == [1, 2, 3]
     for lvl in report["levels"]:
         assert all(row["ok"] for row in lvl["slopes"])
-
-
-def test_periodicity_csv_layout():
-    report = verify_periodicity(SPEC3, 2)
-    csv = periodicity_csv(report)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "m,slope_num,slope_den,predicted,computed,ok"
-    assert lines[1] == "1,1,2,1,1,true"
-    assert len(lines) == 1 + sum(len(lvl["slopes"]) for lvl in report["levels"])
 
 
 def test_verify_hodge_touches():
