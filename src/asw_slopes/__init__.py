@@ -57,7 +57,6 @@ from .dwork import (
     t_adic_sum_via_operator,
 )
 from .tower import (
-    actual_slopes,
     base_slopes,
     count_points_char,
     count_points_trace,

@@ -186,7 +186,7 @@ def _cmd_charfn(args) -> int:
 def _cmd_slopes(args) -> int:
     spec = _spec(args)
     poly = tower.l_newton(spec, args.m, c=args.c)
-    computed = tower.actual_slopes(spec, args.m, c=args.c)
+    computed = poly.slope_multiset()
     m0 = tower.stable_level(spec)
     predicted = tower.predicted_slopes(spec, args.m) if args.m >= m0 else None
     ok = predicted is None or predicted == computed

@@ -383,19 +383,19 @@ def t_adic_sum(
 def character_sum(
     hist: TraceHistogram, m: int, c: int = 1, include_zero: bool = False
 ) -> CycInt:
-    """Exact sum of zeta^{c * trace} over the histogram, in Z[zeta_{p^m}]."""
+    """Exact sum of zeta^{c * trace} over the histogram, in Z[zeta_{p^m}], for
+    any integer c: a non-unit c = p^v c' is the level-(m - v) character."""
     if hist.digits < m:
         raise InsufficientPrecision(
             f"character mod p^{m} needs {m} trace digits, histogram has {hist.digits}"
         )
-    h = hist.reduce(m) if hist.digits > m else hist
-    p = h.p
-    acc = CycInt.zero(p, m)
-    for t in sorted(h.counts):
-        acc = acc + CycInt.zeta_power(p, m, c * t).scale(h.counts[t])
+    pm = hist.p**m
+    vec = [0] * pm
+    for t, n in hist.counts.items():
+        vec[c * t % pm] += n
     if include_zero:
-        acc = acc + CycInt.zeta_power(p, m, c * h.zero_cell)
-    return acc
+        vec[c * hist.zero_cell % pm] += 1
+    return CycInt(hist.p, m, vec)
 
 
 def l_degree(spec: TowerSpec, m: int, punctured: bool = False) -> int:
@@ -409,7 +409,6 @@ def l_series(
     c: int = 1,
     punctured: bool = False,
     s_order: int | None = None,
-    use_cache: bool = True,
 ) -> TruncSeries:
     """L-series of the order-p^m character mapping 1 -> zeta^c, exactly.
 
@@ -427,7 +426,7 @@ def l_series(
     _check_budget(spec.q**K)  # the largest field enumerated, before any work
     sums = []
     for k in range(1, K + 1):
-        hist = trace_histogram(spec, k, m, use_cache=use_cache)
+        hist = trace_histogram(spec, k, m)
         sums.append(character_sum(hist, m, c, include_zero=not punctured))
     if not sums:
         return TruncSeries("s", [CycInt.from_int(spec.p, m, 1)])

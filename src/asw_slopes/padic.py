@@ -291,18 +291,6 @@ class CycInt:
                 vec[(e * c) % pm] += g
         return CycInt(self.p, self.m, _cyc_reduce(vec, self.p, self.m))
 
-    def embed(self, m_target: int) -> "CycInt":
-        """Inclusion Z[zeta_{p^m}] -> Z[zeta_{p^{m_target}}]."""
-        if m_target < self.m:
-            raise ConfigError("cannot embed into a smaller cyclotomic ring")
-        if m_target == self.m:
-            return self
-        stretch = self.p ** (m_target - self.m)
-        vec = [0] * (stretch * max(1, len(self.coeffs)))
-        for e, g in enumerate(self.coeffs):
-            vec[e * stretch] += g
-        return CycInt(self.p, m_target, _cyc_reduce(vec, self.p, m_target))
-
     def reduce_mod(self, modulus: int) -> "CycInt":
         """Representative with coefficients in [0, modulus)."""
         return CycInt(self.p, self.m, [a % modulus for a in self.coeffs])
@@ -328,9 +316,6 @@ class CycInt:
 
     def one_like(self):
         return CycInt.from_int(self.p, self.m, 1)
-
-    def from_int_like(self, n):
-        return CycInt.from_int(self.p, self.m, n)
 
     def is_zero(self):
         return not any(self.coeffs)

@@ -25,7 +25,7 @@ from .expsum import (
     trace_histogram,
 )
 from .newton import NewtonPolygon
-from .padic import CycInt, vp
+from .padic import CycInt
 from .series import TruncSeries
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def count_points_witt(spec: TowerSpec, m: int, k: int) -> int:
 
 def count_points_trace(spec: TowerSpec, m: int, k: int) -> int:
     """p^m * #{x : lifted trace vanishes mod p^m}, zero fiber included."""
-    hist = trace_histogram(spec, k, m).reduce(m)
+    hist = trace_histogram(spec, k, m)
     zeros = hist.counts.get(0, 0)
     if hist.zero_cell == 0:
         zeros += 1
@@ -137,14 +137,12 @@ def count_points_trace(spec: TowerSpec, m: int, k: int) -> int:
 
 
 def count_points_char(spec: TowerSpec, m: int, k: int) -> int:
-    """Same count through the full character sum; must land in Z."""
+    """Same count as the sum of the character sums over every c mod p^m
+    (c = 0 gives q^k), each in Z[zeta_{p^m}]; the total must land in Z."""
     hist = trace_histogram(spec, k, m)
-    p = spec.p
-    total = CycInt.from_int(p, m, spec.q**k)  # trivial character
-    for c in range(1, p**m):
-        v = vp(c, p)
-        s = character_sum(hist, m - v, c // p**v, include_zero=True)
-        total = total + s.embed(m)
+    total = CycInt.zero(spec.p, m)
+    for c in range(spec.p**m):
+        total = total + character_sum(hist, m, c, include_zero=True)
     return total.rational_value()
 
 
@@ -186,6 +184,8 @@ def zeta_numerator(spec: TowerSpec, m: int) -> list[int]:
     Degree must equal 2g; that single integer ties the L-series, the Witt
     point counts, and the ramification bookkeeping together.
     """
+    if m < 0:
+        raise ConfigError(f"cover level m must be >= 0, got {m}")
     acc = [1]
     for level in range(1, m + 1):
         block = assemble_block(spec, level)
@@ -250,19 +250,16 @@ def predicted_slopes(spec: TowerSpec, m: int, base=None) -> Counter:
     return out
 
 
-def actual_slopes(spec: TowerSpec, m: int, c: int = 1) -> Counter:
-    return l_newton(spec, m, c).slope_multiset()
-
-
 def verify_periodicity(spec: TowerSpec, m_max: int) -> dict:
     """Exact multiset comparison of predicted vs computed slopes per level."""
     m0 = stable_level(spec)
-    base = base_slopes(spec)
+    base_poly = l_newton(spec, m0)
+    base = base_poly.slopes()
     levels = []
     all_ok = True
     for m in range(m0, m_max + 1):
         pred = predicted_slopes(spec, m, base)
-        act = actual_slopes(spec, m)
+        act = (base_poly if m == m0 else l_newton(spec, m)).slope_multiset()
         ok = pred == act
         all_ok = all_ok and ok
         rows = []

@@ -161,6 +161,18 @@ def reference_t_adic_sum(p, counts, t_order, digits):
     return acc
 
 
+def reference_character_sum(hist, m, c=1, include_zero=False):
+    """Sum of zeta^{c t} over the histogram with one CycInt per bin, the
+    histogram first reduced to m digits."""
+    h = hist.reduce(m)
+    acc = CycInt.zero(h.p, m)
+    for t in sorted(h.counts):
+        acc = acc + CycInt.zeta_power(h.p, m, c * t).scale(h.counts[t])
+    if include_zero:
+        acc = acc + CycInt.zeta_power(h.p, m, c * h.zero_cell)
+    return acc
+
+
 def reference_char_series_at_character(spec, m, s_order, digits, c=1):
     """C at one character as exp of the unit-normalized power sums
     sum_k S_k/(1 - q^k) s^k/k, on CycInt mod p^(digits + v_p(s_order!)):

@@ -210,6 +210,7 @@ def test_exit_code_config(capsys):
         ["verify", *P2, "--m-max", "0"],
         ["charfn", *P2, "--s-order", "0"],
         ["verify", *P2, "--check", "turning", "--t-order", "-1"],
+        ["zeta", *P2, "--m", "-1"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 3 and out == ""
@@ -386,6 +387,46 @@ STDOUT_SHA256 = [
         ["expsum", "--p", "2", "--f", "1,0,0,1", "--method", "both", "--k", "3", "--t-order", "20"],
         "22902da1a4259d16cef907be7da3b81013ab6a24c1e8fb27828926ad57326dab",
         id="expsum-p2",
+    ),
+    pytest.param(
+        ["slopes", "--p", "2", "--f", "1,0,0,1", "--m", "1"],
+        "6822be9d3dd7bee94562052a124ed0d8d15e969fdc9ea97182e2c2e9ba3ce520",
+        id="slopes-stable-level",
+    ),
+    pytest.param(
+        ["slopes", "--p", "3", "--f", "1,0,2", "--m", "2", "--c", "5"],
+        "b7880d3b3847a50ec08c8100a9582df394a9aa931b81edcc7d23e4a7d85235a3",
+        id="slopes-above-stable-c5",
+    ),
+    pytest.param(
+        ["slopes", "--p", "2", "--f", "1,0,0,1", "--m", "2", "--c", "3", "--format", "csv"],
+        "7307145b33d1998921709870584135aa044f12f1e8ff3fa0ed819a76324276a6",
+        id="slopes-csv",
+    ),
+    pytest.param(
+        ["zeta", "--p", "3", "--f", "1,0,2", "--m", "2"],
+        "aad11d2fcdc7a26fe7fed123c6a1486e5aa20b4479a7a90632b59dd668fd9262",
+        id="zeta-p3-m2",
+    ),
+    pytest.param(
+        ["zeta", *P2, "--m", "0"],
+        "0fe8d07ddd192da29d206940e81b4f0b97935ee2a8296d71593228cf071a9d5c",
+        id="zeta-m0",
+    ),
+    pytest.param(
+        ["verify", "--p", "2", "--f", "1,0,0,1", "--check", "periodicity", "--m-max", "3"],
+        "9e224b7dc0ec47395df49086497f5eb31fd07ffe4376e16adb9f7192167b75da",
+        id="verify-periodicity",
+    ),
+    pytest.param(
+        ["verify", *P2, "--check", "counts"],
+        "a28278b5a4105850e750be0ae8bbe0f375bb1005b87d16168b74ac6996c04e4d",
+        id="verify-counts",
+    ),
+    pytest.param(
+        ["lfun", "--p", "3", "--f", "1,0,2", "--m", "2"],
+        "3574099a1865496fcb9f458ea53bc7e04529b62ea2c073638e43ec0243cf4f4a",
+        id="lfun-m2",
     ),
 ]
 

@@ -27,7 +27,11 @@ from asw_slopes.expsum import (
     trace_histogram,
 )
 from asw_slopes.padic import CycInt, Valuation, ZqCtx, teichmuller, vp_factorial
-from oracles import reference_char_series_at_character, reference_t_adic_sum
+from oracles import (
+    reference_char_series_at_character,
+    reference_character_sum,
+    reference_t_adic_sum,
+)
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])  # x^3 over F_2
 SPEC3 = TowerSpec(3, 1, [0, 0, 1])  # x^2 over F_3
@@ -228,6 +232,37 @@ def test_character_sum_exact_values():
     assert character_sum(h1, 1, include_zero=True).coeffs == (0,)
     with pytest.raises(InsufficientPrecision):
         character_sum(trace_histogram(SPEC3, 1, 1), 2)
+
+
+def _random_tower(rng, p):
+    d = rng.choice([d for d in range(2, 6) if d % p])
+    return TowerSpec(p, 1, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_character_sum_folds_like_the_per_bin_sum(p):
+    # every c mod p^m, units, non-units and 0 alike, on histograms computed
+    # at m digits and deeper, and on a synthetic one with sparse deep bins
+    rng = random.Random(f"character-sum:{p}")
+    spec = _random_tower(rng, p)
+    for m in (1, 2, 3):
+        digits = m + rng.randrange(3)
+        k = rng.choice([k for k in (1, 2) if p**k <= 25])
+        hists = [
+            trace_histogram(spec, k, digits),
+            TraceHistogram(
+                p, 1, m + 2,
+                {rng.randrange(p ** (m + 2)): rng.randrange(1, 9) for _ in range(8)},
+                rng.randrange(p ** (m + 2)),
+            ),
+        ]
+        for hist in hists:
+            assert hist.digits >= m
+            for c in range(p**m):
+                for include_zero in (False, True):
+                    got = character_sum(hist, m, c, include_zero)
+                    want = reference_character_sum(hist, m, c, include_zero)
+                    assert (got.p, got.m, got.coeffs) == (want.p, want.m, want.coeffs)
 
 
 def test_l_series_worked_example():

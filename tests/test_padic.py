@@ -144,13 +144,6 @@ def test_cyc_conjugate_is_ring_map():
     assert cyc_valuation(a.conjugate(c)).value == cyc_valuation(a).value
 
 
-def test_cyc_embed_compatible_with_valuation():
-    # Q(zeta_3) -> Q(zeta_9) multiplies valuations by p
-    a = CycInt.zeta_power(3, 1, 1) - CycInt.from_int(3, 1, 1)
-    up = a.embed(2)
-    assert cyc_valuation(up).value == 3 * cyc_valuation(a).value
-
-
 # ---------------------------------------------------------------------------
 # reference oracle: v_pi(z) = v_p(Res(Phi_{p^m}, z)) by Sylvester determinant
 

@@ -9,6 +9,8 @@ from asw_slopes.errors import ConfigError
 from asw_slopes.expsum import TowerSpec, l_degree
 from asw_slopes.tower import (
     base_slopes,
+    count_points_char,
+    count_points_trace,
     count_points_witt,
     cross_check_counts,
     genus_double,
@@ -107,6 +109,20 @@ def test_witt_counts_sum_the_monomial_lifts(p, a, f):
         while spec.q ** (k * (m + 1)) <= 2**15:
             out = cross_check_counts(spec, m, k)
             assert out["ok"] and "witt" in out
+            k += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_character_count_equals_trace_count(p):
+    # every cell with q^k <= 2^10 and m <= 3 on a seeded tower: the sum over
+    # all p^m characters, c = 0 and non-units included, lands on the trace count
+    rng = random.Random(f"char-count:{p}")
+    d = rng.choice([d for d in range(2, 6) if d % p])
+    spec = TowerSpec(p, 1, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+    for m in (1, 2, 3):
+        k = 1
+        while p**k <= 2**10:
+            assert count_points_char(spec, m, k) == count_points_trace(spec, m, k)
             k += 1
 
 
