@@ -16,6 +16,7 @@ coefficient first, the conventional written order: --f 1,0,0,0 is x^3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -144,7 +145,7 @@ def _cmd_lfun(args) -> int:
     if all(all(x == 0 for x in v[1:]) for v in raw):
         payload["rational_coefficients"] = [v[0] for v in raw]
     if not args.punctured:
-        poly = tower.l_newton(spec, args.m, c=args.c)
+        poly = tower.series_newton(spec, args.m, L)
         payload["slopes"] = [[s.numerator, s.denominator] for s in poly.slopes()]
         payload["polygon"] = poly.to_json()
     _emit_json(args, payload)
@@ -202,7 +203,7 @@ def _cmd_slopes(args) -> int:
                 title=f"p={spec.p} a={spec.a} d={spec.d} m={args.m}",
             ),
         )
-        return EXIT_OK
+        return EXIT_OK if ok else EXIT_VERIFICATION
     if args.format == "csv":
         lines = ["slope_num,slope_den,multiplicity,predicted_multiplicity"]
         keys = sorted(set(computed) | set(predicted or {}))
@@ -212,7 +213,7 @@ def _cmd_slopes(args) -> int:
                 f"{(predicted or {}).get(s, 0) if predicted is not None else ''}"
             )
         _emit(args, "\n".join(lines))
-        return EXIT_OK
+        return EXIT_OK if ok else EXIT_VERIFICATION
     payload = _base_payload(args, spec)
     payload.update(
         {
@@ -256,14 +257,15 @@ def _cmd_verify(args) -> int:
     )
     report: dict = dict(_base_payload(args, spec))
     ok = True
+    polygons: dict = {}  # level -> q-adic polygon, read once for both checks
     if "periodicity" in checks:
         m_max = args.m_max or tower.stable_level(spec) + 1
-        rep = tower.verify_periodicity(spec, m_max)
+        rep = tower.verify_periodicity(spec, m_max, polygons)
         report["periodicity"] = rep
         ok = ok and rep["ok"]
     if "hodge" in checks:
         m_max = args.m_max or tower.stable_level(spec) + 1
-        hs = [tower.verify_hodge(spec, m) for m in range(1, m_max + 1)]
+        hs = [tower.verify_hodge(spec, m, polygons.get(m)) for m in range(1, m_max + 1)]
         report["hodge"] = hs
         ok = ok and all(h["ok"] for h in hs)
     if "counts" in checks:
@@ -381,7 +383,10 @@ def _cmd_cache(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared by every
+    `main` call; parsing leaves it unchanged."""
     top = _Parser(prog="asw-slopes", description=__doc__)
     subs = top.add_subparsers(dest="command", required=True)
 

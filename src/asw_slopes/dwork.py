@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InsufficientPrecision
-from .gf import factorize
+from .gf import factorize, int_dtype
 from .padic import binom_pow, vp_factorial
 from .series import TruncSeries, compose, exp_from_power_sums, reversion
 
@@ -102,9 +102,7 @@ def splitting_coefficients(spec, x_max: int, w_order: int, digits: int):
     n_max = 1 + (w_order - 1) // d
     E = artin_hasse(p, n_max, digits)
     e = E.coeffs
-    fits = 2 * (mod - 1).bit_length() + n_max.bit_length() < 62
-    dtype = np.int64 if fits else object
-    F = np.zeros((x_max, w_order), dtype=dtype)
+    F = np.zeros((x_max, w_order), dtype=int_dtype(n_max * (mod - 1) ** 2))
     F[0, 0] = 1
     for i, b in spec.monomials():
         bh = _teich_zp(p, b.index, digits)

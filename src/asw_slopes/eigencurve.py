@@ -30,6 +30,7 @@ from .errors import (
     WeightOutsideAnnulus,
 )
 from .expsum import t_valuation_points
+from .gf import convolve, int_dtype
 from .newton import NewtonPolygon, lower_hull
 from .padic import CycInt, cyc_valuation
 from .series import TruncSeries
@@ -235,8 +236,7 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
     # A convolution entry sums at most N products of two residues and an
     # acc_row entry at most len(terms[n]) residues, so int64 is exact under
     # max(N, terms) (mod - 1)^2 < 2^62; past that, Python ints in numpy.
-    widest = max(N, max(len(t) for t in terms))
-    dtype = np.int64 if widest * (mod - 1) ** 2 < 2**62 else object
+    dtype = int_dtype(max(N, max(len(t) for t in terms)) * (mod - 1) ** 2)
     vals = {f: np.zeros(N, dtype=dtype) for f in mark}
     unit = np.zeros(N, dtype=dtype)
     unit[0] = 1
@@ -410,10 +410,9 @@ def block_product(factors) -> BlockFactor:
         for j, x in enumerate(acc):
             for k, y in enumerate(b):
                 row = out[j + k]
-                for s, xs in enumerate(x[: len(row)]):
-                    for t, yt in enumerate(y[: len(row) - s]):
-                        row[s + t] = (row[s + t] + xs * yt) % mod
-        acc = out
+                for s, c in enumerate(convolve(x, y, len(row))):
+                    row[s] += c
+        acc = [[c % mod for c in row] for row in out]
     coeffs = [TruncSeries("T", row, digits, p) for row in acc]
     return BlockFactor(len(acc) - 1, p, digits, min(map(len, acc[1:])), coeffs)
 

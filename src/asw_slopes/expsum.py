@@ -203,17 +203,6 @@ def _store_cached(spec: TowerSpec, hist: TraceHistogram):
 # ---------------------------------------------------------------------------
 # histogram computation
 
-def _shift_u(zctx: ZqCtx, v):
-    """Multiply a Z_q/p^N coefficient vector by u (shift + monic reduce)."""
-    n = zctx.n
-    top = v[n - 1]
-    out = [0] + list(v[: n - 1])
-    if top:
-        for j in range(n):
-            out[j] -= top * zctx.H[j]
-    return tuple(c % zctx.mod for c in out)
-
-
 def _trace_pairing(zctx: ZqCtx, bh):
     """n x n matrix S with x . S . y = Tr(b-hat * x * y) for coordinate vectors.
 
@@ -225,7 +214,7 @@ def _trace_pairing(zctx: ZqCtx, bh):
     cur = bh
     for _ in range(2 * n - 1):
         t.append(zctx.trace(cur))
-        cur = _shift_u(zctx, cur)
+        cur = gf.reduce_mod((0, *cur), zctx.H, zctx.mod)
     return [t[l : l + n] for l in range(n)]
 
 
@@ -243,7 +232,7 @@ def _powers(zctx: ZqCtx, step, count: int, dtype):
     while L < count:
         rows = [sL]
         for _ in range(n - 1):
-            rows.append(_shift_u(zctx, rows[-1]))
+            rows.append(gf.reduce_mod((0, *rows[-1]), zctx.H, zctx.mod))
         block = P[L : 2 * L]
         np.matmul(P[: len(block)], np.array(rows, dtype=dtype), out=block)
         np.remainder(block, mod, out=block)
@@ -320,11 +309,8 @@ def trace_histogram(
     zero_cell = zctx.trace(lifted[0][1]) if lifted[0][0] == 0 else 0
 
     ghat = teichmuller(zctx, ctx_k.multiplicative_generator())
-    if ctx_k.n * (mod - 1) ** 2 < 2**62:
-        dtype = np.int64
-    elif Q - 1 <= 500_000:
-        dtype = object  # exact Python ints inside numpy
-    else:
+    dtype = gf.int_dtype(ctx_k.n * (mod - 1) ** 2)
+    if dtype is object and Q - 1 > 500_000:
         raise BudgetExceeded(
             f"precision p^{digits} too high for the vectorized path at {Q} points"
         )
@@ -367,7 +353,7 @@ def t_adic_sum(
         )
     hist = hist.reduce(need)
     M, out_mod = p**need, p**digits
-    dtype = np.int64 if max(M - 1, len(hist.counts)) * (M - 1) < 2**62 else object
+    dtype = gf.int_dtype(max(M - 1, len(hist.counts)) * (M - 1))
     t = np.array(list(hist.counts), dtype=dtype)
     w = np.array([c % M for c in hist.counts.values()], dtype=dtype)  # c_t ff_n(t)
     coeffs = []

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
+
 from .errors import ConfigError, CtxMismatch, NotPrime
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -47,7 +49,60 @@ def factorize(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (little-endian int lists)
+# integer kernels: the int64-or-object rule of every numpy kernel, and one
+# polynomial product for F_p, Z_q/p^N and Z[zeta] (little-endian int lists),
+# exact until one reduction by a monic modulus with coefficients mod any int
+
+
+def int_dtype(bound: int):
+    """np.int64 for a numpy kernel whose largest magnitude, proven by its
+    caller, is `bound` < 2^62; else object (exact Python ints in numpy)."""
+    return np.int64 if bound < 2**62 else object
+
+
+def convolve(a, b, n=None) -> list[int]:
+    """The first n coefficients (all by default) of the exact product a*b,
+    zero factors of a skipped."""
+    if n is None:
+        n = len(a) + len(b) - 1
+    out = [0] * n
+    lb = len(b)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(lb if i + lb <= n else n - i):
+                out[i + j] += x * b[j]
+    return out
+
+
+def reduce_mod(c, h, mod: int) -> list[int]:
+    """c modulo the monic h, as len(h) - 1 coefficients in [0, mod)."""
+    dh = len(h) - 1
+    c = list(c)
+    for i in range(len(c) - 1, dh - 1, -1):
+        top = c[i] % mod
+        if top:
+            base = i - dh
+            for j in range(dh):
+                c[base + j] -= top * h[j]
+    del c[dh:]
+    c += [0] * (dh - len(c))
+    return [x % mod for x in c]
+
+
+def mulmod(a, b, h, mod: int) -> list[int]:
+    return reduce_mod(convolve(a, b), h, mod)
+
+
+def powmod(a, e: int, h, mod: int) -> list[int]:
+    result = [1] + [0] * (len(h) - 2)
+    base = reduce_mod(a, h, mod)
+    while e:
+        if e & 1:
+            result = mulmod(result, base, h, mod)
+        e >>= 1
+        if e:
+            base = mulmod(base, base, h, mod)
+    return result
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -56,60 +111,11 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _polymul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _polymod(a, h, p):
-    # h monic
-    a = list(a)
-    dh = len(h) - 1
-    for i in range(len(a) - 1, dh - 1, -1):
-        c = a[i] % p
-        if c:
-            a[i] = 0
-            for j in range(dh):
-                a[i - dh + j] = (a[i - dh + j] - c * h[j]) % p
-    del a[dh:]
-    while len(a) < dh:
-        a.append(0)
-    return a
-
-
-def _polymulmod(a, b, h, p):
-    return _polymod(_polymul(a, b, p), h, p)
-
-
-def _polypowmod(a, e, h, p):
-    result = [1] + [0] * (len(h) - 2)
-    base = _polymod(a, h, p)
-    while e:
-        if e & 1:
-            result = _polymulmod(result, base, h, p)
-        base = _polymulmod(base, base, h, p)
-        e >>= 1
-    return result
-
-
 def _poly_gcd(a, b, p):
     a, b = _trim(list(a)), _trim(list(b))
     while b:
         inv = pow(b[-1], p - 2, p)
-        b_monic = [(c * inv) % p for c in b]
-        r = list(a)
-        db = len(b_monic) - 1
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i] % p
-            if c:
-                r[i] = 0
-                for j in range(db):
-                    r[i - db + j] = (r[i - db + j] - c * b_monic[j]) % p
-        a, b = b, _trim(r)
+        a, b = b, _trim(reduce_mod(a, [(c * inv) % p for c in b], p))
     return a
 
 
@@ -118,13 +124,12 @@ def _is_irreducible(h: list[int], p: int) -> bool:
     n = len(h) - 1
     if n == 1:
         return True
-    x = [0, 1]
-    xq = _polypowmod(x, p**n, h, p)
-    if _trim([(a - b) % p for a, b in zip(xq, _polymod(x, h, p))]):
+    x = reduce_mod([0, 1], h, p)
+    if _trim([(a - b) % p for a, b in zip(powmod(x, p**n, h, p), x)]):
         return False
     for r in factorize(n):
-        xr = _polypowmod(x, p ** (n // r), h, p)
-        diff = _trim([(a - b) % p for a, b in zip(xr, _polymod(x, h, p))])
+        xr = powmod(x, p ** (n // r), h, p)
+        diff = _trim([(a - b) % p for a, b in zip(xr, x)])
         g = _poly_gcd(h, diff, p)
         if len(g) - 1 > 0:
             return False
@@ -201,11 +206,7 @@ class FieldCtx:
         return FqElt(self, tuple(coeffs))
 
     def from_coeffs(self, coeffs) -> "FqElt":
-        c = [x % self.p for x in coeffs]
-        if len(c) > self.n:
-            c = _polymod(c, list(self.h), self.p)
-        c += [0] * (self.n - len(c))
-        return FqElt(self, tuple(c))
+        return FqElt(self, tuple(reduce_mod(coeffs, self.h, self.p)))
 
     def zero(self) -> "FqElt":
         return FqElt(self, (0,) * self.n)
@@ -287,8 +288,7 @@ class FqElt:
 
     def __mul__(self, other):
         self._check(other)
-        c = _polymulmod(list(self.coeffs), list(other.coeffs), list(self.ctx.h), self.ctx.p)
-        return FqElt(self.ctx, tuple(c))
+        return FqElt(self.ctx, tuple(mulmod(self.coeffs, other.coeffs, self.ctx.h, self.ctx.p)))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -296,8 +296,7 @@ class FqElt:
             e = -e
         else:
             base = self
-        c = _polypowmod(list(base.coeffs), e, list(self.ctx.h), self.ctx.p)
-        return FqElt(self.ctx, tuple(c))
+        return FqElt(self.ctx, tuple(powmod(base.coeffs, e, self.ctx.h, self.ctx.p)))
 
     def inverse(self) -> "FqElt":
         if self.is_zero():

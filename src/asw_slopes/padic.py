@@ -111,32 +111,10 @@ class ZqCtx:
         return tuple(int(c) for c in x.coeffs)
 
     def mul(self, a, b) -> tuple[int, ...]:
-        p2 = self.mod
-        n = self.n
-        out = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        # reduce by monic H, then mod p^N
-        H = self.H
-        for i in range(2 * n - 2, n - 1, -1):
-            c = out[i] % p2
-            if c:
-                out[i] = 0
-                for j in range(n):
-                    out[i - n + j] -= c * H[j]
-        return tuple(c % p2 for c in out[:n])
+        return tuple(gf.mulmod(a, b, self.H, self.mod))
 
     def pow(self, a, e: int) -> tuple[int, ...]:
-        result = (1,) + (0,) * (self.n - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return tuple(gf.powmod(a, e, self.H, self.mod))
 
     def trace_form(self) -> tuple[int, ...]:
         """Power sums s_m = Tr(u^m) mod p^N via Newton's identities on H."""
@@ -267,13 +245,7 @@ class CycInt:
 
     def __mul__(self, other):
         other = self._join(other)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return CycInt(self.p, self.m, _cyc_reduce(out, self.p, self.m))
+        return CycInt(self.p, self.m, gf.convolve(self.coeffs, other.coeffs))
 
     def scale(self, n: int) -> "CycInt":
         return CycInt(self.p, self.m, [n * a for a in self.coeffs])

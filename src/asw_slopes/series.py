@@ -18,6 +18,7 @@ such as C(T, s) is a series in s whose coefficients are p-adic T-series.
 from __future__ import annotations
 
 from .errors import ConfigError, CtxMismatch, InsufficientGuard, NonIntegralResult
+from .gf import convolve
 from .padic import vp
 
 
@@ -138,13 +139,8 @@ def _exp_padic(cs, var):
     for n in range(1, len(cs) + 1):
         acc = [0] * L
         for k in range(1, n + 1):
-            nzb = [(j, y) for j, y in enumerate(cols[n - k].coeffs) if y]
-            for i, x in enumerate(sums[k - 1]):
-                if x:
-                    for j, y in nzb:
-                        if i + j >= L:
-                            break
-                        acc[i + j] += x * y
+            for i, x in enumerate(convolve(cols[n - k].coeffs, sums[k - 1], L)):
+                acc[i] += x
         v = vp(n, p)
         if e < v:
             raise InsufficientGuard(f"division by {p}^{v} below working precision {e}")
@@ -174,10 +170,8 @@ def compose(columns, G: TruncSeries) -> list:
         raise ConfigError("composition needs G(0) = 0")
     L, mod = len(g), G.p**G.prec
     powers = [None, g]
-    for j in range(2, min(L, max(F.order for F in columns))):
-        # G^(j-1) vanishes below var^(j-1)
-        prev = powers[-1]
-        powers.append([sum(prev[i] * g[n - i] for i in range(j - 1, n)) % mod for n in range(L)])
+    for _ in range(2, min(L, max(F.order for F in columns))):
+        powers.append([c % mod for c in convolve(powers[-1], g, L)])
     out = []
     for F in columns:
         f = F.coeffs

@@ -188,13 +188,7 @@ def zeta_numerator(spec: TowerSpec, m: int) -> list[int]:
         raise ConfigError(f"cover level m must be >= 0, got {m}")
     acc = [1]
     for level in range(1, m + 1):
-        block = assemble_block(spec, level)
-        out = [0] * (len(acc) + len(block) - 1)
-        for i, ai in enumerate(acc):
-            if ai:
-                for j, bj in enumerate(block):
-                    out[i + j] += ai * bj
-        acc = out
+        acc = gf.convolve(acc, assemble_block(spec, level))
     if len(acc) - 1 != genus_double(spec, m):
         raise DegreeViolation(
             f"zeta numerator degree {len(acc) - 1} != 2g = {genus_double(spec, m)}"
@@ -218,7 +212,11 @@ def stable_level(spec: TowerSpec) -> int:
 
 def l_newton(spec: TowerSpec, m: int, c: int = 1) -> NewtonPolygon:
     """q-adic Newton polygon of the exact level-m L-series."""
-    L = l_series(spec, m, c)
+    return series_newton(spec, m, l_series(spec, m, c))
+
+
+def series_newton(spec: TowerSpec, m: int, L: TruncSeries) -> NewtonPolygon:
+    """q-adic Newton polygon of a level-m L-series already computed."""
     return newton_from_cyclotomic(
         L.coeffs,
         scale=q_normalization(spec.p, spec.a, m),
@@ -250,16 +248,21 @@ def predicted_slopes(spec: TowerSpec, m: int, base=None) -> Counter:
     return out
 
 
-def verify_periodicity(spec: TowerSpec, m_max: int) -> dict:
-    """Exact multiset comparison of predicted vs computed slopes per level."""
+def verify_periodicity(spec: TowerSpec, m_max: int, polygons=None) -> dict:
+    """Exact multiset comparison of predicted vs computed slopes per level.
+    `polygons` maps levels to q-adic polygons already read, and gains those
+    read here."""
     m0 = stable_level(spec)
-    base_poly = l_newton(spec, m0)
-    base = base_poly.slopes()
+    polygons = {} if polygons is None else polygons
+    for m in range(m0, m_max + 1):
+        if m not in polygons:
+            polygons[m] = l_newton(spec, m)
+    base = polygons[m0].slopes()
     levels = []
     all_ok = True
     for m in range(m0, m_max + 1):
         pred = predicted_slopes(spec, m, base)
-        act = (base_poly if m == m0 else l_newton(spec, m)).slope_multiset()
+        act = polygons[m].slope_multiset()
         ok = pred == act
         all_ok = all_ok and ok
         rows = []
@@ -284,9 +287,11 @@ def l_hodge_polygon(d_eff: int, width: int) -> NewtonPolygon:
     )
 
 
-def verify_hodge(spec: TowerSpec, m: int) -> dict:
-    """q-adic polygon of the level-m L-series against its lower bound."""
-    poly = l_newton(spec, m)
+def verify_hodge(spec: TowerSpec, m: int, poly=None) -> dict:
+    """q-adic polygon of the level-m L-series (`poly`, when already read)
+    against its lower bound."""
+    if poly is None:
+        poly = l_newton(spec, m)
     deg = l_degree(spec, m)
     bound = l_hodge_polygon(spec.p ** (m - 1) * spec.d, deg)
     ok = poly.dominates(bound)

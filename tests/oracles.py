@@ -9,7 +9,15 @@ less.
 """
 
 from asw_slopes.errors import ConfigError, InsufficientGuard, NonIntegralResult
-from asw_slopes.padic import CycInt, ZqCtx, binom_pow, teichmuller, vp, vp_factorial
+from asw_slopes.padic import (
+    CycInt,
+    ZqCtx,
+    _cyc_reduce,
+    binom_pow,
+    teichmuller,
+    vp,
+    vp_factorial,
+)
 from asw_slopes.series import TruncSeries
 
 
@@ -236,3 +244,74 @@ def reference_teich_trace(ctx, x, f_coeffs, N):
     total = [c % zctx.mod for c in total]
     assert not any(total[1:]), f"non-constant trace coordinates {total[1:]}"
     return total[0]
+
+
+def reference_polymul(a, b, p):
+    """Product of two integer polynomials with every partial sum reduced mod p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def reference_polymod(a, h, p):
+    """a modulo the monic h, reducing each touched coefficient mod p; a's
+    coefficients must already lie in [0, p)."""
+    a = list(a)
+    dh = len(h) - 1
+    for i in range(len(a) - 1, dh - 1, -1):
+        c = a[i] % p
+        if c:
+            a[i] = 0
+            for j in range(dh):
+                a[i - dh + j] = (a[i - dh + j] - c * h[j]) % p
+    del a[dh:]
+    while len(a) < dh:
+        a.append(0)
+    return a
+
+
+def reference_polypowmod(a, e, h, p):
+    """a^e modulo (h, p) by square-and-multiply on the two loops above."""
+    result = [1] + [0] * (len(h) - 2)
+    base = reference_polymod(a, h, p)
+    while e:
+        if e & 1:
+            result = reference_polymod(reference_polymul(result, base, p), h, p)
+        base = reference_polymod(reference_polymul(base, base, p), h, p)
+        e >>= 1
+    return result
+
+
+def reference_zq_mul(zctx, a, b):
+    """Product in Z_q/p^N of two length-n coordinate vectors: exact
+    schoolbook product, reduction by the monic H, then mod p^N."""
+    p2 = zctx.mod
+    n = zctx.n
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    H = zctx.H
+    for i in range(2 * n - 2, n - 1, -1):
+        c = out[i] % p2
+        if c:
+            out[i] = 0
+            for j in range(n):
+                out[i - n + j] -= c * H[j]
+    return tuple(c % p2 for c in out[:n])
+
+
+def reference_cyc_mul(x, y):
+    """Product in Z[zeta_{p^m}]: exact schoolbook product, then one
+    reduction by the p^m-th cyclotomic polynomial."""
+    a, b = x.coeffs, y.coeffs
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return CycInt(x.p, x.m, _cyc_reduce(out, x.p, x.m))

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from asw_slopes import cli
+from asw_slopes import cli, expsum
 from asw_slopes.errors import DegreeViolation
 
 P2 = ["--p", "2", "--a", "1", "--f", "1,0,0,0"]  # x^3 over F_2
@@ -248,12 +250,62 @@ def test_exit_code_verification(capsys, monkeypatch):
     assert doc["error"] == "DegreeViolation" and doc["message"] == "forced failure"
 
 
+def test_slopes_exits_1_on_a_failed_verdict_in_every_format(capsys, monkeypatch):
+    predicted = cli.tower.predicted_slopes
+
+    def one_more(spec, m, base=None):
+        return predicted(spec, m, base) + Counter({Fraction(1, 2): 1})
+
+    monkeypatch.setattr(cli.tower, "predicted_slopes", one_more)
+    for fmt, head in (("json", "{"), ("csv", "slope_num"), ("svg", "<svg")):
+        code, out, err = run(capsys, ["slopes", *P2, "--m", "2", "--format", fmt])
+        assert (code, err) == (1, "") and out.startswith(head), fmt
+        if fmt == "json":
+            assert json.loads(out)["ok"] is False
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    parser = cli.build_parser()
+    used = []
+    parse_args = cli._Parser.parse_args
+    monkeypatch.setattr(
+        cli._Parser, "parse_args", lambda self, *a: used.append(self) or parse_args(self, *a)
+    )
+    argv = ["zeta", *P2, "--m", "1"]
+    first = run(capsys, argv)
+    code, out, err = run(capsys, ["zeta", *P2, "--m", "one"])
+    assert code == 3 and out == "" and json.loads(err)["error"] == "ConfigError"
+    assert first[0] == 0 and run(capsys, argv) == first
+    assert used == [parser] * 3
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["lfun", "--p", "3", "--f", "1,0,2", "--m", "2"], 1),
+        (["verify", "--p", "2", "--f", "1,0,0,1", "--check", "all"], 2),
+    ],
+)
+def test_each_l_series_is_computed_once_per_command(capsys, monkeypatch, argv, calls):
+    levels = []
+    l_series = expsum.l_series
+
+    def counting(spec, m, *args, **kwargs):
+        levels.append(m)
+        return l_series(spec, m, *args, **kwargs)
+
+    monkeypatch.setattr(cli.expsum, "l_series", counting)
+    monkeypatch.setattr(cli.tower, "l_series", counting)
+    assert run(capsys, argv)[0] == 0
+    assert len(levels) == len(set(levels)) == calls
+
+
 def test_internal_error_exits_4(capsys, monkeypatch):
     # a bug is neither a verdict (1) nor a precision (2) or usage (3) problem
-    def boom(args):
+    def boom(spec, m):
         raise AssertionError("splitting coefficient below its w-floor")
 
-    monkeypatch.setattr(cli, "_cmd_zeta", boom)
+    monkeypatch.setattr(cli.tower, "zeta_numerator", boom)
     code, out, err = run(capsys, ["zeta", *P2, "--m", "1"])
     assert code == cli.EXIT_INTERNAL == 4 and out == ""
     doc = json.loads(err)
@@ -417,6 +469,11 @@ STDOUT_SHA256 = [
         ["verify", "--p", "2", "--f", "1,0,0,1", "--check", "periodicity", "--m-max", "3"],
         "9e224b7dc0ec47395df49086497f5eb31fd07ffe4376e16adb9f7192167b75da",
         id="verify-periodicity",
+    ),
+    pytest.param(
+        ["verify", "--p", "2", "--f", "1,0,0,1", "--check", "all"],
+        "6cb636f022ec55ca63695ca5cf4d19f23b5b6cbedb7d041258d6b90236acd178",
+        id="verify-all",
     ),
     pytest.param(
         ["verify", *P2, "--check", "counts"],

@@ -4,6 +4,14 @@ import pytest
 
 from asw_slopes import gf
 from asw_slopes.errors import ConfigError, NotPrime
+from asw_slopes.padic import CycInt, ZqCtx
+from oracles import (
+    reference_cyc_mul,
+    reference_polymod,
+    reference_polymul,
+    reference_polypowmod,
+    reference_zq_mul,
+)
 
 
 def test_is_prime_small():
@@ -148,3 +156,87 @@ def test_field_is_built_once_per_process():
 def test_degree_must_be_positive():
     with pytest.raises(ConfigError):
         gf.FieldCtx(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer polynomial kernel against the loops it replaced
+
+
+def _vec(rng, length, bound):
+    """A random vector with some zero entries, entries in (-bound, bound)."""
+    return [rng.randrange(-bound + 1, bound) if rng.random() < 0.8 else 0 for _ in range(length)]
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_convolve_truncates_the_exact_product_seeded():
+    rng = random.Random(11)
+    for _ in range(300):
+        a = _vec(rng, rng.randrange(1, 10), 10**6)
+        b = _vec(rng, rng.randrange(1, 10), 10**6)
+        full = _schoolbook(a, b)
+        assert gf.convolve(a, b) == full
+        for n in range(len(full) + 4):  # below, at and above the full length
+            assert gf.convolve(a, b, n) == (full + [0] * 4)[:n]
+    assert gf.convolve([0, 0], [5, 7], 3) == [0, 0, 0]
+    assert gf.convolve([1], [5, 7]) == [5, 7]
+
+
+def test_kernel_matches_the_replaced_loops_seeded():
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        for n in range(1, 9):
+            h = list(gf.find_irreducible(p, n))
+            for N in (1, 2, 5):
+                mod = p**N
+                zero, one = [0] * n, [1] + [0] * (n - 1)
+                for _ in range(6):
+                    # unreduced inputs, up to twice the degree
+                    a = _vec(rng, rng.randrange(1, 2 * n + 2), 3 * mod)
+                    b = _vec(rng, rng.randrange(1, 2 * n + 2), 3 * mod)
+                    ra = reference_polymod([x % mod for x in a], h, mod)
+                    rb = reference_polymod([x % mod for x in b], h, mod)
+                    assert gf.reduce_mod(a, h, mod) == ra
+                    want = reference_polymod(reference_polymul(ra, rb, mod), h, mod)
+                    assert gf.mulmod(a, b, h, mod) == want
+                    for x in (zero, one):
+                        assert gf.mulmod(a, x, h, mod) == gf.mulmod(x, a, h, mod)
+                        assert gf.mulmod(x, a, h, mod) == (ra if x is one else zero)
+                    e = rng.randrange(0, p ** (n + 1))
+                    assert gf.powmod(a, e, h, mod) == reference_polypowmod(ra, e, h, mod)
+                    assert gf.powmod(zero, 0, h, mod) == one
+                    assert gf.powmod(zero, e + 1, h, mod) == zero
+                    if N > 1:
+                        z = ZqCtx(gf.field(p, n), N)
+                        assert z.mul(ra, rb) == reference_zq_mul(z, ra, rb) == tuple(want)
+
+
+def test_cyclotomic_product_matches_the_replaced_loop_seeded():
+    rng = random.Random(3)
+    for p, m in [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
+        e = (p - 1) * p ** (m - 1)
+        zero = CycInt.zero(p, m)
+        for _ in range(25):
+            x = CycInt(p, m, _vec(rng, e, 50))
+            y = CycInt(p, m, _vec(rng, e, 50))
+            assert x * y == reference_cyc_mul(x, y)
+            assert x * zero == zero and x * CycInt.from_int(p, m, 1) == x
+
+
+def test_field_arithmetic_in_f27():
+    # independent of the reference loops: Lagrange in F_27^x, and Frobenius
+    # is a ring map
+    ctx = gf.FieldCtx(3, 3)
+    elts = list(ctx.elements())
+    for x in elts[1:]:
+        assert (x ** (ctx.order - 1)).is_one()
+    for x in elts:
+        for y in elts[::4]:
+            assert (x + y).frobenius() == x.frobenius() + y.frobenius()
+            assert (x * y).frobenius() == x.frobenius() * y.frobenius()
