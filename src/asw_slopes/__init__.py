@@ -44,6 +44,7 @@ from .expsum import (
     l_degree,
     l_series,
     newton_from_cyclotomic,
+    observed_polygon,
     q_normalization,
     t_adic_sum,
     trace_histogram,
@@ -75,7 +76,6 @@ from .tower import (
 )
 from .eigencurve import (
     BlockFactor,
-    observed_polygon,
     predicted_block_slopes,
     specialize_block,
     verify_weight_slope_law,

@@ -27,12 +27,12 @@ from .eigencurve import (
     block_product,
     block_window,
     nested_block_factors,
-    observed_polygon,
     pick_levels,
     verify_weight_slope_law,
 )
 from .errors import ConfigError, PathwayMismatch, PrecisionError, VerificationError
-from .newton import hodge_polygon, render_svg, turning_points
+from .expsum import observed_polygon
+from .newton import NewtonPolygon, render_svg
 from .tower import l_hodge_polygon
 
 EXIT_OK = 0
@@ -93,11 +93,13 @@ def _base_payload(args, spec) -> dict:
 
 
 def _add_tower_args(sub, digits_default=6):
+    """The tower options, and --digits unless digits_default is None."""
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--a", type=int, default=1)
     sub.add_argument("--f", required=True, help="defining poly, leading coeff first")
     sub.add_argument("--h", help="base field modulus, leading coeff first")
-    sub.add_argument("--digits", type=_positive_int, default=digits_default)
+    if digits_default is not None:
+        sub.add_argument("--digits", type=_positive_int, default=digits_default)
     sub.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -276,39 +278,24 @@ def _cmd_verify(args) -> int:
         report["counts"] = rows
         ok = ok and all(r["ok"] for r in rows)
     if "turning" in checks:
-        report["turning"] = _verify_turning(spec, args)
-        ok = ok and report["turning"]["ok"]
+        rep = tower.verify_turning(spec, args.digits, args.t_order, args.s_order)
+        report["turning"] = rep
+        ok = ok and rep["ok"]
     report["ok"] = ok
     if args.format == "svg" and "turning" in checks:
-        _emit(args, report["turning"].pop("svg"))
-        return EXIT_OK if ok else EXIT_VERIFICATION
-    for section in ("turning",):
-        if section in report and "svg" in report[section]:
-            del report[section]["svg"]
-    _emit_json(args, report)
+        _emit(args, _turning_svg(spec, report["turning"]["polygon"]))
+    else:
+        _emit_json(args, report)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _verify_turning(spec, args) -> dict:
-    t_order, s_order = tower.turning_window(spec, args.t_order, args.s_order)
-    C = expsum.char_series(spec, t_order, s_order, args.digits)
-    poly = observed_polygon(C)
-    bound = hodge_polygon(spec.d, poly.width).rescale(
-        Fraction(spec.p - 1), source="scaled lower bound"
-    )
-    rows = []
-    ok = poly.dominates(bound)
-    for x, y in turning_points(spec.d, poly.width):
-        want = Fraction(spec.p - 1) * y
-        got = poly.y_at(x)
-        hit = got == want
-        ok = ok and hit
-        rows.append({"x": x, "expected": [want.numerator, want.denominator], "ok": hit})
-    svg = render_svg(
+def _turning_svg(spec, polygon: dict) -> str:
+    poly = NewtonPolygon([(x, Fraction(n, den)) for x, n, den in polygon["vertices"]])
+    bound = tower.turning_bound(spec, poly.width)
+    return render_svg(
         [(poly, "#1f77b4", "observed"), (bound, "#d62728", "lower bound")],
         title=f"T-adic polygon p={spec.p} d={spec.d}",
     )
-    return {"ok": ok, "touch": rows, "polygon": poly.to_json(), "svg": svg}
 
 
 def _factor_json(factor) -> dict:
@@ -392,13 +379,13 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("expsum", parents=[], help="T-adic exponential sum over one extension")
     _add_tower_args(s)
-    s.add_argument("--k", type=int, default=1)
+    s.add_argument("--k", type=_positive_int, default=1)
     s.add_argument("--t-order", type=_positive_int, default=8)
     s.add_argument("--method", choices=["points", "operator", "both"], default="points")
     s.set_defaults(func=_cmd_expsum)
 
     s = subs.add_parser("lfun", help="L-series of one finite character")
-    _add_tower_args(s)
+    _add_tower_args(s, digits_default=None)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--c", type=int, default=1)
     s.add_argument("--punctured", action="store_true")
@@ -412,14 +399,14 @@ def build_parser() -> _Parser:
     s.set_defaults(func=_cmd_charfn)
 
     s = subs.add_parser("slopes", help="slopes of a level against the periodic prediction")
-    _add_tower_args(s)
+    _add_tower_args(s, digits_default=None)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--c", type=int, default=1)
     s.add_argument("--format", choices=["json", "csv", "svg"], default="json")
     s.set_defaults(func=_cmd_slopes)
 
     s = subs.add_parser("zeta", help="zeta numerator of the level-m curve")
-    _add_tower_args(s)
+    _add_tower_args(s, digits_default=None)
     s.add_argument("--m", type=int, required=True)
     s.set_defaults(func=_cmd_zeta)
 

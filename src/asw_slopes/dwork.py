@@ -22,18 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InsufficientPrecision
-from .gf import factorize, int_dtype
-from .padic import binom_pow, vp_factorial
+from .gf import int_dtype
+from .padic import vp, vp_factorial
 from .series import TruncSeries, compose, exp_from_power_sums, reversion
-
-
-def _mobius(n: int) -> int:
-    mu = 1
-    for r in factorize(n):
-        if n % (r * r) == 0:
-            return 0
-        mu = -mu
-    return mu
 
 
 def _teich_zp(p: int, residue: int, digits: int) -> int:
@@ -43,32 +34,18 @@ def _teich_zp(p: int, residue: int, digits: int) -> int:
 
 
 def artin_hasse(p: int, order: int, digits: int) -> TruncSeries:
-    """The p-typical exponential as a series mod (x^order, p^digits).
+    """The p-typical exponential E(x) = exp(sum_j x^(p^j)/p^j) mod
+    (x^order, p^digits), from the exp recurrence.
 
-    Product form prod_{p not| i} (1 - x^i)^{-mu(i)/i}: every exponent is a
-    p-adic unit multiple of a unit, so each factor is a binomial series of a
-    p-adic integer and the guard arithmetic lives inside binom_pow.
+    Its power sums are c_k = 1 for k a power of p and 0 otherwise, taken as
+    constants at digits + v_p((order-1)!) digits: the guard the recurrence
+    spends on its divisions by p.
     """
-    mod = p**digits
-    out = [1] + [0] * (order - 1)
-    for i in range(1, order):
-        if i % p == 0:
-            continue
-        mu = _mobius(i)
-        if mu == 0:
-            continue
-        Di = 1 + (order - 1) // i
-        guard = vp_factorial(Di - 1, p)
-        work = p ** (digits + guard)
-        B = binom_pow(p, -mu * pow(i, -1, work) % work, digits + guard, Di)
-        if B.prec < digits:
-            raise InsufficientPrecision("splitting series lost guard digits")
-        # times sum_n (-1)^n B_n x^(i n)
-        out = [
-            sum((-1) ** n * B.coeffs[n] * out[m - i * n] for n in range(m // i + 1)) % mod
-            for m in range(order)
-        ]
-    return TruncSeries("pi", out, digits, p)
+    work = digits + vp_factorial(order - 1, p)
+    # at least one power sum, so that order 1 gives [1]
+    sums = [int(k == p ** vp(k, p)) for k in range(1, max(order, 2))]
+    E = exp_from_power_sums([TruncSeries("x", [c], work, p) for c in sums], "pi")
+    return TruncSeries("pi", [col.coeffs[0] for col in E.coeffs[:order]], digits, p)
 
 
 def pi_of_T(p: int, order: int, digits: int) -> TruncSeries:
@@ -248,6 +225,8 @@ def t_adic_sum_via_operator(spec, k: int, t_order: int, digits: int) -> TruncSer
     Comparable coefficient-for-coefficient with expsum.t_adic_sum; the two
     sides share no code past TowerSpec, which is the point.
     """
+    if k < 1:
+        raise ConfigError(f"extension degree k = {k} must be positive")
     p = spec.p
     trs = nuclear_traces(spec, k, t_order, digits)
     scaled = TruncSeries("pi", trs[k - 1], digits, p).scale(p**k - 1)

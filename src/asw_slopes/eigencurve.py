@@ -17,6 +17,7 @@ multiset comparison.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -29,17 +30,12 @@ from .errors import (
     VerificationError,
     WeightOutsideAnnulus,
 )
-from .expsum import t_valuation_points
+from .expsum import observed_polygon
 from .gf import convolve, int_dtype
 from .newton import NewtonPolygon, lower_hull
-from .padic import CycInt, cyc_valuation
+from .padic import CycInt, cyc_valuation, phi_pm
 from .series import TruncSeries
 from .tower import base_slopes, stable_level
-
-
-def observed_polygon(C: TruncSeries) -> NewtonPolygon:
-    """T-adic polygon of a bivariate series from its nonzero-digit anchors."""
-    return lower_hull(t_valuation_points(C), source="T-adic")
 
 
 class BlockFactor:
@@ -64,7 +60,7 @@ class BlockFactor:
 
 def _slope_step(spec) -> int:
     """pi-adic slope step between blocks, a(p-1)p^{m0-1}."""
-    return spec.a * (spec.p - 1) * spec.p ** (stable_level(spec) - 1)
+    return spec.a * phi_pm(spec.p, stable_level(spec))
 
 
 def corner_y(spec, i: int) -> int:
@@ -75,7 +71,7 @@ def corner_y(spec, i: int) -> int:
     """
     e0 = _slope_step(spec)
     s_alpha = sum(base_slopes(spec), Fraction(0))
-    return -(-(e0 * (Fraction(spec.d * i * (i - 1), 2) + i * s_alpha)) // 1)
+    return math.ceil(e0 * (Fraction(spec.d * i * (i - 1), 2) + i * s_alpha))
 
 
 def block_window(spec, count: int, t_order=None, s_order=None) -> tuple[int, int]:
@@ -104,7 +100,7 @@ def pick_levels(spec, blocks, p_digits: int, levels=None) -> list[int]:
         return levels
     h_max = corner_y(spec, max(blocks)) - corner_y(spec, min(blocks) - 1)
     m = stable_level(spec)
-    while p_digits * (spec.p - 1) * spec.p ** (m - 1) <= h_max:
+    while p_digits * phi_pm(spec.p, m) <= h_max:
         m += 1
     return [m, m + 1]
 
@@ -139,7 +135,7 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
     certified, plus counters (solved digits, verified equation digits,
     sweeps).  Raises if a block corner is not an interior vertex (a precision
     shortfall when it is not left of the last vertex the T-window shows), if
-    a hull-touching coefficient is not unit-leading, or if the data ran out
+    a coefficient under a vertex is not unit-leading, or if the data ran out
     before the leading digit of some b[i, block_size].
     """
     d = block_size
@@ -176,16 +172,13 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
     if any(y.denominator != 1 for y in corner):
         raise VerificationError("block corner heights are not integral")
 
-    def ceil_frac(fr: Fraction) -> int:
-        return -((-fr.numerator) // fr.denominator)
-
     # slots: (i, j) = coefficient j of block i; i == count is the tail
     mark: dict = {}
     for i in range(count):
         for j in range(1, d + 1):
-            mark[(i, j)] = ceil_frac(_hull_eval(poly, i * d + j) - corner[i])
+            mark[(i, j)] = math.ceil(_hull_eval(poly, i * d + j) - corner[i])
     for n in range(1, K + 1):
-        mark[(count, n)] = ceil_frac(_hull_eval(poly, count * d + n) - corner[count])
+        mark[(count, n)] = math.ceil(_hull_eval(poly, count * d + n) - corner[count])
     floors = dict(mark)
 
     # terms list their slots in block order, so a slot tuple is canonical
@@ -347,16 +340,16 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
         for j in range(1, d + 1):
             phi = floors[(i, j)]
             got = mark[(i, j)]
-            touch = _hull_eval(poly, i * d + j) - corner[i]
-            on_hull = touch.denominator == 1 and touch == phi
             if j == d and got <= phi:
                 raise InsufficientPrecision(
                     f"block {i}: leading digit of the s^{d} coefficient "
                     f"(T^{phi}) was not reachable; raise the T-order"
                 )
-            if on_hull and got > phi and int(vals[(i, j)][phi]) % p == 0:
+            # a vertex of C must be attained; an interior lattice point of
+            # a segment need not be
+            if i * d + j in xs and got > phi and int(vals[(i, j)][phi]) % p == 0:
                 raise VerificationError(
-                    f"block {i}: hull-touching coefficient at s^{j} is not "
+                    f"block {i}: coefficient at s^{j} under a vertex is not "
                     "unit-leading"
                 )
             coeffs.append(TruncSeries("T", [int(v) for v in vals[(i, j)][:got]], digits, p))
@@ -434,7 +427,7 @@ def specialize_block(factor: BlockFactor, m: int):
     pi_pows = [CycInt.from_int(p, m, 1)]
     for _ in range(n_max - 1):
         pi_pows.append(pi_pows[-1] * pi)
-    e = (p - 1) * p ** (m - 1)
+    e = phi_pm(p, m)
     out = []
     caps = []
     for ts in factor.coeffs:

@@ -27,7 +27,7 @@ from .errors import (
     InsufficientPrecision,
 )
 from .newton import NewtonPolygon, lower_hull
-from .padic import CycInt, Valuation, ZqCtx, cyc_valuation, teichmuller, vp_factorial
+from .padic import CycInt, Valuation, ZqCtx, cyc_valuation, phi_pm, teichmuller, vp_factorial
 from .series import TruncSeries, exp_from_power_sums
 
 MAX_POINTS = 2 * 10**7  # hard budget on |field| for histogram enumeration
@@ -210,11 +210,7 @@ def _trace_pairing(zctx: ZqCtx, bh):
     of b-hat * u^e.
     """
     n = zctx.n
-    t = []
-    cur = bh
-    for _ in range(2 * n - 1):
-        t.append(zctx.trace(cur))
-        cur = gf.reduce_mod((0, *cur), zctx.H, zctx.mod)
+    t = [zctx.trace(v) for v in zctx.shifts(bh, 2 * n - 1)]
     return [t[l : l + n] for l in range(n)]
 
 
@@ -230,11 +226,8 @@ def _powers(zctx: ZqCtx, step, count: int, dtype):
     P[0] = (1,) + (0,) * (n - 1)
     L, sL = 1, step
     while L < count:
-        rows = [sL]
-        for _ in range(n - 1):
-            rows.append(gf.reduce_mod((0, *rows[-1]), zctx.H, zctx.mod))
         block = P[L : 2 * L]
-        np.matmul(P[: len(block)], np.array(rows, dtype=dtype), out=block)
+        np.matmul(P[: len(block)], np.array(zctx.shifts(sL, n), dtype=dtype), out=block)
         np.remainder(block, mod, out=block)
         L, sL = 2 * L, zctx.mul(sL, sL)
     return P
@@ -482,7 +475,7 @@ def char_series(
 
 def q_normalization(p: int, a: int, m: int) -> Fraction:
     """Factor converting pi-adic valuations to q-adic ones."""
-    return Fraction(1, a * (p - 1) * p ** (m - 1))
+    return Fraction(1, a * phi_pm(p, m))
 
 
 def newton_from_cyclotomic(
@@ -498,12 +491,15 @@ def newton_from_cyclotomic(
     hull never overstates what the data certifies.
     """
     first = coeffs[0]
-    cap = None
-    if cap_exp is not None:
-        cap = cap_exp * (first.p - 1) * first.p ** (first.m - 1) if first.m else cap_exp
+    cap = None if cap_exp is None else cap_exp * phi_pm(first.p, first.m)
     pts = [(i, cyc_valuation(z, cap)) for i, z in enumerate(coeffs)]
     poly = lower_hull(pts, source)
     return poly.rescale(scale, source) if scale != 1 else poly
+
+
+def observed_polygon(C: TruncSeries) -> NewtonPolygon:
+    """T-adic polygon of a bivariate series from its nonzero-digit anchors."""
+    return lower_hull(t_valuation_points(C), source="T-adic")
 
 
 def t_valuation_points(C: TruncSeries):

@@ -111,6 +111,15 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
+def _digits(j: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of j, least significant first."""
+    out = []
+    for _ in range(n):
+        out.append(j % p)
+        j //= p
+    return out
+
+
 def _poly_gcd(a, b, p):
     a, b = _trim(list(a)), _trim(list(b))
     while b:
@@ -147,12 +156,7 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     if n < 1:
         raise CtxMismatch("degree must be positive")
     for j in range(p**n):
-        coeffs = []
-        m = j
-        for _ in range(n):
-            coeffs.append(m % p)
-            m //= p
-        h = coeffs + [1]
+        h = _digits(j, p, n) + [1]
         if _is_irreducible(h, p):
             return tuple(h)
     raise AssertionError("unreachable: irreducibles exist in every degree")
@@ -198,12 +202,7 @@ class FieldCtx:
         """Element of the given enumeration index (base-p digits)."""
         if not 0 <= index < self.order:
             raise CtxMismatch(f"index {index} out of range for {self!r}")
-        coeffs = []
-        m = index
-        for _ in range(self.n):
-            coeffs.append(m % self.p)
-            m //= self.p
-        return FqElt(self, tuple(coeffs))
+        return FqElt(self, tuple(_digits(index, self.p, self.n)))
 
     def from_coeffs(self, coeffs) -> "FqElt":
         return FqElt(self, tuple(reduce_mod(coeffs, self.h, self.p)))

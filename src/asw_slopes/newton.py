@@ -137,19 +137,17 @@ def hodge_polygon(d: int, width: int, source: str = "hodge") -> NewtonPolygon:
 
 
 def upper_bound_polygon(d: int, width: int, source: str = "upper") -> NewtonPolygon:
-    """Slope pattern per block of width d: one slope n, then d-1 slopes n+1/2."""
+    """Slope pattern per block of width d: one slope n, then d-1 slopes n+1/2.
+
+    The slopes never decrease, so the hull keeps every corner of the pattern.
+    """
     y = Fraction(0)
     pts = [(0, y)]
     for k in range(width):
         n = k // d
         y += n if k % d == 0 else n + Fraction(1, 2)
         pts.append((k + 1, y))
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) == 0:
-            hull.pop()
-        hull.append(pt)
-    return NewtonPolygon(hull, source)
+    return lower_hull([(x, Valuation.exact(y)) for x, y in pts], source)
 
 
 def max_gap(d: int):

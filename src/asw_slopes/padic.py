@@ -117,20 +117,22 @@ class ZqCtx:
         return tuple(gf.powmod(a, e, self.H, self.mod))
 
     def trace_form(self) -> tuple[int, ...]:
-        """Power sums s_m = Tr(u^m) mod p^N via Newton's identities on H."""
+        """s_m = Tr(u^m) mod p^N for m < n: the trace of multiplication by
+        u^m, whose column i is u^(m+i) mod H."""
         if self._trace_form is None:
-            n, p2 = self.n, self.mod
-            e = [0] * (n + 1)  # elementary symmetric functions of the roots
-            for i in range(1, n + 1):
-                e[i] = ((-1) ** i * self.H[n - i]) % p2
-            s = [n % p2]
-            for m in range(1, n):
-                acc = ((-1) ** (m - 1)) * m * e[m] if m <= n else 0
-                for i in range(1, m):
-                    acc += (-1) ** (i - 1) * e[i] * s[m - i]
-                s.append(acc % p2)
-            self._trace_form = tuple(s)
+            n = self.n
+            pows = self.shifts((1,) + (0,) * (n - 1), 2 * n - 1)
+            self._trace_form = tuple(
+                sum(pows[m + i][i] for i in range(n)) % self.mod for m in range(n)
+            )
         return self._trace_form
+
+    def shifts(self, v, count: int) -> list:
+        """v u^j mod p^N for j < count, each the last times u by one reduce_mod."""
+        out = [v]
+        for _ in range(count - 1):
+            out.append(gf.reduce_mod((0, *out[-1]), self.H, self.mod))
+        return out
 
     def trace(self, z) -> int:
         """Tr_{Q_q/Q_p}(z) mod p^N through the trace form (linear in z)."""
@@ -170,7 +172,8 @@ def teichmuller(zctx: ZqCtx, x) -> tuple[int, ...]:
 # CycInt: exact integers in Z[zeta_{p^m}]
 
 
-def _phi_pm(p: int, m: int) -> int:
+def phi_pm(p: int, m: int) -> int:
+    """phi(p^m) = (p - 1) p^(m-1), the degree of Q(zeta_{p^m}); 1 at m = 0."""
     return (p - 1) * p ** (m - 1) if m >= 1 else 1
 
 
@@ -178,7 +181,7 @@ def _cyc_reduce(vec, p: int, m: int) -> list[int]:
     """Reduce an integer polynomial in zeta modulo Phi_{p^m}."""
     if m == 0:
         return [sum(vec)]
-    phi = _phi_pm(p, m)
+    phi = phi_pm(p, m)
     step = p ** (m - 1)
     v = list(vec)
     if len(v) < phi:
@@ -201,7 +204,7 @@ class CycInt:
     def __init__(self, p: int, m: int, coeffs):
         self.p = p
         self.m = m
-        phi = _phi_pm(p, m)
+        phi = phi_pm(p, m)
         c = list(coeffs)
         if len(c) != phi:
             c = _cyc_reduce(c, p, m)
@@ -209,11 +212,11 @@ class CycInt:
 
     @classmethod
     def zero(cls, p, m):
-        return cls(p, m, [0] * _phi_pm(p, m))
+        return cls(p, m, [0] * phi_pm(p, m))
 
     @classmethod
     def from_int(cls, p, m, n):
-        c = [0] * _phi_pm(p, m)
+        c = [0] * phi_pm(p, m)
         c[0] = n
         return cls(p, m, c)
 

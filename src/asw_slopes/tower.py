@@ -17,15 +17,17 @@ from . import gf
 from .errors import ConfigError, DegreeViolation, VerificationError
 from .expsum import (
     TowerSpec,
+    char_series,
     character_sum,
     l_degree,
     l_series,
     newton_from_cyclotomic,
+    observed_polygon,
     q_normalization,
     trace_histogram,
 )
-from .newton import NewtonPolygon
-from .padic import CycInt
+from .newton import NewtonPolygon, hodge_polygon, turning_points
+from .padic import CycInt, phi_pm
 from .series import TruncSeries
 
 # ---------------------------------------------------------------------------
@@ -46,40 +48,33 @@ def _scalar(x: gf.FqElt, n: int) -> gf.FqElt:
     return gf.FqElt(x.ctx, tuple(c * n % p for c in x.coeffs))
 
 
+def _less_carry(p: int, s, a, b):
+    """s - sum_{0<i<p} C(p,i)/p a^i b^(p-i): s less the carry of a + b into
+    the second Witt coordinate."""
+    bpows = [b]
+    for _ in range(p - 2):
+        bpows.append(bpows[-1] * b)
+    apow = a
+    for i, ci in enumerate(_carry_coeffs(p), start=1):
+        s = s - _scalar(apow * bpows[p - 1 - i], ci)
+        if i < p - 1:
+            apow = apow * a
+    return s
+
+
 def witt_add(p: int, u, v):
     if len(u) != len(v) or len(u) not in (1, 2):
         raise ConfigError("witt vectors must both have length 1 or 2")
     if len(u) == 1:
         return (u[0] + v[0],)
-    a0, a1 = u
-    b0, b1 = v
-    s1 = a1 + b1
-    apow = a0
-    bpows = [b0]
-    for _ in range(p - 2):
-        bpows.append(bpows[-1] * b0)
-    for i, ci in enumerate(_carry_coeffs(p), start=1):
-        s1 = s1 - _scalar(apow * bpows[p - 1 - i], ci)
-        if i < p - 1:
-            apow = apow * a0
-    return (a0 + b0, s1)
+    return (u[0] + v[0], _less_carry(p, u[1] + v[1], u[0], v[0]))
 
 
 def witt_neg(p: int, u):
     if len(u) == 1:
         return (-u[0],)
-    a0, a1 = u
-    n0 = -a0
-    n1 = -a1
-    apow = a0
-    npows = [n0]
-    for _ in range(p - 2):
-        npows.append(npows[-1] * n0)
-    for i, ci in enumerate(_carry_coeffs(p), start=1):
-        n1 = n1 + _scalar(apow * npows[p - 1 - i], ci)
-        if i < p - 1:
-            apow = apow * a0
-    return (n0, n1)
+    n0 = -u[0]
+    return (n0, -_less_carry(p, u[1], u[0], n0))
 
 
 def witt_sub(p: int, u, v):
@@ -93,6 +88,12 @@ def witt_frobenius(u):
 # ---------------------------------------------------------------------------
 # counting rational points on the m-th cover, three ways
 
+def witt_feasible(spec: TowerSpec, m: int, k: int) -> bool:
+    """Whether count_points_witt enumerates the m-th cover over F_{q^k}:
+    levels 1 and 2, with (q^k)^m values of y times q^k points x <= 4*10^6."""
+    return m in (1, 2) and spec.q ** (k * (m + 1)) <= 4 * 10**6
+
+
 def count_points_witt(spec: TowerSpec, m: int, k: int) -> int:
     """Brute force: #{(x, y) : F(y) - y = sum_i (b_i x^i, 0)} over F_{q^k}.
 
@@ -100,17 +101,14 @@ def count_points_witt(spec: TowerSpec, m: int, k: int) -> int:
     image of f-hat(x-hat) in W_m.  Every y in W_m is enumerated once and its
     F(y) - y bucketed, so each x costs one lookup.
     """
-    if m not in (1, 2):
-        raise ConfigError("direct Witt enumeration implemented for m <= 2")
+    if not witt_feasible(spec, m, k):
+        raise ConfigError(f"no brute-force Witt count for m = {m} over F_(q^{k})")
     ctx = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
     monos = [
         (i, b if k == 1 else gf.embed_element(spec.ctx, b, ctx))
         for i, b in spec.monomials()
     ]
     p = spec.p
-    Q = ctx.order
-    if Q**m * Q > 4 * 10**6:
-        raise ConfigError("field too large for honest enumeration")
     elts = list(ctx.elements())
     frob = {c: c.frobenius() for c in elts}
     wp = Counter(
@@ -162,8 +160,7 @@ def assemble_block(spec: TowerSpec, m: int) -> list[int]:
     """Product over primitive characters of level m: an integer polynomial."""
     L = l_series(spec, m)
     deg = l_degree(spec, m)
-    phi = (spec.p - 1) * spec.p ** (m - 1)
-    target = phi * deg
+    target = phi_pm(spec.p, m) * deg
     zero = CycInt.zero(spec.p, m)
     padded = list(L.coeffs) + [zero] * (target + 1 - len(L.coeffs))
     prod = None
@@ -319,12 +316,33 @@ def turning_window(spec: TowerSpec, t_order=None, s_order=None) -> tuple[int, in
     return t_order, s_order
 
 
+def turning_bound(spec: TowerSpec, width: int) -> NewtonPolygon:
+    """The T-adic lower bound: the Hodge polygon of d scaled by p - 1."""
+    return hodge_polygon(spec.d, width).rescale(spec.p - 1, source="scaled lower bound")
+
+
+def verify_turning(spec: TowerSpec, digits: int, t_order=None, s_order=None) -> dict:
+    """The T-adic polygon of C(T, s) on the turning window against its lower
+    bound: it must dominate the bound and meet it at every forced contact
+    point (x, (p-1) y) of newton.turning_points."""
+    t_order, s_order = turning_window(spec, t_order, s_order)
+    poly = observed_polygon(char_series(spec, t_order, s_order, digits))
+    ok = poly.dominates(turning_bound(spec, poly.width))
+    rows = []
+    for x, y in turning_points(spec.d, poly.width):
+        want = (spec.p - 1) * y
+        hit = poly.y_at(x) == want
+        ok = ok and hit
+        rows.append({"x": x, "expected": [want.numerator, want.denominator], "ok": hit})
+    return {"ok": ok, "touch": rows, "polygon": poly.to_json()}
+
+
 def cross_check_counts(spec: TowerSpec, m: int, k: int) -> dict:
     """All three point counts for the m-th cover over the k-th extension."""
     via_trace = count_points_trace(spec, m, k)
     via_char = count_points_char(spec, m, k)
     out = {"m": m, "k": k, "trace": via_trace, "character": via_char}
-    if m <= 2 and spec.q ** (k * (m + 1)) <= 4 * 10**6:
+    if witt_feasible(spec, m, k):
         out["witt"] = count_points_witt(spec, m, k)
     values = {v for key, v in out.items() if key not in ("m", "k")}
     if len(values) != 1:

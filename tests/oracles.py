@@ -223,6 +223,20 @@ def reference_teich_zp(p, residue, digits):
     return w
 
 
+def reference_trace_form(zctx):
+    """Power sums s_m = Tr(u^m) mod p^N, m < n, by Newton's identities on
+    the elementary symmetric functions e_i = (-1)^i H_{n-i} of the roots."""
+    n, mod = zctx.n, zctx.mod
+    e = [0] + [(-1) ** i * zctx.H[n - i] % mod for i in range(1, n + 1)]
+    s = [n % mod]
+    for m in range(1, n):
+        acc = (-1) ** (m - 1) * m * e[m]
+        for i in range(1, m):
+            acc += (-1) ** (i - 1) * e[i] * s[m - i]
+        s.append(acc % mod)
+    return tuple(s)
+
+
 def reference_teich_trace(ctx, x, f_coeffs, N):
     """Tr_{Q_{q^k}/Q_p} of f-hat at the Teichmuller lift of x, mod p^N, as
     Frobenius orbit sums: each monomial m_i = omega(b_i) * omega(x)^i is a

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from asw_slopes import cli, expsum
-from asw_slopes.errors import DegreeViolation
+from asw_slopes import cli, dwork, expsum
+from asw_slopes.errors import ConfigError, DegreeViolation
 
 P2 = ["--p", "2", "--a", "1", "--f", "1,0,0,0"]  # x^3 over F_2
 P3 = ["--p", "3", "--f", "1,0,2"]  # x^2 + 2 over F_3
@@ -237,6 +237,53 @@ def test_truncated_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert out == fresh
+
+
+@pytest.mark.parametrize("mode", [["--components", "1"], ["--components", "2"], ["--vertex", "5"]])
+def test_eigencurve_passes_an_interior_lattice_point_of_a_segment(capsys, mode):
+    # the T-adic polygon of x^5 + 1 over F_2 has vertices at x = 0, 1, 5, 6, 7:
+    # x = 3 lies inside the slope-1/2 segment, where no block coefficient is
+    # forced to meet the hull, so only vertices are checked for a unit lead
+    code, out, err = run(capsys, ["eigencurve", "--p", "2", "--f", "1,0,0,0,0,1", *mode])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    laws = [doc["law"]] if "law" in doc else [b["law"] for b in doc["blocks"]]
+    assert all(law["ok"] and all(lv["ok"] for lv in law["levels"]) for law in laws)
+
+
+def test_expsum_degree_below_one_is_a_config_error(capsys):
+    # --k 0 once printed eight zero coefficients by the operator pathway and
+    # exited 0; --k -1 exited 4 with an IndexError
+    for k in ("0", "-1"):
+        for method in ("operator", "points", "both"):
+            code, out, err = run(capsys, ["expsum", *P2, "--k", k, "--method", method])
+            assert code == 3 and out == "", (k, method)
+            assert json.loads(err)["error"] == "ConfigError"
+    spec = expsum.TowerSpec(2, 1, [0, 0, 0, 1])
+    for k in (0, -1):
+        with pytest.raises(ConfigError):
+            dwork.t_adic_sum_via_operator(spec, k, 8, 6)
+
+
+def test_exact_commands_take_no_digits(capsys):
+    # lfun, slopes and zeta compute exactly; a --digits there set nothing
+    for command in ("lfun", "slopes", "zeta"):
+        argv = [command, *P2, "--m", "1"]
+        assert run(capsys, argv)[0] == 0
+        code, out, err = run(capsys, [*argv, "--digits", "3"])
+        assert code == 3 and out == "" and json.loads(err)["error"] == "ConfigError"
+
+
+def test_turning_svg_is_drawn_only_for_svg_output(capsys, monkeypatch):
+    drawn = []
+    render = cli.render_svg
+    monkeypatch.setattr(cli, "render_svg", lambda *a, **k: drawn.append(1) or render(*a, **k))
+    argv = ["verify", *P2, "--check", "turning"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and drawn == []
+    assert sorted(json.loads(out)["turning"]) == ["ok", "polygon", "touch"]
+    code, out, _ = run(capsys, [*argv, "--format", "svg"])
+    assert code == 0 and out.startswith("<svg") and drawn == [1]
 
 
 def test_exit_code_verification(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from asw_slopes import gf
-from asw_slopes.errors import InsufficientGuard, NonIntegralResult
+from asw_slopes.errors import ConfigError, InsufficientGuard, NonIntegralResult
 from asw_slopes.padic import (
     CycInt,
     Valuation,
@@ -14,7 +14,13 @@ from asw_slopes.padic import (
     vp,
     vp_factorial,
 )
-from oracles import PadicInt, padic_coeffs, reference_teich_trace, reference_teichmuller
+from oracles import (
+    PadicInt,
+    padic_coeffs,
+    reference_teich_trace,
+    reference_teichmuller,
+    reference_trace_form,
+)
 
 
 def test_vp():
@@ -92,6 +98,26 @@ def test_teich_trace_against_trace_form():
             w = teichmuller(z, x)
             expect = z.trace(z.mul(w, w))
             assert got % p**5 == expect % p**5
+
+
+def test_trace_form_matches_newtons_identities_seeded():
+    # the trace of multiplication by u^m against the power sums of the roots
+    # of H, on default and random irreducible moduli, from N = 1 (every
+    # coordinate mod p) to wide N (Python ints well past 2^64)
+    rng = random.Random(20261018)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 13)
+        ctx = gf.field(p, n)
+        if rng.random() < 0.5:
+            while True:
+                try:
+                    ctx = gf.FieldCtx(p, n, [rng.randrange(p) for _ in range(n)] + [1])
+                    break
+                except ConfigError:
+                    continue
+        z = ZqCtx(ctx, rng.choice([1, 2, 3, rng.randrange(4, 60)]))
+        assert z.trace_form() == reference_trace_form(z), (p, ctx.h, z.N)
 
 
 def test_cyc_zeta_relations():

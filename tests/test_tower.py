@@ -20,7 +20,9 @@ from asw_slopes.tower import (
     stable_level,
     verify_hodge,
     verify_periodicity,
+    verify_turning,
     witt_add,
+    witt_feasible,
     witt_frobenius,
     witt_neg,
     witt_sub,
@@ -77,6 +79,21 @@ def test_witt_enumeration_guards():
         count_points_witt(SPEC2, 3, 1)
     with pytest.raises(ConfigError):
         count_points_witt(SPEC2, 2, 8)  # (2^8)^3 combos
+
+
+@pytest.mark.parametrize("spec,m,k", [(SPEC2, 1, 10), (SPEC2, 2, 7), (SPEC3, 1, 6), (SPEC3, 2, 4)])
+def test_one_witt_gate_on_each_side_of_the_boundary(spec, m, k):
+    # (q^k)^(m+1) <= 4*10^6 at k, past it at k + 1: the gate that
+    # cross_check_counts consults is the one count_points_witt enforces
+    assert spec.q ** (k * (m + 1)) <= 4 * 10**6 < spec.q ** ((k + 1) * (m + 1))
+    assert witt_feasible(spec, m, k) and not witt_feasible(spec, m, k + 1)
+    assert not witt_feasible(spec, 0, 1) and not witt_feasible(spec, 3, 1)
+    with pytest.raises(ConfigError):
+        count_points_witt(spec, m, k + 1)
+    if m == 1:
+        inside, past = cross_check_counts(spec, m, k), cross_check_counts(spec, m, k + 1)
+        assert inside["ok"] and inside["witt"] == inside["trace"]
+        assert past["ok"] and "witt" not in past
 
 
 @pytest.mark.parametrize("spec", [SPEC2, SPEC3])
@@ -189,3 +206,11 @@ def test_l_hodge_polygon_slopes():
     hp = l_hodge_polygon(3, 4)
     assert hp.slopes() == [Fraction(k, 3) for k in (1, 2, 3, 4)]
     assert l_newton(SPEC2, 1).dominates(hp)
+
+
+def test_verify_turning_reports_the_contact_points():
+    rep = verify_turning(SPEC2, 4)
+    assert sorted(rep) == ["ok", "polygon", "touch"] and rep["ok"]
+    # the planned s-order 2d + 1 = 7 takes in x = nd, nd + 1 for n <= 2
+    assert [r["x"] for r in rep["touch"]] == [0, 1, 3, 4, 6, 7]
+    assert all(r["ok"] for r in rep["touch"])
