@@ -33,7 +33,6 @@ from .eigencurve import (
 from .errors import ConfigError, PathwayMismatch, PrecisionError, VerificationError
 from .expsum import observed_polygon
 from .newton import NewtonPolygon, render_svg
-from .tower import l_hodge_polygon
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -73,8 +72,11 @@ def _spec(args) -> expsum.TowerSpec:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ConfigError(f"cannot write --out {args.out}: {err.strerror or err}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -194,13 +196,12 @@ def _cmd_slopes(args) -> int:
     predicted = tower.predicted_slopes(spec, args.m) if args.m >= m0 else None
     ok = predicted is None or predicted == computed
     if args.format == "svg":
-        width = poly.width
         _emit(
             args,
             render_svg(
                 [
                     (poly, "#1f77b4", f"level {args.m}"),
-                    (l_hodge_polygon(expsum.l_degree(spec, args.m), width), "#d62728", "lower bound"),
+                    (tower.l_hodge_polygon(spec, args.m), "#d62728", "lower bound"),
                 ],
                 title=f"p={spec.p} a={spec.a} d={spec.d} m={args.m}",
             ),

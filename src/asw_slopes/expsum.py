@@ -9,6 +9,7 @@ natural unit of caching (see ASW_CACHE_DIR).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -46,7 +47,8 @@ class TowerSpec:
     def __init__(self, p: int, a: int, coeffs, h=None):
         if a < 1:
             raise ConfigError(f"extension degree a = {a} must be positive")
-        self.ctx = gf.FieldCtx(p, a, h)  # FieldCtx validates primality
+        # the field validates primality and the modulus
+        self.ctx = gf.field(p, a, None if h is None else tuple(h))
         self.p = p
         self.a = a
         self.q = p**a
@@ -169,8 +171,12 @@ def _load_cached(spec: TowerSpec, k: int, digits: int):
     candidates = []
     if os.path.exists(exact):
         candidates.append(digits)
-    elif os.path.isdir(cdir):
-        for name in os.listdir(cdir):
+    else:
+        try:
+            names = os.listdir(cdir)
+        except OSError:  # missing or unreadable: an empty cache
+            names = []
+        for name in names:
             if name.startswith(prefix) and name.endswith(".json"):
                 try:
                     n = int(name[len(prefix) : -len(".json")])
@@ -186,18 +192,25 @@ def _load_cached(spec: TowerSpec, k: int, digits: int):
 
 
 def _store_cached(spec: TowerSpec, hist: TraceHistogram):
+    """Store the entry; a cache that cannot take it is skipped, since the
+    cache only ever changes speed."""
     cdir = cache_dir()
-    os.makedirs(cdir, exist_ok=True)
     name = _cache_name(spec, hist.k, hist.digits)
-    # a unique temp name per writer, so concurrent stores never interleave
-    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=cdir)
+    tmp = None
     try:
+        os.makedirs(cdir, exist_ok=True)
+        # a unique temp name per writer, so concurrent stores never interleave
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=cdir)
         with os.fdopen(fd, "w") as fh:
             json.dump(hist.to_json(spec), fh, sort_keys=True)
         os.replace(tmp, os.path.join(cdir, name))
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        tmp = None
+    except OSError:
+        pass
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +291,15 @@ def _check_digits(digits: int) -> None:
         raise ConfigError(f"need digits >= 1, got {digits}")
 
 
-def trace_histogram(
-    spec: TowerSpec, k: int, digits: int, use_cache: bool = True
-) -> TraceHistogram:
+def trace_histogram(spec: TowerSpec, k: int, digits: int) -> TraceHistogram:
     """Histogram of Tr(f-hat(x-hat)) mod p^digits over nonzero x in F_{q^k}."""
     if k < 1 or digits < 1:
         raise ConfigError("need k >= 1 and digits >= 1")
     Q = spec.q**k
     _check_budget(Q)
-    if use_cache:
-        hit = _load_cached(spec, k, digits)
-        if hit is not None:
-            return hit
+    hit = _load_cached(spec, k, digits)
+    if hit is not None:
+        return hit
 
     ctx_k = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
     zctx = ZqCtx(ctx_k, digits)
@@ -310,8 +320,7 @@ def trace_histogram(
     counts = _histogram(zctx, ghat, lifted, zero_cell, Q, dtype)
     hist = TraceHistogram(spec.p, k, digits, counts, zero_cell)
     assert hist.total == Q - 1, "histogram must cover every nonzero point"
-    if use_cache:
-        _store_cached(spec, hist)
+    _store_cached(spec, hist)
     return hist
 
 

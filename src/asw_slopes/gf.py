@@ -163,14 +163,13 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 class FieldCtx:
-    """Context for F_{p^n} = F_p[u]/(h(u)).
+    """Context for F_{p^n} = F_p[u]/(h(u)); immutable, reached through `field`.
 
-    Treated as immutable; `embed_a` (image of the degree-a base field
-    generator, when this field is used as F_{q^k}) is filled in lazily by
-    embed_base and cached.
+    What is derived from it (the multiplicative generator, the embeddings of
+    base fields) is cached by `functools.cache` on the context's value.
     """
 
-    __slots__ = ("p", "n", "h", "_embed_cache", "_gen_cache")
+    __slots__ = ("p", "n", "h")
 
     def __init__(self, p: int, n: int, h: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -191,8 +190,6 @@ class FieldCtx:
                     f"modulus {list(self.h)} is not a monic irreducible of "
                     f"degree {n} over F_{p}"
                 )
-        self._embed_cache: dict[tuple[int, ...], "FqElt"] = {}
-        self._gen_cache: "FqElt | None" = None
 
     @property
     def order(self) -> int:
@@ -217,18 +214,15 @@ class FieldCtx:
         for j in range(self.order):
             yield self.element(j)
 
+    @functools.cache
     def multiplicative_generator(self) -> "FqElt":
         """First generator of F_{p^n}^x in enumeration order."""
-        if self._gen_cache is not None:
-            return self._gen_cache
         m = self.order - 1
         cofactors = [m // r for r in factorize(m)] if m > 1 else []
         for j in range(1, self.order):
             x = self.element(j)
-            if any((x**c).is_one() for c in cofactors):
-                continue
-            self._gen_cache = x
-            return x
+            if not any((x**c).is_one() for c in cofactors):
+                return x
         raise AssertionError("unreachable: the unit group is cyclic")
 
     def __eq__(self, other):
@@ -320,15 +314,13 @@ class FqElt:
 
 
 @functools.cache
-def field(p: int, n: int) -> FieldCtx:
-    """The default-modulus F_{p^n}, built once per process.
-
-    Sharing the context shares its lazily filled generator and embedding
-    caches across every extension degree and query that reaches it.
-    """
-    return FieldCtx(p, n)
+def field(p: int, n: int, h: tuple[int, ...] | None = None) -> FieldCtx:
+    """F_{p^n} with modulus h (the first irreducible of find_irreducible by
+    default), built once per process: the one way to get a field."""
+    return FieldCtx(p, n, h)
 
 
+@functools.cache
 def embed_base(ctx: FieldCtx, base_h: tuple[int, ...]) -> FqElt:
     """Image of the base-field generator: smallest-index root of base_h in ctx.
 
@@ -338,12 +330,7 @@ def embed_base(ctx: FieldCtx, base_h: tuple[int, ...]) -> FqElt:
     generator).  The subfield is walked to the first root, and the conjugate
     of least enumeration index is kept, so the embedding is deterministic.
     With a = 1 the base modulus is u and the root is 0 (constant embedding).
-    Result is cached per (ctx, base_h).
     """
-    key = tuple(base_h)
-    cached = ctx._embed_cache.get(key)
-    if cached is not None:
-        return cached
     a = len(base_h) - 1
     if a < 1 or ctx.n % a != 0:
         raise CtxMismatch("base degree must be positive and divide the extension degree")
@@ -367,9 +354,7 @@ def embed_base(ctx: FieldCtx, base_h: tuple[int, ...]) -> FqElt:
     conjugates = [x]
     for _ in range(a - 1):
         conjugates.append(conjugates[-1].frobenius())
-    root = min(conjugates, key=lambda r: r.index)
-    ctx._embed_cache[key] = root
-    return root
+    return min(conjugates, key=lambda r: r.index)
 
 
 def embed_element(base_ctx: FieldCtx, elt: FqElt, ctx: FieldCtx) -> FqElt:

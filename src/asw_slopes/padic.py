@@ -93,9 +93,13 @@ class Valuation:
 
 
 class ZqCtx:
-    """Working context for Z_q/p^N; caches the trace form Tr(u^m)."""
+    """Working context for Z_q/p^N.
 
-    __slots__ = ("p", "n", "N", "H", "mod", "_trace_form")
+    trace_form holds s_m = Tr(u^m) mod p^N for m < n: the trace of
+    multiplication by u^m, whose column i is u^(m+i) mod H.
+    """
+
+    __slots__ = ("p", "n", "N", "H", "mod", "trace_form")
 
     def __init__(self, field: gf.FieldCtx, N: int):
         self.p = field.p
@@ -103,7 +107,10 @@ class ZqCtx:
         self.N = N
         self.H = tuple(int(c) for c in field.h)
         self.mod = field.p**N
-        self._trace_form = None
+        pows = self.shifts((1,) + (0,) * (self.n - 1), 2 * self.n - 1)
+        self.trace_form = tuple(
+            sum(pows[m + i][i] for i in range(self.n)) % self.mod for m in range(self.n)
+        )
 
     def lift(self, x: gf.FqElt) -> tuple[int, ...]:
         if x.ctx.n != self.n or x.ctx.p != self.p:
@@ -116,17 +123,6 @@ class ZqCtx:
     def pow(self, a, e: int) -> tuple[int, ...]:
         return tuple(gf.powmod(a, e, self.H, self.mod))
 
-    def trace_form(self) -> tuple[int, ...]:
-        """s_m = Tr(u^m) mod p^N for m < n: the trace of multiplication by
-        u^m, whose column i is u^(m+i) mod H."""
-        if self._trace_form is None:
-            n = self.n
-            pows = self.shifts((1,) + (0,) * (n - 1), 2 * n - 1)
-            self._trace_form = tuple(
-                sum(pows[m + i][i] for i in range(n)) % self.mod for m in range(n)
-            )
-        return self._trace_form
-
     def shifts(self, v, count: int) -> list:
         """v u^j mod p^N for j < count, each the last times u by one reduce_mod."""
         out = [v]
@@ -136,8 +132,7 @@ class ZqCtx:
 
     def trace(self, z) -> int:
         """Tr_{Q_q/Q_p}(z) mod p^N through the trace form (linear in z)."""
-        s = self.trace_form()
-        return sum(zi * si for zi, si in zip(z, s)) % self.mod
+        return sum(zi * si for zi, si in zip(z, self.trace_form)) % self.mod
 
 
 def teichmuller(zctx: ZqCtx, x) -> tuple[int, ...]:

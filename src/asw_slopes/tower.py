@@ -8,6 +8,7 @@ single wrong digit anywhere upstream shows up as a mismatch here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -33,14 +34,10 @@ from .series import TruncSeries
 # ---------------------------------------------------------------------------
 # length-2 Witt arithmetic over a finite field of characteristic p
 
-_CARRY: dict[int, tuple[int, ...]] = {}
-
-
+@functools.cache
 def _carry_coeffs(p: int) -> tuple[int, ...]:
     """C(p,i)/p for 0 < i < p: the integer carry polynomial coefficients."""
-    if p not in _CARRY:
-        _CARRY[p] = tuple(math.comb(p, i) // p for i in range(1, p))
-    return _CARRY[p]
+    return tuple(math.comb(p, i) // p for i in range(1, p))
 
 
 def _scalar(x: gf.FqElt, n: int) -> gf.FqElt:
@@ -250,6 +247,8 @@ def verify_periodicity(spec: TowerSpec, m_max: int, polygons=None) -> dict:
     `polygons` maps levels to q-adic polygons already read, and gains those
     read here."""
     m0 = stable_level(spec)
+    if m_max < m0:
+        raise ConfigError(f"periodicity starts at the stable level {m0}, got m_max = {m_max}")
     polygons = {} if polygons is None else polygons
     for m in range(m0, m_max + 1):
         if m not in polygons:
@@ -276,10 +275,12 @@ def verify_periodicity(spec: TowerSpec, m_max: int, polygons=None) -> dict:
     return {"stable_level": m0, "ok": all_ok, "levels": levels}
 
 
-def l_hodge_polygon(d_eff: int, width: int) -> NewtonPolygon:
-    """Lower bound polygon for a level's L-series: slopes k/d_eff, k >= 1."""
+def l_hodge_polygon(spec: TowerSpec, m: int) -> NewtonPolygon:
+    """Lower bound polygon for the level-m L-series: slopes k/D for
+    0 < k < D, over its degree D - 1, where D = p^(m-1) d."""
+    D = spec.p ** (m - 1) * spec.d
     return NewtonPolygon(
-        [(k, Fraction(k * (k + 1), 2 * d_eff)) for k in range(width + 1)],
+        [(k, Fraction(k * (k + 1), 2 * D)) for k in range(D)],
         source="hodge",
     )
 
@@ -289,8 +290,7 @@ def verify_hodge(spec: TowerSpec, m: int, poly=None) -> dict:
     against its lower bound."""
     if poly is None:
         poly = l_newton(spec, m)
-    deg = l_degree(spec, m)
-    bound = l_hodge_polygon(spec.p ** (m - 1) * spec.d, deg)
+    bound = l_hodge_polygon(spec, m)
     ok = poly.dominates(bound)
     if not ok:
         raise VerificationError("computed polygon dips below the Hodge bound")

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from asw_slopes import cli, dwork, expsum
+from asw_slopes import cli, dwork, expsum, tower
 from asw_slopes.errors import ConfigError, DegreeViolation
+from asw_slopes.newton import NewtonPolygon
 
 P2 = ["--p", "2", "--a", "1", "--f", "1,0,0,0"]  # x^3 over F_2
 P3 = ["--p", "3", "--f", "1,0,2"]  # x^2 + 2 over F_3
@@ -435,6 +436,61 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     code, direct, _ = run(capsys, ["zeta", *P2, "--m", "1"])
     assert target.read_text() == direct.rstrip("\n")
+
+
+@pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "no-parent"])
+def test_unwritable_out_is_a_config_error(capsys, tmp_path, target):
+    path = str(tmp_path / target) if target else str(tmp_path)
+    code, out, err = run(capsys, ["zeta", *P2, "--m", "1", "--out", path])
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError" and path in doc["message"]
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_an_unusable_cache_directory_changes_no_output(capsys, tmp_path, monkeypatch, below):
+    argv = ["slopes", *P2, "--m", "1"]
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path / "cache"))
+    _, usable, _ = run(capsys, argv)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("ASW_CACHE_DIR", str(blocker / below) if below else str(blocker))
+    assert run(capsys, argv) == (0, usable, "")
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("check", ["periodicity", "all"])
+def test_m_max_below_the_stable_level_is_a_config_error(capsys, check):
+    x11 = ["--p", "2", "--f", "1" + ",0" * 11]  # x^11 over F_2, stable level 2
+    code, out, err = run(capsys, ["verify", *x11, "--check", check, "--m-max", "1"])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "p, f, m, end",
+    [
+        ("2", "1,0,0,0", 1, (2, Fraction(1))),
+        ("2", "1,0,0,0", 2, (5, Fraction(5, 2))),
+        ("2", "1,1", 1, (0, Fraction(0))),
+        ("5", "1,0", 1, (0, Fraction(0))),
+    ],
+)
+def test_slopes_svg_draws_the_hodge_bound_of_verify(capsys, monkeypatch, p, f, m, end):
+    drawn, compared = [], []
+    render = cli.render_svg
+    monkeypatch.setattr(cli, "render_svg", lambda polys, **kw: drawn.append(polys) or render(polys, **kw))
+    code, out, err = run(capsys, ["slopes", "--p", p, "--f", f, "--m", str(m), "--format", "svg"])
+    assert code == 0 and err == "" and out.startswith("<svg")
+    [(poly, _, _), (bound, _, _)] = drawn[0]
+    # the bound verify_hodge compares against is the one it touches
+    touch = NewtonPolygon.touch_points
+    monkeypatch.setattr(NewtonPolygon, "touch_points", lambda s, o: compared.append(o) or touch(s, o))
+    spec = expsum.TowerSpec(int(p), 1, [int(c) for c in reversed(f.split(","))])
+    assert tower.verify_hodge(spec, m)["ok"]
+    assert bound == compared[0]
+    assert poly.dominates(bound)
+    assert (bound.width, bound.y_at(bound.width)) == end
 
 
 def test_cache_commands(capsys, tmp_path, monkeypatch):

@@ -20,13 +20,10 @@ def _defined() -> dict:
 
 def _used() -> set:
     """Names read, attributes taken and whole-string constants (bench/tracing.py
-    resolves functions by name) across the package, tests and bench; the
-    package's re-exports in __init__.py are not a use."""
+    resolves functions by name) across the package, tests and bench."""
     names = set()
     for top in ("src", "tests", "bench"):
         for path in (ROOT / top).rglob("*.py"):
-            if path == SRC / "__init__.py":
-                continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
@@ -44,3 +41,17 @@ def test_every_definition_is_used_somewhere():
     assert "character_sum" in defined and "CycInt" in defined
     unused = {name: where for name, where in defined.items() if name not in used}
     assert unused == {}
+
+
+def test_the_package_root_binds_no_name_from_a_submodule():
+    # the modules are the API: __init__.py only loads them
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if node.module is not None or alias.name not in modules
+    ]
+    assert bound == []

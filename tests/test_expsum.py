@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -123,7 +124,8 @@ EXACT_INT_CASES = [(2, 1, 3, 32), (3, 2, 1, 20)]
 
 
 @pytest.mark.parametrize("p, a, k, digits", INT64_CASES + EXACT_INT_CASES)
-def test_histogram_kernel_matches_the_point_walk(p, a, k, digits):
+def test_histogram_kernel_matches_the_point_walk(p, a, k, digits, monkeypatch, tmp_path):
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))  # computed, never read
     rng = random.Random(1000 * p + 100 * a + k)
     d = rng.choice([e for e in range(1, 6) if e % p])
     q = p**a
@@ -131,16 +133,19 @@ def test_histogram_kernel_matches_the_point_walk(p, a, k, digits):
     spec = TowerSpec(p, a, coeffs)
     wide = a * k * (p**digits - 1) ** 2 >= 2**62
     assert wide == ((p, a, k, digits) in EXACT_INT_CASES)
-    hist = trace_histogram(spec, k, digits, use_cache=False)
+    hist = trace_histogram(spec, k, digits)
     counts, zero_cell = reference_histogram(spec, k, digits)
     assert hist.counts == counts
     assert hist.zero_cell == zero_cell
 
 
 def test_cache_entries_that_are_not_sound_are_misses(monkeypatch, tmp_path):
-    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
-    fresh = trace_histogram(SPEC3, 2, 3, use_cache=False)
-    path = tmp_path / f"hist_{SPEC3.key()}_k2_N3.json"
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path / "fresh"))
+    fresh = trace_histogram(SPEC3, 2, 3)
+    cdir = tmp_path / "cache"
+    cdir.mkdir()
+    monkeypatch.setenv("ASW_CACHE_DIR", str(cdir))
+    path = cdir / f"hist_{SPEC3.key()}_k2_N3.json"
     good = fresh.to_json(SPEC3)
     bad = [
         json.dumps(good)[:40],
@@ -157,7 +162,7 @@ def test_cache_entries_that_are_not_sound_are_misses(monkeypatch, tmp_path):
         assert (hist.counts, hist.zero_cell) == (fresh.counts, fresh.zero_cell)
         # the recomputed entry replaced the unsound one
         assert json.loads(path.read_text()) == good
-    assert [n.name for n in tmp_path.iterdir()] == [path.name]
+    assert [n.name for n in cdir.iterdir()] == [path.name]
 
 
 def test_digits_must_be_positive():
@@ -209,9 +214,41 @@ def test_cache_roundtrip_and_downgrade(monkeypatch, tmp_path):
     assert warm.counts == cold.counts
     # a lower-precision request folds the stored higher-precision file
     folded = trace_histogram(SPEC3, 2, 3)
-    direct = trace_histogram(SPEC3, 2, 3, use_cache=False)
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path / "fresh"))
+    direct = trace_histogram(SPEC3, 2, 3)
     assert folded.counts == direct.counts
     assert folded.zero_cell == direct.zero_cell
+
+
+def test_a_store_that_fails_is_skipped_and_leaves_no_temp_file(monkeypatch, tmp_path):
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path / "fresh"))
+    fresh = trace_histogram(SPEC3, 2, 3)
+    cdir = tmp_path / "cache"
+    monkeypatch.setenv("ASW_CACHE_DIR", str(cdir))
+
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(expsum.os, "replace", full)
+    hist = trace_histogram(SPEC3, 2, 3)
+    assert (hist.counts, hist.zero_cell) == (fresh.counts, fresh.zero_cell)
+    assert list(cdir.iterdir()) == []
+
+
+def test_a_cache_directory_that_cannot_be_listed_reads_as_empty(monkeypatch, tmp_path):
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path / "fresh"))
+    fresh = trace_histogram(SPEC3, 2, 3)
+    cdir = tmp_path / "cache"
+    cdir.mkdir()
+    monkeypatch.setenv("ASW_CACHE_DIR", str(cdir))
+
+    def denied(path):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(expsum.os, "listdir", denied)
+    assert expsum._load_cached(SPEC3, 2, 3) is None
+    hist = trace_histogram(SPEC3, 2, 3)
+    assert (hist.counts, hist.zero_cell) == (fresh.counts, fresh.zero_cell)
 
 
 def test_t_adic_sum_hand_checks():

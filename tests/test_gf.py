@@ -4,6 +4,7 @@ import pytest
 
 from asw_slopes import gf
 from asw_slopes.errors import ConfigError, NotPrime
+from asw_slopes.expsum import TowerSpec
 from asw_slopes.padic import CycInt, ZqCtx
 from oracles import (
     reference_cyc_mul,
@@ -151,6 +152,11 @@ def test_field_is_built_once_per_process():
         ctx = gf.field(p, n)
         assert gf.field(p, n) is ctx
         assert ctx == gf.FieldCtx(p, n)
+    # an explicit modulus is a key of its own, and a tower takes the shared field
+    h = (2, 2, 1)  # u^2 + 2u + 2, not the default u^2 + 1
+    assert gf.field(3, 2, h) is gf.field(3, 2, h)
+    assert gf.field(3, 2, h) != gf.field(3, 2)
+    assert TowerSpec(3, 2, [0, 1], list(h)).ctx is gf.field(3, 2, h)
 
 
 def test_degree_must_be_positive():

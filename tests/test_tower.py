@@ -203,9 +203,13 @@ def test_verify_hodge_touches():
 
 
 def test_l_hodge_polygon_slopes():
-    hp = l_hodge_polygon(3, 4)
-    assert hp.slopes() == [Fraction(k, 3) for k in (1, 2, 3, 4)]
+    # D = p^(m-1) d: slopes k/D for 0 < k < D, over the degree D - 1
+    hp = l_hodge_polygon(SPEC2, 1)
+    assert hp.slopes() == [Fraction(k, 3) for k in (1, 2)]
     assert l_newton(SPEC2, 1).dominates(hp)
+    hp = l_hodge_polygon(SPEC2, 2)
+    assert hp.slopes() == [Fraction(k, 6) for k in (1, 2, 3, 4, 5)]
+    assert l_newton(SPEC2, 2).dominates(hp)
 
 
 def test_verify_turning_reports_the_contact_points():
