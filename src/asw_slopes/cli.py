@@ -16,6 +16,7 @@ coefficient first, the conventional written order: --f 1,0,0,0 is x^3.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -68,6 +69,16 @@ def _spec(args) -> expsum.TowerSpec:
     f = list(reversed(_ints(args.f)))
     h = tuple(reversed(_ints(args.h))) if getattr(args, "h", None) else None
     return expsum.TowerSpec(args.p, args.a, f, h)
+
+
+def _check_out(path) -> None:
+    """Refuse an --out that cannot be opened before any work is done."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write --out {path}: {os.strerror(errno.EISDIR)}")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write --out {path}: {os.strerror(errno.ENOENT)}")
 
 
 def _emit(args, text: str) -> None:
@@ -348,23 +359,20 @@ def _cmd_eigencurve(args) -> int:
 
 def _cmd_cache(args) -> int:
     d = expsum.cache_dir()
+    # entries are regular files; a directory named *.json is not one
+    names = sorted(os.listdir(d)) if os.path.isdir(d) else []
+    paths = [
+        os.path.join(d, name)
+        for name in names
+        if name.endswith(".json") and os.path.isfile(os.path.join(d, name))
+    ]
     if args.action == "list":
-        entries = []
-        if os.path.isdir(d):
-            for name in sorted(os.listdir(d)):
-                if name.endswith(".json"):
-                    entries.append(
-                        {"name": name, "bytes": os.path.getsize(os.path.join(d, name))}
-                    )
+        entries = [{"name": os.path.basename(f), "bytes": os.path.getsize(f)} for f in paths]
         _emit_json(args, {"dir": d, "entries": entries})
         return EXIT_OK
-    removed = 0
-    if os.path.isdir(d):
-        for name in os.listdir(d):
-            if name.endswith(".json"):
-                os.remove(os.path.join(d, name))
-                removed += 1
-    _emit_json(args, {"dir": d, "removed": removed})
+    for f in paths:
+        os.remove(f)
+    _emit_json(args, {"dir": d, "removed": len(paths)})
     return EXIT_OK
 
 
@@ -449,6 +457,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
     except VerificationError as err:
         return _fail(err, EXIT_VERIFICATION)

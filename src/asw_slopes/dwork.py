@@ -173,14 +173,24 @@ def _matmul(A: PackedMatrix, B: PackedMatrix) -> PackedMatrix:
                 b = Bj[k]
                 if b:
                     oi[k] += a * b
-    rows = [
-        [
-            _pack(_unpack(v, A.lanes, A.stride, A.mod), A.stride) if v else 0
-            for v in row
-        ]
-        for row in out
-    ]
+    rows = [_repack(row, A.lanes, A.stride, A.mod) for row in out]
     return PackedMatrix(R, A.lanes, A.stride, A.mod, rows)
+
+
+def _repack(row, lanes: int, stride: int, mod: int):
+    """Packed entries with the lanes past `lanes` dropped and the rest
+    reduced mod `mod`; lanes of at most 8 bytes are reduced in one numpy
+    pass as uint64, wider ones lane by lane on Python ints."""
+    if stride > 8:
+        return [_pack(_unpack(v, lanes, stride, mod), stride) if v else 0 for v in row]
+    need = lanes * stride
+    mask = (1 << 8 * need) - 1
+    buf = np.frombuffer(b"".join((v & mask).to_bytes(need, "little") for v in row), np.uint8)
+    wide = np.zeros((len(row) * lanes, 8), dtype=np.uint8)
+    wide[:, :stride] = buf.reshape(-1, stride)
+    low = (wide.view("<u8") % np.uint64(mod)).astype("<u8").view(np.uint8)
+    data = low[:, :stride].tobytes()
+    return [int.from_bytes(data[k : k + need], "little") for k in range(0, len(data), need)]
 
 
 def _trace_pair(A: PackedMatrix, B: PackedMatrix):

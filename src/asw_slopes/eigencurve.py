@@ -153,8 +153,7 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
     p = cols[0].p
     digits = min(c.prec for c in cols)
     mod = p**digits
-    W = [len(c.coeffs) for c in cols]
-    N = max(W)
+    N = max(len(c.coeffs) for c in cols)
     if cols[0].coeffs[0] % mod != 1 or any(cf % mod for cf in cols[0].coeffs[1:]):
         raise VerificationError("constant term of the series is not 1")
 
@@ -173,17 +172,15 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
         raise VerificationError("block corner heights are not integral")
 
     # slots: (i, j) = coefficient j of block i; i == count is the tail
-    mark: dict = {}
+    floors: dict = {}
     for i in range(count):
         for j in range(1, d + 1):
-            mark[(i, j)] = math.ceil(_hull_eval(poly, i * d + j) - corner[i])
+            floors[(i, j)] = math.ceil(_hull_eval(poly, i * d + j) - corner[i])
     for n in range(1, K + 1):
-        mark[(count, n)] = math.ceil(_hull_eval(poly, count * d + n) - corner[count])
-    floors = dict(mark)
+        floors[(count, n)] = math.ceil(_hull_eval(poly, count * d + n) - corner[count])
 
     # terms list their slots in block order, so a slot tuple is canonical
     terms: list = [[] for _ in range(K + 1)]
-    slot_eqs: dict = {s: set() for s in mark}
     for jv in itertools.product(range(d + 1), repeat=count):
         s_deg = sum(jv)
         if s_deg > K:
@@ -191,148 +188,10 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
         base_fs = tuple((i, j) for i, j in enumerate(jv) if j)
         for n in range(max(s_deg, 1), K + 1):
             jm = n - s_deg
-            fs = base_fs + (((count, jm),) if jm else ())
-            terms[n].append(fs)
-            for f in fs:
-                slot_eqs[f].add(n)
+            terms[n].append(base_fs + (((count, jm),) if jm else ()))
 
-    # Each known-part product (a slot tuple) gets one id; slot_comps[f]
-    # lists the products that read slot f.  Every term's (unknown subset,
-    # known complement) splits are built once.
-    comp_id: dict = {}
-    slot_comps: dict = {s: [] for s in mark}
-
-    def name(comp) -> int:
-        c = comp_id.get(comp)
-        if c is None:
-            c = comp_id[comp] = len(comp_id)
-            for f in comp:
-                slot_comps[f].append(c)
-        return c
-
-    splits = [
-        [
-            [
-                (
-                    tuple(f for u, f in enumerate(fs) if bits >> u & 1),
-                    name(tuple(f for u, f in enumerate(fs) if not bits >> u & 1)),
-                )
-                for bits in range(1, 1 << len(fs))
-            ]
-            for fs in terms[n]
-        ]
-        for n in range(K + 1)
-    ]
-    term_ids = [[name(fs) for fs in terms[n]] for n in range(K + 1)]
-    comps = list(comp_id)
-
-    # A convolution entry sums at most N products of two residues and an
-    # acc_row entry at most len(terms[n]) residues, so int64 is exact under
-    # max(N, terms) (mod - 1)^2 < 2^62; past that, Python ints in numpy.
-    dtype = int_dtype(max(N, max(len(t) for t in terms)) * (mod - 1) ** 2)
-    vals = {f: np.zeros(N, dtype=dtype) for f in mark}
-    unit = np.zeros(N, dtype=dtype)
-    unit[0] = 1
-
-    # known-part products with their first nonzero index (N if zero),
-    # dropped whenever one of their slots gains a digit
-    known: list = [None] * len(comps)
-
-    def conv_known(c: int):
-        hit = known[c]
-        if hit is None:
-            out = unit
-            for f in comps[c]:
-                out = np.convolve(out, vals[f])[:N] % mod
-            nz = np.flatnonzero(out)
-            hit = known[c] = (out, int(nz[0]) if len(nz) else N)
-        return hit
-
-    def row_sum(n: int):
-        return sum((conv_known(c)[0] for c in term_ids[n]), np.zeros(N, dtype=dtype)) % mod
-
-    acc_row = [row_sum(n) for n in range(K + 1)]
-
-    rhs = [
-        np.array([cf % mod for cf in cols[n].coeffs], dtype=dtype)
-        for n in range(K + 1)
-    ]
-
-    # The verdict of an equation digit that solved nothing (skipped, or a
-    # verified check) holds until some slot of its terms gains a digit,
-    # which bumps the equation's version.
-    version = [0] * (K + 1)
-    verdict: dict = {}
-    solved_digits = 0
-    checks = 0
-    sweeps = 0
-    progress = True
-    while progress:
-        progress = False
-        sweeps += 1
-        checks = 0
-        for w in range(N):
-            for n in range(1, K + 1):
-                if w >= W[n]:
-                    continue
-                seen = verdict.get((n, w))
-                if seen is not None and seen[0] == version[n]:
-                    checks += seen[1]
-                    continue
-                verdict[(n, w)] = (version[n], 0)
-                usable = True
-                pivots: dict = {}
-                for fs, pairs in zip(terms[n], splits[n]):
-                    if min(mark[f] for f in fs) > w:
-                        continue
-                    for sel, comp in pairs:
-                        base = sum(map(mark.__getitem__, sel))
-                        if base > w:
-                            continue
-                        rest, v = conv_known(comp)
-                        if len(sel) == 1:
-                            f = sel[0]
-                            idx = w - base
-                            cof = int(rest[idx])
-                            if cof:
-                                pivots[f] = (pivots.get(f, 0) + cof) % mod
-                            if v < idx:
-                                usable = False
-                                break
-                        elif v <= w - base:
-                            usable = False
-                            break
-                    if not usable:
-                        break
-                if not usable:
-                    continue
-                live = {f: c for f, c in pivots.items() if c}
-                if any(c % p == 0 for c in live.values()):
-                    continue
-                acc = int(acc_row[n][w]) % mod
-                target = int(rhs[n][w])
-                if not live:
-                    if (target - acc) % mod:
-                        raise VerificationError(
-                            f"factor product disagrees with the series at "
-                            f"s^{n} T^{w}"
-                        )
-                    checks += 1
-                    verdict[(n, w)] = (version[n], 1)
-                    continue
-                if len(live) > 1:
-                    continue
-                ((f, cof),) = live.items()
-                x = (target - acc) * pow(cof, -1, mod) % mod
-                vals[f][mark[f]] = x
-                mark[f] += 1
-                solved_digits += 1
-                progress = True
-                for c in slot_comps[f]:
-                    known[c] = None
-                for tn in slot_eqs[f]:
-                    acc_row[tn] = row_sum(tn)
-                    version[tn] += 1
+    rows = [[cf % mod for cf in col.coeffs] for col in cols]
+    vals, mark, solved_digits, checks, sweeps = _eliminate(rows, terms, floors, p, mod)
 
     factors = []
     for i in range(count):
@@ -370,6 +229,155 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
         "tail_orders": [mark[(count, n)] for n in range(1, K + 1)],
     }
     return factors, stats
+
+
+def _eliminate(rows, terms, floors, p: int, mod: int):
+    """Solve slot digits from the product equations C_n = sum of terms[n].
+
+    rows[n] holds the known T-digits of C_n mod `mod`, terms[n] the slot
+    tuples of its products and floors[slot] the first digit a slot may
+    carry.  Sweeps visit every equation digit (n, w), w outer, until one
+    solves nothing.  Returns (vals, mark, solved, checks, sweeps): each
+    slot's digit row and first unsolved digit, the digits solved, the
+    digits verified in the last sweep and the sweep count.
+    """
+    K = len(rows) - 1
+    N = max(map(len, rows))
+    slots = list(floors)
+    S = len(slots)
+    sid = {f: k for k, f in enumerate(slots)}
+    # slot S is a sentinel whose mark stays 0, padding each split's unknown
+    # subset to the widest term
+    marks = np.array([floors[f] for f in slots] + [0], dtype=np.int64)
+    width = max(len(fs) for t in terms for fs in t)
+    slot_eqs: list = [set() for _ in range(S)]
+
+    # Each known-part product (a slot tuple, every subset of a term) gets
+    # one id.  splits[n] holds every (unknown subset, known complement)
+    # split of every term of equation n: the subset's slots padded with the
+    # sentinel, 1 if it is one slot (else 0) and the complement's id;
+    # singles[n] the slot and complement of its one-slot splits.  All are
+    # intp: numpy indexes and adds them with no conversion loop, whose
+    # first use alone would map more code pages than the arrays save.
+    comp_id: dict = {(): 0}
+
+    def name(comp) -> int:
+        return comp_id.setdefault(comp, len(comp_id))
+
+    splits: list = [None]
+    singles: list = [None]
+    for n in range(1, K + 1):
+        idx, one, cid = [], [], []
+        for fs in terms[n]:
+            ids = [sid[f] for f in fs]
+            for k in ids:
+                slot_eqs[k].add(n)
+            for bits in range(1, 1 << len(fs)):
+                sel = [k for u, k in enumerate(ids) if bits >> u & 1]
+                idx.append(sel + [S] * (width - len(sel)))
+                one.append(len(sel) == 1)
+                cid.append(name(tuple(f for u, f in enumerate(fs) if not bits >> u & 1)))
+        idx, one, cid = (np.array(a, dtype=np.intp) for a in (idx, one, cid))
+        splits.append((idx, one, cid))
+        singles.append((idx[one == 1, 0], cid[one == 1]))
+    term_ids = [np.array([name(fs) for fs in t], dtype=np.intp) for t in terms]
+    # a new digit of slot f scales the product of the rest of each
+    # product holding f into it: holders[f] = (those products, the rests)
+    holders: list = [([], []) for _ in range(S)]
+    for comp, c in comp_id.items():
+        for u, f in enumerate(comp):
+            holders[sid[f]][0].append(c)
+            holders[sid[f]][1].append(comp_id[comp[:u] + comp[u + 1 :]])
+    holders = [(np.array(cs, dtype=np.intp), np.array(ps, dtype=np.intp)) for cs, ps in holders]
+
+    # Entries stay reduced mod `mod`.  A rank-1 update x*a + b is at most
+    # mod (mod - 1) <= 2 (mod - 1)^2, and an acc_row entry or a pivot sums
+    # at most len(terms[n]) residues, so int64 is exact under that bound
+    # < 2^62; past it, Python ints in numpy.
+    dtype = int_dtype(max(2 * (mod - 1), max(map(len, terms))) * (mod - 1))
+    val = np.zeros((S, N), dtype=dtype)
+    # every slot starts at zero, so every product but the empty one does
+    kval = np.zeros((len(comp_id), N), dtype=dtype)
+    kval[0, 0] = 1
+    kfirst = np.full(len(comp_id), N, dtype=np.int64)
+    kfirst[0] = 0
+    digit = np.arange(N)
+    acc_row = np.zeros((K + 1, N), dtype=dtype)
+
+    # A split with unknown subset sel reaches digit w past its known part
+    # (an unknown digit beyond the first, or a product of two unknowns) from
+    # w = sum(marks[sel]) + first nonzero digit of the complement (+ 1 for
+    # a singleton) on; the least such w over an equation's splits is its
+    # reach, fixed until one of its slots gains a digit.
+    def reach_of(n: int) -> int:
+        idx, one, cid = splits[n]
+        return int((marks[idx].sum(1) + kfirst[cid] + one).min())
+
+    # The verdict of an equation digit that solved nothing (skipped, or a
+    # verified check) holds until some slot of its terms gains a digit,
+    # which bumps the equation's version.
+    version = [0] * (K + 1)
+    reach: list = [(-1, 0)] * (K + 1)
+    verdict: dict = {}
+    solved_digits = checks = sweeps = 0
+    progress = True
+    while progress:
+        progress = False
+        sweeps += 1
+        checks = 0
+        for w in range(N):
+            for n in range(1, K + 1):
+                if w >= len(rows[n]):
+                    continue
+                seen = verdict.get((n, w))
+                if seen is not None and seen[0] == version[n]:
+                    checks += seen[1]
+                    continue
+                verdict[(n, w)] = (version[n], 0)
+                if reach[n][0] != version[n]:
+                    reach[n] = (version[n], reach_of(n))
+                if w >= reach[n][1]:
+                    continue
+                # the pivot of slot f: its first unknown digit's cofactor
+                s_slot, s_cid = singles[n]
+                base = marks[s_slot]
+                hit = base <= w
+                piv = np.zeros(S, dtype=dtype)
+                np.add.at(piv, s_slot[hit], kval[s_cid[hit], w - base[hit]])
+                piv %= mod
+                live = np.flatnonzero(piv)
+                if (piv[live] % p == 0).any():
+                    continue
+                acc = int(acc_row[n, w])
+                target = rows[n][w]
+                if not len(live):
+                    if (target - acc) % mod:
+                        raise VerificationError(
+                            f"factor product disagrees with the series at "
+                            f"s^{n} T^{w}"
+                        )
+                    checks += 1
+                    verdict[(n, w)] = (version[n], 1)
+                    continue
+                if len(live) > 1:
+                    continue
+                f = int(live[0])
+                x = (target - acc) * pow(int(piv[f]), -1, mod) % mod
+                m0 = int(marks[f])
+                val[f, m0] = x
+                marks[f] += 1
+                solved_digits += 1
+                progress = True
+                cs, ps = holders[f]
+                kval[cs, m0:] = (kval[cs, m0:] + x * kval[ps, : N - m0]) % mod
+                kfirst[cs] = np.where(kval[cs] != 0, digit, N).min(1)
+                for tn in slot_eqs[f]:
+                    acc_row[tn] = kval[term_ids[tn]].sum(0) % mod
+                    version[tn] += 1
+
+    vals = {f: val[k] for k, f in enumerate(slots)}
+    mark = {f: int(marks[k]) for k, f in enumerate(slots)}
+    return vals, mark, solved_digits, checks, sweeps
 
 
 def _lead(row) -> int:

@@ -8,7 +8,16 @@ kernels' own (budgeted) precision and require the oracle never to declare
 less.
 """
 
-from asw_slopes.errors import ConfigError, InsufficientGuard, NonIntegralResult
+import numpy as np
+
+from asw_slopes.dwork import _pack, _unpack
+from asw_slopes.errors import (
+    ConfigError,
+    InsufficientGuard,
+    NonIntegralResult,
+    VerificationError,
+)
+from asw_slopes.gf import int_dtype
 from asw_slopes.padic import (
     CycInt,
     ZqCtx,
@@ -329,3 +338,144 @@ def reference_cyc_mul(x, y):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return CycInt(x.p, x.m, _cyc_reduce(out, x.p, x.m))
+
+
+def reference_repack(row, lanes, stride, mod):
+    """A packed product row repacked entry by entry: unpack every lane,
+    reduce it mod `mod`, pack again."""
+    return [_pack(_unpack(v, lanes, stride, mod), stride) if v else 0 for v in row]
+
+
+def reference_eliminate(rows, terms, floors, p, mod):
+    """The graded elimination of eigencurve._eliminate as a scalar loop over
+    every split of every term, known-part products recomputed by
+    convolution after each solved digit.  Same arguments and results."""
+    K = len(rows) - 1
+    W = [len(r) for r in rows]
+    N = max(W)
+    mark = dict(floors)
+    slot_eqs = {s: set() for s in mark}
+    for n in range(K + 1):
+        for fs in terms[n]:
+            for f in fs:
+                slot_eqs[f].add(n)
+
+    # each known-part product (a slot tuple) gets one id; slot_comps[f]
+    # lists the products that read slot f
+    comp_id = {}
+    slot_comps = {s: [] for s in mark}
+
+    def name(comp):
+        c = comp_id.get(comp)
+        if c is None:
+            c = comp_id[comp] = len(comp_id)
+            for f in comp:
+                slot_comps[f].append(c)
+        return c
+
+    splits = [
+        [
+            [
+                (
+                    tuple(f for u, f in enumerate(fs) if bits >> u & 1),
+                    name(tuple(f for u, f in enumerate(fs) if not bits >> u & 1)),
+                )
+                for bits in range(1, 1 << len(fs))
+            ]
+            for fs in terms[n]
+        ]
+        for n in range(K + 1)
+    ]
+    term_ids = [[name(fs) for fs in terms[n]] for n in range(K + 1)]
+    comps = list(comp_id)
+
+    dtype = int_dtype(max(N, max(len(t) for t in terms)) * (mod - 1) ** 2)
+    vals = {f: np.zeros(N, dtype=dtype) for f in mark}
+    unit = np.zeros(N, dtype=dtype)
+    unit[0] = 1
+    # known-part products with their first nonzero index (N if zero),
+    # dropped whenever one of their slots gains a digit
+    known = [None] * len(comps)
+
+    def conv_known(c):
+        hit = known[c]
+        if hit is None:
+            out = unit
+            for f in comps[c]:
+                out = np.convolve(out, vals[f])[:N] % mod
+            nz = np.flatnonzero(out)
+            hit = known[c] = (out, int(nz[0]) if len(nz) else N)
+        return hit
+
+    def row_sum(n):
+        return sum((conv_known(c)[0] for c in term_ids[n]), np.zeros(N, dtype=dtype)) % mod
+
+    acc_row = [row_sum(n) for n in range(K + 1)]
+    version = [0] * (K + 1)
+    verdict = {}
+    solved_digits = checks = sweeps = 0
+    progress = True
+    while progress:
+        progress = False
+        sweeps += 1
+        checks = 0
+        for w in range(N):
+            for n in range(1, K + 1):
+                if w >= W[n]:
+                    continue
+                seen = verdict.get((n, w))
+                if seen is not None and seen[0] == version[n]:
+                    checks += seen[1]
+                    continue
+                verdict[(n, w)] = (version[n], 0)
+                usable = True
+                pivots = {}
+                for fs, pairs in zip(terms[n], splits[n]):
+                    if min(mark[f] for f in fs) > w:
+                        continue
+                    for sel, comp in pairs:
+                        base = sum(map(mark.__getitem__, sel))
+                        if base > w:
+                            continue
+                        rest, v = conv_known(comp)
+                        if len(sel) == 1:
+                            f = sel[0]
+                            idx = w - base
+                            cof = int(rest[idx])
+                            if cof:
+                                pivots[f] = (pivots.get(f, 0) + cof) % mod
+                            if v < idx:
+                                usable = False
+                                break
+                        elif v <= w - base:
+                            usable = False
+                            break
+                    if not usable:
+                        break
+                if not usable:
+                    continue
+                live = {f: c for f, c in pivots.items() if c}
+                if any(c % p == 0 for c in live.values()):
+                    continue
+                acc = int(acc_row[n][w]) % mod
+                target = rows[n][w]
+                if not live:
+                    if (target - acc) % mod:
+                        raise VerificationError(f"factor product disagrees at s^{n} T^{w}")
+                    checks += 1
+                    verdict[(n, w)] = (version[n], 1)
+                    continue
+                if len(live) > 1:
+                    continue
+                ((f, cof),) = live.items()
+                x = (target - acc) * pow(cof, -1, mod) % mod
+                vals[f][mark[f]] = x
+                mark[f] += 1
+                solved_digits += 1
+                progress = True
+                for c in slot_comps[f]:
+                    known[c] = None
+                for tn in slot_eqs[f]:
+                    acc_row[tn] = row_sum(tn)
+                    version[tn] += 1
+    return vals, mark, solved_digits, checks, sweeps

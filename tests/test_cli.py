@@ -418,11 +418,57 @@ def test_eigencurve_wide_digits_stay_exact(capsys):
                 [[0, 0, 0, 0, 2, 29, 72], [0, 0, 0, 0, 0, 0, 0, 0, 0, 70, 31]],
             ],
         ),
+        (
+            ["--p", "2", "--f", "1,0,0,1", "--digits", "6", "--levels", "2,3", "--components", "4"],
+            {
+                "orders": {
+                    "0,1": 5, "0,2": 5, "0,3": 6, "1,1": 5, "1,2": 6, "1,3": 8,
+                    "2,1": 5, "2,2": 7, "2,3": 10, "3,1": 5, "3,2": 8, "3,3": 11,
+                },
+                "solved_digits": 38,
+                "sweeps": 6,
+                "tail_orders": [5, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52],
+                "verified_digits": 162,
+            },
+            [
+                [[63, 63, 0, 0, 0], [0, 63, 62, 63, 34], [0, 1, 3, 3, 31, 3]],
+                [[0, 63, 42, 57, 8], [0, 0, 0, 21, 51, 10], [0, 0, 0, 0, 43, 63, 1, 40]],
+                [[0, 0, 21, 54, 16], [0, 0, 0, 0, 0, 27, 38], [0, 0, 0, 0, 0, 0, 0, 55, 16, 58]],
+                [[0, 0, 0, 17, 1], [0, 0, 0, 0, 0, 0, 0, 41], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 57]],
+            ],
+        ),
+        (
+            ["--p", "3", "--f", "1,0,2", "--components", "4"],
+            {
+                "orders": {
+                    "0,1": 9, "0,2": 9, "1,1": 9, "1,2": 11,
+                    "2,1": 9, "2,2": 13, "3,1": 9, "3,2": 15,
+                },
+                "solved_digits": 45,
+                "sweeps": 9,
+                "tail_orders": [9, 16, 24, 32, 40, 48, 56, 64, 72],
+                "verified_digits": 165,
+            },
+            [
+                [[80, 0, 41, 70, 67, 16, 14, 57, 53], [0, 1, 38, 55, 39, 27, 39, 67, 41]],
+                [[0, 0, 40, 11, 12, 36, 21, 57, 31], [0, 0, 0, 0, 0, 76, 63, 7, 59, 19, 71]],
+                [
+                    [0, 0, 0, 0, 2, 29, 72, 60, 78],
+                    [0, 0, 0, 0, 0, 0, 0, 0, 0, 70, 31, 50, 14],
+                ],
+                [
+                    [0, 0, 0, 0, 0, 0, 55, 69, 40],
+                    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19, 41],
+                ],
+            ],
+        ),
     ],
 )
 def test_eigencurve_engine_and_factors_are_pinned(capsys, argv, engine, blocks):
-    # the elimination's sweep order fixes its counters as well as its digits
-    doc = _eigencurve_blocks(capsys, [*argv, "--components", "3"])
+    # the elimination's sweep order fixes its counters as well as its
+    # digits; three blocks unless argv names its own --components
+    doc = _eigencurve_blocks(capsys, ["--components", "3", *argv])
+    assert len(doc["blocks"]) == len(blocks)
     assert doc["engine"] == engine
     for entry, want in zip(doc["blocks"], blocks):
         head, *rest = entry["coefficients"]
@@ -442,6 +488,19 @@ def test_out_file(capsys, tmp_path):
 def test_unwritable_out_is_a_config_error(capsys, tmp_path, target):
     path = str(tmp_path / target) if target else str(tmp_path)
     code, out, err = run(capsys, ["zeta", *P2, "--m", "1", "--out", path])
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError" and path in doc["message"]
+
+
+@pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "no-parent"])
+def test_unwritable_out_is_refused_before_any_work(capsys, tmp_path, monkeypatch, target):
+    def compute(*_):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(expsum, "char_series", compute)
+    path = str(tmp_path / target) if target else str(tmp_path)
+    code, out, err = run(capsys, ["charfn", *P2, "--out", path])
     assert code == 3 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "ConfigError" and path in doc["message"]
@@ -507,6 +566,19 @@ def test_cache_commands(capsys, tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["removed"] == 1
     _, out, _ = run(capsys, ["cache", "list"])
     assert json.loads(out)["entries"] == []
+
+
+def test_cache_commands_act_on_regular_files_only(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
+    (tmp_path / "hist_x.json").mkdir()
+    (tmp_path / "hist_y.json").write_text("{}")
+    code, out, err = run(capsys, ["cache", "list"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["entries"] == [{"name": "hist_y.json", "bytes": 2}]
+    code, out, err = run(capsys, ["cache", "clear"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["removed"] == 1
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["hist_x.json"]
 
 
 # sha256 of the stdout of each query: a change to any digit, precision or

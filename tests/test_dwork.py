@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from asw_slopes.dwork import (
+    _matmul,
+    _repack,
     _teich_zp,
     artin_hasse,
     char_series_via_operator,
@@ -22,7 +24,7 @@ from asw_slopes.expsum import (
     t_valuation_points,
 )
 from asw_slopes.series import TruncSeries, compose
-from oracles import reference_teich_zp
+from oracles import reference_repack, reference_teich_zp
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])
 SPEC3 = TowerSpec(3, 1, [0, 0, 1])
@@ -188,6 +190,33 @@ def test_pi_lane_traces_match_the_w_lane_operator(p):
             for g, w in zip(got, want):
                 assert g == w[::d], (p, d, s_order)
                 assert not any(w[r] for r in range(len(w)) if r % d), (p, d)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_packed_rows_match_the_per_entry_repack(p):
+    rng = random.Random(p)
+    # random packed sums: lanes of 1 to 12 bytes, the high half past the
+    # kept lanes as a product leaves it, some entries zero
+    for stride in range(1, 13):
+        mod = p ** rng.randrange(1, 8 * stride // p.bit_length() + 1)
+        for lanes in (1, 2, 5):
+            row = [
+                rng.getrandbits(8 * stride * (2 * lanes - 1)) * rng.randrange(2)
+                for _ in range(rng.randrange(1, 9))
+            ]
+            assert _repack(row, lanes, stride, mod) == reference_repack(row, lanes, stride, mod)
+    # and the products of a nuclear matrix, at a stride of 8 bytes or less
+    # and at one above
+    f = [rng.randrange(p) for _ in range(3 if p == 2 else 2)] + [1]
+    for digits in (4, 64 // p.bit_length()):
+        M = nuclear_matrix(TowerSpec(p, 1, f), 3, 8, digits)
+        assert (M.stride <= 8) == (digits == 4)
+        raw = [
+            [sum(a * M.rows[j][k] for j, a in enumerate(row)) for k in range(M.size)]
+            for row in M.rows
+        ]
+        want = [reference_repack(r, M.lanes, M.stride, M.mod) for r in raw]
+        assert _matmul(M, M).rows == want
 
 
 def test_operator_requires_prime_base():

@@ -1,9 +1,11 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from asw_slopes import eigencurve
 from asw_slopes.eigencurve import (
     BlockFactor,
     block_product,
@@ -24,8 +26,10 @@ from asw_slopes.errors import (
     WeightOutsideAnnulus,
 )
 from asw_slopes.expsum import TowerSpec, char_series
+from asw_slopes.gf import int_dtype
 from asw_slopes.series import TruncSeries
 from asw_slopes.tower import turning_window
+from oracles import reference_eliminate
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])
 SPEC3 = TowerSpec(3, 1, [0, 0, 1])
@@ -100,6 +104,38 @@ def test_nested_agrees_with_rescaled_split():
         n = min(len(got), len(want))
         assert n >= 3
         assert [v % 16 for v in got[:n]] == want[:n]
+
+
+def _elimination_cases():
+    rng = random.Random(1310)
+    cases = [
+        pytest.param(TowerSpec(2, 1, [c, 0, 0, 1]), count, 6, id=f"p2-x3+{c}-{count}")
+        for c in (0, 1)
+        for count in (1, 2, 3)
+    ]
+    for p in (3, 5):
+        for count in (1, 2, 3):
+            u, c = rng.randrange(1, p), rng.randrange(p)
+            cases.append(pytest.param(TowerSpec(p, 1, [c, 0, u]), count, 4, id=f"p{p}-{u}x2+{c}-{count}"))
+    # (3^21 - 1)^2 passes 2^63, so every product leaves int64
+    cases.append(pytest.param(TowerSpec(3, 1, [2, 0, 1]), 2, 21, id="p3-wide-digits"))
+    return cases
+
+
+@pytest.mark.parametrize("spec, count, digits", _elimination_cases())
+def test_elimination_matches_the_scalar_oracle(monkeypatch, spec, count, digits):
+    if digits == 21:
+        assert int_dtype((3**digits - 1) ** 2) is object
+    C = char_series(spec, *block_window(spec, count), digits)
+
+    def run():
+        facs, stats = nested_block_factors(C, spec.d, count)
+        return [(f.t_digits, [list(ts.coeffs) for ts in f.coeffs]) for f in facs], stats
+
+    got = run()
+    monkeypatch.setattr(eigencurve, "_eliminate", reference_eliminate)
+    assert got == run()
+    assert got[1]["solved_digits"] > 0 and got[1]["verified_digits"] > 0
 
 
 def test_nested_validates_input():
