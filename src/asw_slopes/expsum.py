@@ -52,6 +52,8 @@ class TowerSpec:
         self.p = p
         self.a = a
         self.q = p**a
+        if bad := [i for i in coeffs if not 0 <= int(i) < self.q]:
+            raise ConfigError(f"coefficient {bad[0]} of f out of range [0, {self.q})")
         cs = [self.ctx.element(int(i)) for i in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
@@ -223,7 +225,7 @@ def _trace_pairing(zctx: ZqCtx, bh):
     of b-hat * u^e.
     """
     n = zctx.n
-    t = [zctx.trace(v) for v in zctx.shifts(bh, 2 * n - 1)]
+    t = [zctx.trace(v) for v in gf.shifts(bh, 2 * n - 1, zctx.H, zctx.mod)]
     return [t[l : l + n] for l in range(n)]
 
 
@@ -240,7 +242,8 @@ def _powers(zctx: ZqCtx, step, count: int, dtype):
     L, sL = 1, step
     while L < count:
         block = P[L : 2 * L]
-        np.matmul(P[: len(block)], np.array(zctx.shifts(sL, n), dtype=dtype), out=block)
+        rows = np.array(gf.shifts(sL, n, zctx.H, mod), dtype=dtype)
+        np.matmul(P[: len(block)], rows, out=block)
         np.remainder(block, mod, out=block)
         L, sL = 2 * L, zctx.mul(sL, sL)
     return P
@@ -249,17 +252,21 @@ def _powers(zctx: ZqCtx, step, count: int, dtype):
 def _histogram(zctx: ZqCtx, ghat, lifted, const: int, Q: int, dtype) -> dict:
     """Counts of const + sum_i Tr(b_i-hat * x-hat^i) over x = g^j, j < Q - 1.
 
-    For one monomial put h = ghat^i and j = kB + r with B ~ sqrt(Q - 1); the
-    trace is the bilinear form h^(kB) . S . h^r in the trace pairing S of
-    b-hat, so two power tables of about sqrt(Q) rows and one (K x n)(n x B)
-    product give all Q - 1 traces.  Every factor is reduced below p^N first,
-    so with int64 each product entry sums n terms below (p^N - 1)^2 < 2^62
-    (the caller's bound), and adding it to a total below p^N stays below 2^63.
+    ghat has order Q - 1, so the sum has period P = (Q - 1)/G in j, with
+    G = gcd(Q - 1, every exponent i): each count over j < P is taken G
+    times.  For one monomial put h = ghat^i and j = kB + r with B ~ sqrt(P);
+    the trace is the bilinear form h^(kB) . S . h^r in the trace pairing S of
+    b-hat, so two power tables of about sqrt(P) rows and one (K x n)(n x B)
+    product give all P traces; the product takes in the running total (const
+    at first) in place.  With int64 and factors below p^N, an entry is n terms
+    below (p^N - 1)^2 < 2^62 (the caller's bound) plus a total below p^N.
     """
     mod = zctx.mod
-    B = math.isqrt(Q - 1)
-    K = -(-(Q - 1) // B)
-    total = np.full(K * B, const, dtype=dtype)
+    G = math.gcd(Q - 1, *(i for i, _ in lifted))
+    P = (Q - 1) // G
+    B = math.isqrt(P)
+    K = -(-P // B)
+    total = const
     for i, bh in lifted:
         if i == 0:
             continue
@@ -267,16 +274,21 @@ def _histogram(zctx: ZqCtx, ghat, lifted, const: int, Q: int, dtype) -> dict:
         giant = _powers(zctx, zctx.pow(h, B), K, dtype)
         left = giant @ np.array(_trace_pairing(zctx, bh), dtype=dtype)
         np.remainder(left, mod, out=left)
-        total += (left @ _powers(zctx, h, B, dtype).T).reshape(-1)
-        np.remainder(total, mod, out=total)
-    total = total[: Q - 1]
+        traces = (left @ _powers(zctx, h, B, dtype).T).reshape(-1)
+        traces += total
+        total = np.remainder(traces, mod, out=traces)
+    total = total[:P]
     # bins while there are few per point; past that a Counter, whose cost
     # does not grow with p^N
     if dtype is not object and mod <= 4 * (Q - 1):
         counts = np.bincount(total)
         t = np.flatnonzero(counts)
-        return dict(zip(t.tolist(), counts[t].tolist()))
-    return Counter(total.tolist())
+        return dict(zip(t.tolist(), (counts[t] * G).tolist()))
+    counts = Counter(total.tolist())
+    if G > 1:
+        for t in counts:
+            counts[t] *= G
+    return counts
 
 
 def _check_budget(Q: int) -> None:
@@ -307,7 +319,7 @@ def trace_histogram(spec: TowerSpec, k: int, digits: int) -> TraceHistogram:
     lifted = []
     for i, b in spec.monomials():
         bk = b if k == 1 else gf.embed_element(spec.ctx, b, ctx_k)
-        lifted.append((i, teichmuller(zctx, bk)))
+        lifted.append((i, teichmuller(zctx, bk, spec.q)))
     # the i = 0 monomial adds Tr(b0-hat) at every point, x = 0 included
     zero_cell = zctx.trace(lifted[0][1]) if lifted[0][0] == 0 else 0
 

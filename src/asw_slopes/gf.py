@@ -15,21 +15,9 @@ import numpy as np
 
 from .errors import ConfigError, CtxMismatch, NotPrime
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
-    i = 41
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    return n >= 2 and factorize(n) == [n]
 
 
 def factorize(n: int) -> list[int]:
@@ -89,19 +77,63 @@ def reduce_mod(c, h, mod: int) -> list[int]:
     return [x % mod for x in c]
 
 
-def mulmod(a, b, h, mod: int) -> list[int]:
-    return reduce_mod(convolve(a, b), h, mod)
+def shifts(v, count: int, h, mod: int) -> list:
+    """v u^j mod (h, mod) for j < count, each the last times u by one reduce_mod."""
+    out = [v]
+    for _ in range(count - 1):
+        out.append(reduce_mod((0, *out[-1]), h, mod))
+    return out
 
 
-def powmod(a, e: int, h, mod: int) -> list[int]:
+def fold_rows(h, mod: int, tops=None) -> tuple[int, tuple[int, ...]]:
+    """(w, rows) of `mulmod` modulo (h, mod): u^(n+i), i < n - 1 (given as
+    `tops` or built here), packed in w-bit fields.  A product of entries in
+    [0, mod) has fields below n (mod - 1)^2; folding in its top n - 1, each
+    reduced mod `mod`, keeps them below 2n (mod - 1)^2, so the width
+    w = bits(2n (mod - 1)^2) + 1 keeps the fields apart."""
+    n = len(h) - 1
+    if tops is None:  # from u^n, h being monic
+        tops = shifts([(-c) % mod for c in h[:n]], n - 1, h, mod)
+    w = (2 * n * (mod - 1) ** 2).bit_length() + 1
+    return w, tuple(_pack(row, w, mod) for row in tops[: n - 1])
+
+
+def _pack(a, w: int, mod: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = (v << w) | (c % mod)
+    return v
+
+
+def mulmod(a, b, h, mod: int, fold=None) -> list[int]:
+    """a*b mod (h, mod): one product of the packed operands (Kronecker
+    substitution), its top n - 1 fields folded into the low n by `fold`."""
+    n = len(h) - 1
+    w, rows = fold or fold_rows(h, mod)
+    if len(a) > n or len(b) > n:
+        a, b = reduce_mod(a, h, mod), reduce_mod(b, h, mod)
+    prod = _pack(a, w, mod) * _pack(b, w, mod)
+    mask = (1 << w) - 1
+    low, prod = prod & ((1 << w * n) - 1), prod >> w * n
+    for row in rows:
+        low += (prod & mask) % mod * row
+        prod >>= w
+    out = []
+    for _ in range(n):
+        out.append((low & mask) % mod)
+        low >>= w
+    return out
+
+
+def powmod(base, e: int, h, mod: int, fold=None) -> list[int]:
+    fold = fold or fold_rows(h, mod)
     result = [1] + [0] * (len(h) - 2)
-    base = reduce_mod(a, h, mod)
     while e:
         if e & 1:
-            result = mulmod(result, base, h, mod)
+            result = mulmod(result, base, h, mod, fold)
         e >>= 1
         if e:
-            base = mulmod(base, base, h, mod)
+            base = mulmod(base, base, h, mod, fold)
     return result
 
 
@@ -131,18 +163,14 @@ def _poly_gcd(a, b, p):
 def _is_irreducible(h: list[int], p: int) -> bool:
     """Rabin test: u^{p^n} == u mod h, and gcd(u^{p^{n/r}} - u, h) = 1."""
     n = len(h) - 1
-    if n == 1:
-        return True
     x = reduce_mod([0, 1], h, p)
-    if _trim([(a - b) % p for a, b in zip(powmod(x, p**n, h, p), x)]):
-        return False
-    for r in factorize(n):
-        xr = powmod(x, p ** (n // r), h, p)
-        diff = _trim([(a - b) % p for a, b in zip(xr, x)])
-        g = _poly_gcd(h, diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+
+    def frobenius_less_u(e):  # u^(p^e) - u mod (h, p), trimmed
+        return _trim([(a - b) % p for a, b in zip(powmod(x, p**e, h, p), x)])
+
+    return not frobenius_less_u(n) and all(
+        len(_poly_gcd(h, frobenius_less_u(n // r), p)) == 1 for r in factorize(n)
+    )
 
 
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -157,6 +185,9 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
         raise CtxMismatch("degree must be positive")
     for j in range(p**n):
         h = _digits(j, p, n) + [1]
+        # a root in F_p is a linear factor: no Rabin test needed
+        if n > 1 and any(sum(c * x**e for e, c in enumerate(h)) % p == 0 for x in range(p)):
+            continue
         if _is_irreducible(h, p):
             return tuple(h)
     raise AssertionError("unreachable: irreducibles exist in every degree")
@@ -169,7 +200,7 @@ class FieldCtx:
     base fields) is cached by `functools.cache` on the context's value.
     """
 
-    __slots__ = ("p", "n", "h")
+    __slots__ = ("p", "n", "h", "fold")
 
     def __init__(self, p: int, n: int, h: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -190,6 +221,7 @@ class FieldCtx:
                     f"modulus {list(self.h)} is not a monic irreducible of "
                     f"degree {n} over F_{p}"
                 )
+        self.fold = fold_rows(self.h, p)
 
     @property
     def order(self) -> int:
@@ -281,15 +313,13 @@ class FqElt:
 
     def __mul__(self, other):
         self._check(other)
-        return FqElt(self.ctx, tuple(mulmod(self.coeffs, other.coeffs, self.ctx.h, self.ctx.p)))
+        ctx = self.ctx
+        return FqElt(ctx, tuple(mulmod(self.coeffs, other.coeffs, ctx.h, ctx.p, ctx.fold)))
 
     def __pow__(self, e: int):
-        if e < 0:
-            base = self.inverse()
-            e = -e
-        else:
-            base = self
-        return FqElt(self.ctx, tuple(powmod(base.coeffs, e, self.ctx.h, self.ctx.p)))
+        base, e = (self.inverse(), -e) if e < 0 else (self, e)
+        ctx = self.ctx
+        return FqElt(ctx, tuple(powmod(base.coeffs, e, ctx.h, ctx.p, ctx.fold)))
 
     def inverse(self) -> "FqElt":
         if self.is_zero():

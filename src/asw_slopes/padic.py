@@ -95,11 +95,11 @@ class Valuation:
 class ZqCtx:
     """Working context for Z_q/p^N.
 
-    trace_form holds s_m = Tr(u^m) mod p^N for m < n: the trace of
-    multiplication by u^m, whose column i is u^(m+i) mod H.
+    trace_form holds s_m = Tr(u^m) mod p^N, m < n (multiplication by u^m
+    has column i u^(m+i) mod H); fold packs u^n ... u^(2n-2) for gf.mulmod.
     """
 
-    __slots__ = ("p", "n", "N", "H", "mod", "trace_form")
+    __slots__ = ("p", "n", "N", "H", "mod", "trace_form", "fold")
 
     def __init__(self, field: gf.FieldCtx, N: int):
         self.p = field.p
@@ -107,10 +107,11 @@ class ZqCtx:
         self.N = N
         self.H = tuple(int(c) for c in field.h)
         self.mod = field.p**N
-        pows = self.shifts((1,) + (0,) * (self.n - 1), 2 * self.n - 1)
+        pows = gf.shifts((1,) + (0,) * (self.n - 1), 2 * self.n - 1, self.H, self.mod)
         self.trace_form = tuple(
             sum(pows[m + i][i] for i in range(self.n)) % self.mod for m in range(self.n)
         )
+        self.fold = gf.fold_rows(self.H, self.mod, pows[self.n :])
 
     def lift(self, x: gf.FqElt) -> tuple[int, ...]:
         if x.ctx.n != self.n or x.ctx.p != self.p:
@@ -118,31 +119,25 @@ class ZqCtx:
         return tuple(int(c) for c in x.coeffs)
 
     def mul(self, a, b) -> tuple[int, ...]:
-        return tuple(gf.mulmod(a, b, self.H, self.mod))
+        return tuple(gf.mulmod(a, b, self.H, self.mod, self.fold))
 
     def pow(self, a, e: int) -> tuple[int, ...]:
-        return tuple(gf.powmod(a, e, self.H, self.mod))
-
-    def shifts(self, v, count: int) -> list:
-        """v u^j mod p^N for j < count, each the last times u by one reduce_mod."""
-        out = [v]
-        for _ in range(count - 1):
-            out.append(gf.reduce_mod((0, *out[-1]), self.H, self.mod))
-        return out
+        return tuple(gf.powmod(a, e, self.H, self.mod, self.fold))
 
     def trace(self, z) -> int:
         """Tr_{Q_q/Q_p}(z) mod p^N through the trace form (linear in z)."""
         return sum(zi * si for zi, si in zip(z, self.trace_form)) % self.mod
 
 
-def teichmuller(zctx: ZqCtx, x) -> tuple[int, ...]:
+def teichmuller(zctx: ZqCtx, x, q: int | None = None) -> tuple[int, ...]:
     """Teichmuller lift mod p^N by Newton's method on omega^{q-1} = 1.
 
     The step omega <- omega (1 - (omega^{q-1} - 1)/(q - 1)) turns an error
     omega^{q-1} = 1 + eps into 1 + O(eps^2), and any lift of a nonzero
     residue starts with p | eps, so ceil(log2 N) steps reach the lift mod
     p^N.  That lift is unique, so the coordinates are the same as those of
-    omega^{q^N}.  A residue 0 lifts to 0.
+    omega^{q^N}.  A residue 0 lifts to 0.  q is p^n unless a residue of a
+    subfield F_q passes its q (prime-to-p roots of unity stay distinct mod p).
     """
     if isinstance(x, gf.FqElt):
         omega = zctx.lift(x)
@@ -151,7 +146,7 @@ def teichmuller(zctx: ZqCtx, x) -> tuple[int, ...]:
     p, n, mod = zctx.p, zctx.n, zctx.mod
     if all(c % p == 0 for c in omega):
         return (0,) * n
-    q = p**n
+    q = q or p**n
     inv = pow(q - 1, -1, mod)
     digits = 1
     while digits < zctx.N:

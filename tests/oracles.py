@@ -308,6 +308,42 @@ def reference_polypowmod(a, e, h, p):
     return result
 
 
+def _reference_is_irreducible(h, p):
+    """Rabin test on the loops above: u^(p^n) = u mod h, and
+    gcd(u^(p^(n/r)) - u, h) = 1 for every prime r | n."""
+    n = len(h) - 1
+    u = reference_polymod([0, 1], h, p)
+
+    def frobenius_less_u(e):
+        v = [(a - b) % p for a, b in zip(reference_polypowmod(u, p**e, h, p), u)]
+        while v and not v[-1]:
+            v.pop()
+        return v
+
+    def gcd_degree(a, b):
+        while b:
+            inv = pow(b[-1], -1, p)
+            a, b = b, reference_polymod(a, [c * inv % p for c in b], p)
+            while b and not b[-1]:
+                b.pop()
+        return len(a) - 1
+
+    primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
+    return not frobenius_less_u(n) and all(
+        gcd_degree(list(h), frobenius_less_u(n // r)) == 0 for r in primes
+    )
+
+
+def reference_find_irreducible(p, n):
+    """The first monic irreducible of degree n by a plain lexicographic
+    Rabin scan: the constant term varies fastest, no candidate skipped."""
+    for j in range(p**n):
+        h = [j // p**i % p for i in range(n)] + [1]
+        if _reference_is_irreducible(h, p):
+            return tuple(h)
+    raise AssertionError("irreducibles exist in every degree")
+
+
 def reference_zq_mul(zctx, a, b):
     """Product in Z_q/p^N of two length-n coordinate vectors: exact
     schoolbook product, reduction by the monic H, then mod p^N."""

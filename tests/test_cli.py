@@ -220,6 +220,16 @@ def test_exit_code_config(capsys):
         assert json.loads(err)["error"] == "ConfigError"
 
 
+def test_coefficients_outside_the_base_field_are_named_at_the_edge(capsys):
+    for f, bad, q in (("1,0,5", 5, 3), ("-1,0,0,0", -1, 3)):
+        code, out, err = run(capsys, ["slopes", "--p", "3", f"--f={f}", "--m", "1"])
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": f"coefficient {bad} of f out of range [0, {q})",
+        }
+
+
 def test_digits_below_one_are_a_config_error(capsys):
     for digits in ("0", "-1"):
         code, out, err = run(
@@ -629,6 +639,16 @@ STDOUT_SHA256 = [
         ["slopes", "--p", "2", "--f", "1,0,0,1", "--m", "2", "--c", "3", "--format", "csv"],
         "7307145b33d1998921709870584135aa044f12f1e8ff3fa0ed819a76324276a6",
         id="slopes-csv",
+    ),
+    pytest.param(
+        ["slopes", "--p", "5", "--f", "1,0,2", "--m", "2"],
+        "517009ba84c679875940cd054a927bbd12d96e8851b6738462695f2aa250159b",
+        id="slopes-p5-period-2",
+    ),
+    pytest.param(
+        ["slopes", "--p", "3", "--a", "2", "--f", "1,0,2", "--m", "2"],
+        "91e646371195fdb76a087a9cc112e30b057b83a8798cd2a901a258ab48945253",
+        id="slopes-p3-a2-period-2",
     ),
     pytest.param(
         ["zeta", "--p", "3", "--f", "1,0,2", "--m", "2"],

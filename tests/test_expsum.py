@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -46,6 +47,16 @@ def test_tower_spec_validation():
         TowerSpec(2, 1, [0, 0, 1])  # degree 2 = p
     with pytest.raises(ConfigError):
         TowerSpec(5, 0, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "p, a, coeffs, bad", [(3, 1, [5, 0, 1], 5), (3, 1, [0, 0, 0, -1], -1), (2, 2, [0, 4, 1], 4)]
+)
+def test_coefficients_outside_the_base_field_are_config_errors(p, a, coeffs, bad):
+    message = rf"^coefficient {bad} of f out of range \[0, {p**a}\)$"
+    with pytest.raises(ConfigError, match=message) as err:
+        TowerSpec(p, a, coeffs)
+    assert type(err.value) is ConfigError
 
 
 def test_histogram_mass():
@@ -137,6 +148,34 @@ def test_histogram_kernel_matches_the_point_walk(p, a, k, digits, monkeypatch, t
     counts, zero_cell = reference_histogram(spec, k, digits)
     assert hist.counts == counts
     assert hist.zero_cell == zero_cell
+
+
+# (p, a, f coefficients ascending, k, G): towers whose trace sum repeats
+# with period (q^k - 1)/G in the generator's exponent
+PERIOD_CASES = [
+    (2, 2, [0, 0, 0, 1], 1, 3),  # x^3 over F_4: period 1
+    (5, 1, [0, 0, 3], 1, 2),  # u x^2 over F_5, F_25, F_125
+    (5, 1, [0, 0, 2], 2, 2),
+    (5, 1, [0, 0, 4], 3, 2),
+    (2, 1, [0, 0, 0, 0, 0, 1], 4, 5),  # x^5 over F_16, from F_2 and from F_4
+    (2, 2, [0, 0, 0, 0, 0, 3], 2, 5),
+    (3, 2, [7, 0, 1, 0, 1], 1, 2),  # x^4 + x^2 + c over F_9
+    (3, 1, [2, 0, 1, 0, 1], 2, 2),
+    (2, 1, [0, 1, 0, 1], 5, 1),  # x^3 + x over F_32: no period below q^k - 1
+]
+
+
+@pytest.mark.parametrize("p, a, coeffs, k, G", PERIOD_CASES)
+def test_one_period_of_the_trace_sum_counts_every_point(p, a, coeffs, k, G, monkeypatch, tmp_path):
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))  # computed, never read
+    spec = TowerSpec(p, a, coeffs)
+    Q = spec.q**k
+    assert math.gcd(Q - 1, *(i for i, _ in spec.monomials() if i)) == G
+    for digits in (1, 3):
+        hist = trace_histogram(spec, k, digits)
+        counts, zero_cell = reference_histogram(spec, k, digits)
+        assert hist.counts == counts
+        assert hist.zero_cell == zero_cell
 
 
 def test_cache_entries_that_are_not_sound_are_misses(monkeypatch, tmp_path):

@@ -8,6 +8,7 @@ from asw_slopes.expsum import TowerSpec
 from asw_slopes.padic import CycInt, ZqCtx
 from oracles import (
     reference_cyc_mul,
+    reference_find_irreducible,
     reference_polymod,
     reference_polymul,
     reference_polypowmod,
@@ -45,6 +46,14 @@ def test_find_irreducible_defines_a_field():
         assert len(h) == n + 1 and h[-1] == 1
         ctx = gf.FieldCtx(p, n, h)
         assert ctx.order == p**n
+
+
+def test_root_sieve_keeps_the_first_irreducible_of_the_plain_scan():
+    cases = [
+        (p, n) for p in range(2, 2**14) if gf.is_prime(p) for n in range(1, 15) if p**n <= 2**14
+    ]
+    for p, n in cases + [(2, 19), (3, 20), (5, 9)]:
+        assert gf.find_irreducible(p, n) == reference_find_irreducible(p, n), (p, n)
 
 
 def test_element_index_round_trip():
@@ -246,3 +255,33 @@ def test_field_arithmetic_in_f27():
         for y in elts[::4]:
             assert (x + y).frobenius() == x.frobenius() + y.frobenius()
             assert (x * y).frobenius() == x.frobenius() * y.frobenius()
+
+
+def test_packed_product_matches_the_schoolbook_loops_seeded():
+    # random monic moduli (the fold needs no irreducible), n from 1 to 20,
+    # moduli p, p^2, p^24 and one whose packed fields pass 64 bits; zero
+    # operands, operands shorter than n and entries outside [0, mod)
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7):
+        wide = next(N for N in range(24, 64) if gf.fold_rows([0, 1], p**N)[0] > 64)
+        for n in range(1, 21):
+            h = [rng.randrange(p) for _ in range(n)] + [1]
+            q = p**n
+            for N in sorted({1, 2, 24, wide}):
+                mod = p**N
+                fold = gf.fold_rows(h, mod)
+                short = _vec(rng, rng.randrange(n), 3 * mod)
+                full = _vec(rng, n, 3 * mod)
+                operands = [[0] * n, short, full, [rng.randrange(mod) for _ in range(n)]]
+                reduced = [reference_polymod([x % mod for x in a], h, mod) for a in operands]
+                for a, ra in zip(operands, reduced):
+                    for b, rb in zip(operands[1:3], reduced[1:3]):
+                        want = reference_polymod(reference_polymul(ra, rb, mod), h, mod)
+                        assert gf.mulmod(a, b, h, mod) == want, (p, n, N)
+                        assert gf.mulmod(b, a, h, mod, fold) == want
+                # the reference power costs n^2 steps a bit: q^N (up to 2^1400)
+                # at the wide moduli for n <= 6 only
+                for e in (0, 1, 2, q - 1) + ((q**N,) if N < 24 or n <= 6 else ()):
+                    for a, ra in zip(operands[:3], reduced[:3]):
+                        want = reference_polypowmod(ra, e, h, mod)
+                        assert gf.powmod(a, e, h, mod, fold) == want, (p, n, N, e)

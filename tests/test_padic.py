@@ -316,3 +316,15 @@ def test_teichmuller_newton_matches_the_power_iteration_seeded():
                     zero = tuple(p * rng.randrange(p**N) for _ in range(n))
                     assert teichmuller(z, t) == reference_teichmuller(z, t)
                     assert teichmuller(z, zero) == reference_teichmuller(z, zero)
+
+
+def test_teichmuller_of_a_subfield_element_needs_only_the_subfield_exponent():
+    for p in (2, 3, 5):
+        for a in (1, 2):
+            base = gf.field(p, a)
+            for k in (2, 3):
+                ext = gf.field(p, a * k)
+                z = ZqCtx(ext, 5)
+                for b in base.elements():
+                    bk = gf.embed_element(base, b, ext)
+                    assert teichmuller(z, bk, p**a) == teichmuller(z, bk), (p, a, k, b)
