@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import expsum, tower
+from . import dwork, expsum, tower
 from .eigencurve import (
     block_product,
     block_window,
@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _ints(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise ConfigError(f"expected comma-separated integers, got {text!r}")
 
@@ -67,7 +67,7 @@ def _positive_int(text: str) -> int:
 
 def _spec(args) -> expsum.TowerSpec:
     f = list(reversed(_ints(args.f)))
-    h = tuple(reversed(_ints(args.h))) if getattr(args, "h", None) else None
+    h = None if args.h is None else tuple(reversed(_ints(args.h)))
     return expsum.TowerSpec(args.p, args.a, f, h)
 
 
@@ -96,11 +96,11 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _base_payload(args, spec) -> dict:
+def _base_payload(spec) -> dict:
     return {
         "p": spec.p,
         "a": spec.a,
-        "f": [b.index for b in spec.coeffs],
+        "f": spec.coeffs,
         "h": list(spec.ctx.h),
     }
 
@@ -119,22 +119,34 @@ def _add_tower_args(sub, digits_default=6):
 # ---------------------------------------------------------------------------
 
 
+def _by_method(method: str, points, operator, rows, mismatch):
+    """(rows, answer) of the pathway --method names, points first; with
+    "both" the two answers must give the same rows, and the points answer
+    is kept."""
+    answers = []
+    if method != "operator":
+        answers.append(points())
+    if method != "points":
+        answers.append(operator())
+    got = [rows(a) for a in answers]
+    if got[0] != got[-1]:
+        raise PathwayMismatch(mismatch(*got))
+    return got[0], answers[0]
+
+
 def _cmd_expsum(args) -> int:
     spec = _spec(args)
-    payload = _base_payload(args, spec)
+    payload = _base_payload(spec)
     payload.update({"k": args.k, "t_order": args.t_order, "digits": args.digits})
     mod = spec.p**args.digits
-    if args.method in ("points", "both"):
-        S = expsum.t_adic_sum(spec, args.k, args.t_order, args.digits)
-        pts = [c % mod for c in S.coeffs]
-    if args.method in ("operator", "both"):
-        from . import dwork
-
-        S2 = dwork.t_adic_sum_via_operator(spec, args.k, args.t_order, args.digits)
-        ops = [c % mod for c in S2.coeffs]
-    if args.method == "both" and pts != ops:
-        raise PathwayMismatch(f"point sum {pts} != operator sum {ops}")
-    payload["coefficients"] = pts if args.method != "operator" else ops
+    window = (spec, args.k, args.t_order, args.digits)
+    payload["coefficients"], _ = _by_method(
+        args.method,
+        lambda: expsum.t_adic_sum(*window),
+        lambda: dwork.t_adic_sum_via_operator(*window),
+        lambda S: [c % mod for c in S.coeffs],
+        lambda pts, ops: f"point sum {pts} != operator sum {ops}",
+    )
     payload["method"] = args.method
     _emit_json(args, payload)
     return EXIT_OK
@@ -143,7 +155,7 @@ def _cmd_expsum(args) -> int:
 def _cmd_lfun(args) -> int:
     spec = _spec(args)
     L = expsum.l_series(spec, args.m, c=args.c, punctured=args.punctured)
-    payload = _base_payload(args, spec)
+    payload = _base_payload(spec)
     raw = [list(z.coeffs) for z in L.coeffs]
     # coefficients live in Z[zeta_{p^m}]; when that ring is Z itself
     # (p = 2, m = 1) the vectors collapse to plain integers
@@ -169,22 +181,16 @@ def _cmd_lfun(args) -> int:
 
 def _cmd_charfn(args) -> int:
     spec = _spec(args)
-    payload = _base_payload(args, spec)
+    payload = _base_payload(spec)
     mod = spec.p**args.digits
-    rows = None
-    if args.method in ("points", "both"):
-        C = expsum.char_series(spec, args.t_order, args.s_order, args.digits)
-        rows = [[c % mod for c in col.coeffs] for col in C.coeffs]
-    if args.method in ("operator", "both"):
-        from . import dwork
-
-        C2 = dwork.char_series_via_operator(spec, args.t_order, args.s_order, args.digits)
-        rows2 = [[c % mod for c in col.coeffs] for col in C2.coeffs]
-        if rows is not None and rows != rows2:
-            raise PathwayMismatch("point and operator characteristic series differ")
-        if rows is None:
-            rows = rows2
-            C = C2
+    window = (spec, args.t_order, args.s_order, args.digits)
+    rows, C = _by_method(
+        args.method,
+        lambda: expsum.char_series(*window),
+        lambda: dwork.char_series_via_operator(*window),
+        lambda C: [[c % mod for c in col.coeffs] for col in C.coeffs],
+        lambda *_: "point and operator characteristic series differ",
+    )
     payload.update(
         {
             "method": args.method,
@@ -228,7 +234,7 @@ def _cmd_slopes(args) -> int:
             )
         _emit(args, "\n".join(lines))
         return EXIT_OK if ok else EXIT_VERIFICATION
-    payload = _base_payload(args, spec)
+    payload = _base_payload(spec)
     payload.update(
         {
             "m": args.m,
@@ -248,7 +254,7 @@ def _cmd_slopes(args) -> int:
 def _cmd_zeta(args) -> int:
     spec = _spec(args)
     num = tower.zeta_numerator(spec, args.m)
-    payload = _base_payload(args, spec)
+    payload = _base_payload(spec)
     payload.update(
         {
             "m": args.m,
@@ -269,7 +275,7 @@ def _cmd_verify(args) -> int:
         if args.check == "all"
         else [args.check]
     )
-    report: dict = dict(_base_payload(args, spec))
+    report: dict = dict(_base_payload(spec))
     ok = True
     polygons: dict = {}  # level -> q-adic polygon, read once for both checks
     if "periodicity" in checks:
@@ -325,11 +331,11 @@ def _cmd_eigencurve(args) -> int:
     if vertex is not None and vertex % d:
         raise ConfigError(f"vertex {vertex} must be a multiple of d = {d}")
     count = args.components if vertex is None else vertex // d
-    levels = _ints(args.levels) if args.levels else None
+    levels = None if args.levels is None else _ints(args.levels)
     t_order, s_order = block_window(spec, count, args.t_order, args.s_order)
     C = expsum.char_series(spec, t_order, s_order, args.digits)
     factors, stats = nested_block_factors(C, d, count)
-    payload = _base_payload(args, spec)
+    payload = _base_payload(spec)
     payload.update({"digits": args.digits, "t_order": t_order, "s_order": s_order})
 
     if vertex is not None:

@@ -82,7 +82,7 @@ def splitting_coefficients(spec, x_max: int, w_order: int, digits: int):
     F = np.zeros((x_max, w_order), dtype=int_dtype(n_max * (mod - 1) ** 2))
     F[0, 0] = 1
     for i, b in spec.monomials():
-        bh = _teich_zp(p, b.index, digits)
+        bh = _teich_zp(p, b, digits)
         G = F
         F = np.zeros_like(G)
         bpow = 1

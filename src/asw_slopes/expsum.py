@@ -54,8 +54,8 @@ class TowerSpec:
         self.q = p**a
         if bad := [i for i in coeffs if not 0 <= int(i) < self.q]:
             raise ConfigError(f"coefficient {bad[0]} of f out of range [0, {self.q})")
-        cs = [self.ctx.element(int(i)) for i in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [int(i) for i in coeffs]
+        while cs and cs[-1] == 0:
             cs.pop()
         if len(cs) < 2:
             raise ConfigError("defining polynomial must have degree >= 1")
@@ -65,16 +65,16 @@ class TowerSpec:
             raise DegreeNotCoprime(f"degree {self.d} divisible by p = {p}")
 
     def monomials(self):
-        """(exponent, coefficient) pairs with nonzero coefficient."""
-        return [(i, b) for i, b in enumerate(self.coeffs) if not b.is_zero()]
+        """(exponent, coefficient index) pairs with nonzero coefficient."""
+        return [(i, b) for i, b in enumerate(self.coeffs) if b]
 
     def key(self) -> str:
         hs = "-".join(str(c) for c in self.ctx.h)
-        fs = "-".join(str(b.index) for b in self.coeffs)
+        fs = "-".join(str(b) for b in self.coeffs)
         return f"p{self.p}_a{self.a}_h{hs}_f{fs}"
 
     def __repr__(self):
-        return f"TowerSpec(p={self.p}, a={self.a}, f_indices={[b.index for b in self.coeffs]})"
+        return f"TowerSpec(p={self.p}, a={self.a}, f_indices={self.coeffs})"
 
 
 class TraceHistogram:
@@ -116,7 +116,7 @@ class TraceHistogram:
             "p": self.p,
             "a": spec.a,
             "h": list(spec.ctx.h),
-            "f": [b.index for b in spec.coeffs],
+            "f": spec.coeffs,
             "k": self.k,
             "digits": self.digits,
             "zero_cell": self.zero_cell,
@@ -154,7 +154,7 @@ def _read_entry(path: str, spec: TowerSpec, k: int, digits: int):
     degree or precision, or whose counts do not cover q^k - 1 points is
     treated as absent, so it gets recomputed rather than trusted.
     """
-    expected = (spec.p, spec.a, list(spec.ctx.h), [b.index for b in spec.coeffs], k, digits)
+    expected = (spec.p, spec.a, list(spec.ctx.h), spec.coeffs, k, digits)
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -318,7 +318,7 @@ def trace_histogram(spec: TowerSpec, k: int, digits: int) -> TraceHistogram:
     mod = spec.p**digits
     lifted = []
     for i, b in spec.monomials():
-        bk = b if k == 1 else gf.embed_element(spec.ctx, b, ctx_k)
+        bk = gf.embed_element(spec.ctx, spec.ctx.element(b), ctx_k)
         lifted.append((i, teichmuller(zctx, bk, spec.q)))
     # the i = 0 monomial adds Tr(b0-hat) at every point, x = 0 included
     zero_cell = zctx.trace(lifted[0][1]) if lifted[0][0] == 0 else 0

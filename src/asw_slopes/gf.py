@@ -227,33 +227,46 @@ class FieldCtx:
     def order(self) -> int:
         return self.p**self.n
 
-    def element(self, index: int) -> "FqElt":
+    def element(self, index: int) -> tuple[int, ...]:
         """Element of the given enumeration index (base-p digits)."""
         if not 0 <= index < self.order:
             raise CtxMismatch(f"index {index} out of range for {self!r}")
-        return FqElt(self, tuple(_digits(index, self.p, self.n)))
+        return tuple(_digits(index, self.p, self.n))
 
-    def from_coeffs(self, coeffs) -> "FqElt":
-        return FqElt(self, tuple(reduce_mod(coeffs, self.h, self.p)))
-
-    def zero(self) -> "FqElt":
-        return FqElt(self, (0,) * self.n)
-
-    def one(self) -> "FqElt":
-        return FqElt(self, (1,) + (0,) * (self.n - 1))
+    def index(self, x) -> int:
+        """Enumeration index of x (inverse of element)."""
+        j = 0
+        for c in reversed(x):
+            j = j * self.p + c
+        return j
 
     def elements(self):
         for j in range(self.order):
             yield self.element(j)
 
+    def add(self, a, b) -> tuple[int, ...]:
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def sub(self, a, b) -> tuple[int, ...]:
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def mul(self, a, b) -> tuple[int, ...]:
+        return tuple(mulmod(a, b, self.h, self.p, self.fold))
+
+    def pow(self, a, e: int) -> tuple[int, ...]:
+        return tuple(powmod(a, e, self.h, self.p, self.fold))
+
     @functools.cache
-    def multiplicative_generator(self) -> "FqElt":
+    def multiplicative_generator(self) -> tuple[int, ...]:
         """First generator of F_{p^n}^x in enumeration order."""
         m = self.order - 1
         cofactors = [m // r for r in factorize(m)] if m > 1 else []
+        one = self.element(1)
         for j in range(1, self.order):
             x = self.element(j)
-            if not any((x**c).is_one() for c in cofactors):
+            if not any(self.pow(x, c) == one for c in cofactors):
                 return x
         raise AssertionError("unreachable: the unit group is cyclic")
 
@@ -270,79 +283,6 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, n={self.n}, h={list(self.h)})"
 
 
-class FqElt:
-    """Element of a FieldCtx; little-endian coefficient tuple."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
-        self.ctx = ctx
-        self.coeffs = coeffs
-
-    def _check(self, other: "FqElt"):
-        if self.ctx != other.ctx:
-            raise CtxMismatch(f"{self.ctx!r} vs {other.ctx!r}")
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
-
-    @property
-    def index(self) -> int:
-        """Enumeration index (inverse of FieldCtx.element)."""
-        j = 0
-        for c in reversed(self.coeffs):
-            j = j * self.ctx.p + c
-        return j
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FqElt(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FqElt(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.ctx.p
-        return FqElt(self.ctx, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        ctx = self.ctx
-        return FqElt(ctx, tuple(mulmod(self.coeffs, other.coeffs, ctx.h, ctx.p, ctx.fold)))
-
-    def __pow__(self, e: int):
-        base, e = (self.inverse(), -e) if e < 0 else (self, e)
-        ctx = self.ctx
-        return FqElt(ctx, tuple(powmod(base.coeffs, e, ctx.h, ctx.p, ctx.fold)))
-
-    def inverse(self) -> "FqElt":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.ctx.order - 2)
-
-    def frobenius(self) -> "FqElt":
-        return self**self.ctx.p
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqElt)
-            and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.ctx.n, self.coeffs))
-
-    def __repr__(self):
-        return f"FqElt({list(self.coeffs)} over p={self.ctx.p}, n={self.ctx.n})"
-
-
 @functools.cache
 def field(p: int, n: int, h: tuple[int, ...] | None = None) -> FieldCtx:
     """F_{p^n} with modulus h (the first irreducible of find_irreducible by
@@ -351,7 +291,7 @@ def field(p: int, n: int, h: tuple[int, ...] | None = None) -> FieldCtx:
 
 
 @functools.cache
-def embed_base(ctx: FieldCtx, base_h: tuple[int, ...]) -> FqElt:
+def embed_base(ctx: FieldCtx, base_h: tuple[int, ...]) -> tuple[int, ...]:
     """Image of the base-field generator: smallest-index root of base_h in ctx.
 
     base_h is the irreducible modulus of F_{p^a}, so its roots are the a
@@ -365,37 +305,38 @@ def embed_base(ctx: FieldCtx, base_h: tuple[int, ...]) -> FqElt:
     if a < 1 or ctx.n % a != 0:
         raise CtxMismatch("base degree must be positive and divide the extension degree")
 
-    def is_root(x: FqElt) -> bool:
-        acc = ctx.zero()
+    def is_root(x) -> bool:
+        acc = ctx.element(0)
         for c in reversed(base_h):
-            acc = acc * x + ctx.from_coeffs([c])
-        return acc.is_zero()
+            acc = ctx.add(ctx.mul(acc, x), ctx.element(c))
+        return not any(acc)
 
-    x = ctx.zero()
+    x = ctx.element(0)
     if not is_root(x):
-        step = ctx.multiplicative_generator() ** ((ctx.order - 1) // (ctx.p**a - 1))
-        x = ctx.one()
+        step = ctx.pow(ctx.multiplicative_generator(), (ctx.order - 1) // (ctx.p**a - 1))
+        x = ctx.element(1)
         for _ in range(ctx.p**a - 1):
             if is_root(x):
                 break
-            x = x * step
+            x = ctx.mul(x, step)
         else:
             raise CtxMismatch("base modulus has no root in the extension")
     conjugates = [x]
     for _ in range(a - 1):
-        conjugates.append(conjugates[-1].frobenius())
-    return min(conjugates, key=lambda r: r.index)
+        conjugates.append(ctx.pow(conjugates[-1], ctx.p))
+    return min(conjugates, key=ctx.index)
 
 
-def embed_element(base_ctx: FieldCtx, elt: FqElt, ctx: FieldCtx) -> FqElt:
-    """Carry an F_q element into F_{q^k} through the deterministic embedding."""
-    if elt.ctx != base_ctx:
-        raise CtxMismatch("element not in the declared base field")
+def embed_element(base_ctx: FieldCtx, elt, ctx: FieldCtx) -> tuple[int, ...]:
+    """Carry an F_q element into F_{q^k} through the deterministic embedding,
+    the identity when k = 1."""
+    if ctx == base_ctx:
+        return tuple(elt)
     root = embed_base(ctx, base_ctx.h)
-    acc = ctx.zero()
-    rp = ctx.one()
-    for c in elt.coeffs:
+    acc = ctx.element(0)
+    rp = ctx.element(1)
+    for c in elt:
         if c:
-            acc = acc + ctx.from_coeffs([c]) * rp
-        rp = rp * root
+            acc = ctx.add(acc, [c * r for r in rp])
+        rp = ctx.mul(rp, root)
     return acc

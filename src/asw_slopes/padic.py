@@ -113,11 +113,6 @@ class ZqCtx:
         )
         self.fold = gf.fold_rows(self.H, self.mod, pows[self.n :])
 
-    def lift(self, x: gf.FqElt) -> tuple[int, ...]:
-        if x.ctx.n != self.n or x.ctx.p != self.p:
-            raise CtxMismatch("field element does not match Zq context")
-        return tuple(int(c) for c in x.coeffs)
-
     def mul(self, a, b) -> tuple[int, ...]:
         return tuple(gf.mulmod(a, b, self.H, self.mod, self.fold))
 
@@ -130,7 +125,9 @@ class ZqCtx:
 
 
 def teichmuller(zctx: ZqCtx, x, q: int | None = None) -> tuple[int, ...]:
-    """Teichmuller lift mod p^N by Newton's method on omega^{q-1} = 1.
+    """Teichmuller lift mod p^N of the residue of x, a coordinate tuple (an
+    F_{p^n} element or any integer lift of one), by Newton's method on
+    omega^{q-1} = 1.
 
     The step omega <- omega (1 - (omega^{q-1} - 1)/(q - 1)) turns an error
     omega^{q-1} = 1 + eps into 1 + O(eps^2), and any lift of a nonzero
@@ -139,10 +136,7 @@ def teichmuller(zctx: ZqCtx, x, q: int | None = None) -> tuple[int, ...]:
     omega^{q^N}.  A residue 0 lifts to 0.  q is p^n unless a residue of a
     subfield F_q passes its q (prime-to-p roots of unity stay distinct mod p).
     """
-    if isinstance(x, gf.FqElt):
-        omega = zctx.lift(x)
-    else:
-        omega = tuple(int(c) % zctx.mod for c in x)
+    omega = tuple(int(c) % zctx.mod for c in x)
     p, n, mod = zctx.p, zctx.n, zctx.mod
     if all(c % p == 0 for c in omega):
         return (0,) * n

@@ -185,7 +185,7 @@ def compose(columns, G: TruncSeries) -> list:
 
 def reversion(F: TruncSeries) -> TruncSeries:
     """Compositional inverse G with F(G) = var, for a p-adic series
-    F = f_1 var + ..., f_1 a unit.
+    F = f_1 var + ..., f_1 a unit (any f_1 at order 1, where G = 0).
 
     Solved one coefficient at a time mod p^e, e = prec F: with
     P[j][n] = [var^n] G^j, which for j >= 2 involves only g_1..g_{n-1},
@@ -196,7 +196,9 @@ def reversion(F: TruncSeries) -> TruncSeries:
     f, p, L = F.coeffs, F.p, F.order
     if f[0]:
         raise ConfigError("reversion needs zero constant term")
-    if L < 2 or f[1] % p == 0:
+    if L == 1:  # G = 0 mod var
+        return TruncSeries(F.var, [0], F.prec, p)
+    if f[1] % p == 0:
         raise ConfigError("reversion needs a unit linear term")
     mod = p**F.prec
     f1_inv = pow(f[1], -1, mod)

@@ -40,46 +40,47 @@ def _carry_coeffs(p: int) -> tuple[int, ...]:
     return tuple(math.comb(p, i) // p for i in range(1, p))
 
 
-def _scalar(x: gf.FqElt, n: int) -> gf.FqElt:
-    p = x.ctx.p
-    return gf.FqElt(x.ctx, tuple(c * n % p for c in x.coeffs))
+def _carry(ctx: gf.FieldCtx, a, b) -> tuple[int, ...]:
+    """sum_{0<i<p} C(p,i)/p a^i b^(p-i) by Horner's rule in a: the second
+    Witt coordinate of a + b is a_1 + b_1 less this carry."""
+    acc, bpow = (0,) * ctx.n, b
+    for j, ci in enumerate(reversed(_carry_coeffs(ctx.p))):
+        if j:
+            bpow = ctx.mul(bpow, b)
+        acc = ctx.mul([x + ci * y for x, y in zip(acc, bpow)], a)
+    return acc
 
 
-def _less_carry(p: int, s, a, b):
-    """s - sum_{0<i<p} C(p,i)/p a^i b^(p-i): s less the carry of a + b into
-    the second Witt coordinate."""
-    bpows = [b]
-    for _ in range(p - 2):
-        bpows.append(bpows[-1] * b)
-    apow = a
-    for i, ci in enumerate(_carry_coeffs(p), start=1):
-        s = s - _scalar(apow * bpows[p - 1 - i], ci)
-        if i < p - 1:
-            apow = apow * a
-    return s
-
-
-def witt_add(p: int, u, v):
+def _length(u, v) -> int:
     if len(u) != len(v) or len(u) not in (1, 2):
         raise ConfigError("witt vectors must both have length 1 or 2")
+    return len(u)
+
+
+def witt_add(ctx: gf.FieldCtx, u, v):
+    if _length(u, v) == 1:
+        return (ctx.add(u[0], v[0]),)
+    s1 = ctx.sub(ctx.add(u[1], v[1]), _carry(ctx, u[0], v[0]))
+    return (ctx.add(u[0], v[0]), s1)
+
+
+def witt_neg(ctx: gf.FieldCtx, u):
+    n0 = ctx.sub((0,) * ctx.n, u[0])
     if len(u) == 1:
-        return (u[0] + v[0],)
-    return (u[0] + v[0], _less_carry(p, u[1] + v[1], u[0], v[0]))
+        return (n0,)
+    return (n0, ctx.sub(_carry(ctx, u[0], n0), u[1]))
 
 
-def witt_neg(p: int, u):
-    if len(u) == 1:
-        return (-u[0],)
-    n0 = -u[0]
-    return (n0, -_less_carry(p, u[1], u[0], n0))
+def witt_sub(ctx: gf.FieldCtx, u, v):
+    """u - v with one carry: (u - v) + v = u fixes the second coordinate."""
+    if _length(u, v) == 1:
+        return (ctx.sub(u[0], v[0]),)
+    d0 = ctx.sub(u[0], v[0])
+    return (d0, ctx.add(ctx.sub(u[1], v[1]), _carry(ctx, d0, v[0])))
 
 
-def witt_sub(p: int, u, v):
-    return witt_add(p, u, witt_neg(p, v))
-
-
-def witt_frobenius(u):
-    return tuple(c.frobenius() for c in u)
+def witt_frobenius(ctx: gf.FieldCtx, u):
+    return tuple(ctx.pow(c, ctx.p) for c in u)
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +103,21 @@ def count_points_witt(spec: TowerSpec, m: int, k: int) -> int:
         raise ConfigError(f"no brute-force Witt count for m = {m} over F_(q^{k})")
     ctx = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
     monos = [
-        (i, b if k == 1 else gf.embed_element(spec.ctx, b, ctx))
+        (i, gf.embed_element(spec.ctx, spec.ctx.element(b), ctx))
         for i, b in spec.monomials()
     ]
-    p = spec.p
     elts = list(ctx.elements())
-    frob = {c: c.frobenius() for c in elts}
+    frob = {c: ctx.pow(c, ctx.p) for c in elts}
     wp = Counter(
-        witt_sub(p, tuple(frob[c] for c in y), y)
+        witt_sub(ctx, tuple(frob[c] for c in y), y)
         for y in itertools.product(elts, repeat=m)
     )
-    zero = ctx.zero()
+    zero = (0,) * ctx.n
     count = 0
     for x in elts:
         target = (zero,) * m
         for i, b in monos:
-            target = witt_add(p, target, (b * x**i, zero)[:m])
+            target = witt_add(ctx, target, (ctx.mul(b, ctx.pow(x, i)), zero)[:m])
         count += wp[target]
     return count
 

@@ -258,7 +258,7 @@ def reference_teich_trace(ctx, x, f_coeffs, N):
     for i, b in enumerate(f_coeffs):
         if i > 0:
             xpow = zctx.mul(xpow, wx)
-        if b.is_zero():
+        if not any(b):
             continue
         y = zctx.mul(teichmuller(zctx, b), xpow)
         for _ in range(n):

@@ -220,6 +220,46 @@ def test_exit_code_config(capsys):
         assert json.loads(err)["error"] == "ConfigError"
 
 
+def test_empty_fields_of_an_integer_list_are_a_config_error(capsys):
+    # they were dropped: --f 1,,0,1 answered for x^2 + 1 and exited 0
+    lfun = ["lfun", "--p", "3", "--m", "1"]
+    for flags, text in (
+        ([*lfun, "--f"], "1,,0,1"),
+        ([*lfun, "--f"], ",1,0,1"),
+        ([*lfun, "--f"], "1,0,1,"),
+        ([*lfun, "--f"], ""),
+        ([*lfun, "--a", "2", "--f", "1,0,1", "--h"], "1,,1"),
+        ([*lfun, "--a", "2", "--f", "1,0,1", "--h"], ""),
+        (["eigencurve", *P2, "--levels"], "2,,3"),
+        (["eigencurve", *P2, "--levels"], ","),
+        (["eigencurve", *P2, "--levels"], ""),
+    ):
+        code, out, err = run(capsys, [*flags, text])
+        assert code == 3 and out == "", text
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": f"expected comma-separated integers, got {text!r}",
+        }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charfn", "--p", "2", "--f", "1,0,0,1", "--s-order", "3"],
+        ["charfn", "--p", "3", "--f", "1,0,2", "--s-order", "4", "--digits", "3"],
+        ["expsum", "--p", "3", "--f", "1,0,2", "--k", "2"],
+    ],
+)
+def test_operator_pathway_takes_t_order_1(capsys, argv):
+    # it exited 3 with "reversion needs a unit linear term"
+    docs = []
+    for method in ("points", "operator", "both"):
+        code, out, err = run(capsys, [*argv, "--t-order", "1", "--method", method])
+        assert (code, err) == (0, ""), method
+        docs.append({k: v for k, v in json.loads(out).items() if k != "method"})
+    assert docs[0] == docs[1] == docs[2]
+
+
 def test_coefficients_outside_the_base_field_are_named_at_the_edge(capsys):
     for f, bad, q in (("1,0,5", 5, 3), ("-1,0,0,0", -1, 3)):
         code, out, err = run(capsys, ["slopes", "--p", "3", f"--f={f}", "--m", "1"])

@@ -96,7 +96,7 @@ def reference_histogram(spec, k, digits):
     basis = [tuple(int(l == m) for l in range(n)) for m in range(n)]
     tvecs = {}
     for i, b in spec.monomials():
-        bk = b if k == 1 else gf.embed_element(spec.ctx, b, ctx)
+        bk = gf.embed_element(spec.ctx, spec.ctx.element(b), ctx)
         bh = teichmuller(zctx, bk)
         tvecs[i] = [zctx.trace(zctx.mul(bh, e)) for e in basis]
     const = tvecs[0][0] if 0 in tvecs else 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -44,15 +45,27 @@ def test_witt_ring_axioms_seeded(p):
     ctx = gf.FieldCtx(p, 2)
     rng = random.Random(7 * p)
     vecs = _random_pairs(ctx, rng, 12)
-    zero = (ctx.zero(), ctx.zero())
+    zero = (ctx.element(0), ctx.element(0))
     for u, v in zip(vecs, vecs[1:]):
-        assert witt_add(p, u, v) == witt_add(p, v, u)
-        assert witt_add(p, u, witt_neg(p, u)) == zero
-        assert witt_add(p, witt_sub(p, u, v), v) == u
+        assert witt_add(ctx, u, v) == witt_add(ctx, v, u)
+        assert witt_add(ctx, u, witt_neg(ctx, u)) == zero
+        assert witt_add(ctx, witt_sub(ctx, u, v), v) == u
     for u, v, w in zip(vecs, vecs[1:], vecs[2:]):
-        lhs = witt_add(p, witt_add(p, u, v), w)
-        rhs = witt_add(p, u, witt_add(p, v, w))
+        lhs = witt_add(ctx, witt_add(ctx, u, v), w)
+        rhs = witt_add(ctx, u, witt_add(ctx, v, w))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)])
+def test_witt_sub_is_adding_the_negative_exhaustive(p, n):
+    # the one-carry subtraction against u + (-v), over all of W_2(F_q)
+    ctx = gf.field(p, n)
+    vecs = list(itertools.product(ctx.elements(), repeat=2))
+    for u in vecs:
+        for v in vecs:
+            assert witt_sub(ctx, u, v) == witt_add(ctx, u, witt_neg(ctx, v)), (u, v)
+    for u in ctx.elements():
+        assert witt_sub(ctx, (u,), (u,)) == (ctx.element(0),)
 
 
 def test_witt_frobenius_is_additive():
@@ -60,18 +73,19 @@ def test_witt_frobenius_is_additive():
     rng = random.Random(11)
     vecs = _random_pairs(ctx, rng, 8)
     for u, v in zip(vecs, vecs[1:]):
-        assert witt_frobenius(witt_add(3, u, v)) == witt_add(
-            3, witt_frobenius(u), witt_frobenius(v)
+        assert witt_frobenius(ctx, witt_add(ctx, u, v)) == witt_add(
+            ctx, witt_frobenius(ctx, u), witt_frobenius(ctx, v)
         )
 
 
 def test_witt_length_guard():
     ctx = gf.FieldCtx(2, 1)
-    z = ctx.zero()
-    with pytest.raises(ConfigError):
-        witt_add(2, (z, z, z), (z, z, z))
-    with pytest.raises(ConfigError):
-        witt_add(2, (z,), (z, z))
+    z = ctx.element(0)
+    for op in (witt_add, witt_sub):
+        with pytest.raises(ConfigError):
+            op(ctx, (z, z, z), (z, z, z))
+        with pytest.raises(ConfigError):
+            op(ctx, (z,), (z, z))
 
 
 def test_witt_enumeration_guards():
