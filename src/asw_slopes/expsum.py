@@ -26,6 +26,7 @@ from .errors import (
     DegreeNotCoprime,
     DegreeViolation,
     InsufficientPrecision,
+    VerificationError,
 )
 from .newton import NewtonPolygon, lower_hull
 from .padic import CycInt, Valuation, ZqCtx, cyc_valuation, phi_pm, teichmuller, vp_factorial
@@ -413,16 +414,37 @@ def l_series(
     """L-series of the order-p^m character mapping 1 -> zeta^c, exactly.
 
     Coefficients are exact Z[zeta_{p^m}] integers.  The affine variant (the
-    factor appearing in the cover's zeta function) has degree p^{m-1}d - 1;
-    the punctured variant (x = 0 removed) has degree p^{m-1}d.  Computing
-    past the degree asserts vanishing, so s_order > degree is a self-check.
+    factor appearing in the cover's zeta function) has degree D = p^{m-1}d - 1;
+    the punctured variant (x = 0 removed) is the affine one times the factor
+    (1 - w s) of x = 0, of degree D + 1.  An explicit s_order enumerates
+    F_{q^k} for k <= s_order; computing past the degree asserts vanishing,
+    and a full read checks the functional equation.  Without one, only
+    k <= ceil(D/2) are enumerated and the functional equation rebuilds the
+    rest (see _rebuild_upper), unless a_{floor(D/2)} = 0.
     """
     if m < 1:
         raise ConfigError("character level m must be >= 1")
     if c % spec.p == 0:
         raise ConfigError("character index must be a unit mod p (else lower level)")
     deg = l_degree(spec, m, punctured)
-    K = deg if s_order is None else s_order
+    if s_order is None:
+        L = _rebuild_upper(spec, m, c)
+        if L is not None:
+            return _puncture(spec, m, c, L) if punctured else L
+        s_order = deg  # the middle coefficient vanishes: read every k
+    L = _enumerate(spec, m, c, punctured, s_order)
+    for n in range(deg + 1, s_order + 1):
+        if not L.coeffs[n].is_zero():
+            raise DegreeViolation(f"coefficient {n} past degree {deg} is nonzero")
+    if s_order >= deg:
+        if deg >= 1 and L.coeffs[deg].is_zero():
+            raise DegreeViolation(f"leading coefficient at degree {deg} vanishes")
+        _check_functional_equation(spec, m, c, L, punctured)
+    return L
+
+
+def _enumerate(spec: TowerSpec, m: int, c: int, punctured: bool, K: int) -> TruncSeries:
+    """The L-series mod s^{K+1} from the character sums over F_{q^k}, k <= K."""
     _check_budget(spec.q**K)  # the largest field enumerated, before any work
     sums = []
     for k in range(1, K + 1):
@@ -430,13 +452,58 @@ def l_series(
         sums.append(character_sum(hist, m, c, include_zero=not punctured))
     if not sums:
         return TruncSeries("s", [CycInt.from_int(spec.p, m, 1)])
-    L = exp_from_power_sums(sums, "s")
-    for n in range(deg + 1, K + 1):
-        if not L.coeffs[n].is_zero():
-            raise DegreeViolation(f"coefficient {n} past degree {deg} is nonzero")
-    if K >= deg and deg >= 1 and L.coeffs[deg].is_zero():
-        raise DegreeViolation(f"leading coefficient at degree {deg} vanishes")
-    return L
+    return exp_from_power_sums(sums, "s")
+
+
+def _rebuild_upper(spec: TowerSpec, m: int, c: int) -> TruncSeries | None:
+    """The affine L-series from its coefficients a_n, n <= ceil(D/2).
+
+    Every reciprocal root has absolute value sqrt(q) (Weil: L divides the
+    zeta numerator of the cover), and the roots of the conjugate series
+    are their complex conjugates, so a_D conj(a_{D-n}) = q^{D-n} a_n with
+    conj the Galois action zeta -> zeta^-1.  At n = ceil(D/2) that gives
+    a_D by one exact division in Z[zeta]; a_{D-n} = conj(a_n) a_D / q^n
+    then needs only exact integer divisions, and a_D conj(a_D) = q^D is the
+    one instance not met by construction.  A division with a remainder is
+    NonIntegralResult.  None when a_{floor(D/2)} = 0.
+    """
+    D = l_degree(spec, m)
+    low = _enumerate(spec, m, c, False, (D + 1) // 2).coeffs
+    h, q = D // 2, spec.q
+    if low[h].is_zero():
+        return None
+    top = low[D - h].scale(q**h).exact_div(low[h].conjugate(-1))
+    if top * top.conjugate(-1) != CycInt.from_int(spec.p, m, q**D):
+        raise VerificationError(f"|a_{D}|^2 != q^{D}: the L-series breaks the functional equation")
+    upper = [(low[n].conjugate(-1) * top).exact_div_int(q**n) for n in range(D - len(low), -1, -1)]
+    return TruncSeries("s", low + upper)
+
+
+def _zero_root(spec: TowerSpec, m: int, c: int) -> CycInt:
+    """w = zeta^{c Tr(b0-hat)}: the point x = 0 adds w^k to the k-th sum."""
+    return CycInt.zeta_power(spec.p, m, c * trace_histogram(spec, 1, m).zero_cell)
+
+
+def _puncture(spec: TowerSpec, m: int, c: int, L: TruncSeries) -> TruncSeries:
+    """The punctured series from the affine one: times (1 - w s)."""
+    w, zero = _zero_root(spec, m, c), L.coeffs[0].zero_like()
+    return TruncSeries("s", [a - w * b for a, b in zip(L.coeffs + [zero], [zero] + L.coeffs)])
+
+
+def _check_functional_equation(
+    spec: TowerSpec, m: int, c: int, L: TruncSeries, punctured: bool
+) -> None:
+    """a_D conj(a_{D-n}) = q^{D-n} a_n for every n <= D on a full read of
+    the affine series (a punctured one is first divided by (1 - w s))."""
+    a = list(L.coeffs)
+    if punctured:  # a_n += w a_{n-1}
+        w = _zero_root(spec, m, c)
+        for n in range(1, len(a)):
+            a[n] = a[n] + w * a[n - 1]
+    D, q = l_degree(spec, m), spec.q
+    for n in range(D + 1):
+        if a[D] * a[D - n].conjugate(-1) != a[n].scale(q ** (D - n)):
+            raise VerificationError(f"the L-series breaks the functional equation at s^{n}")
 
 
 def _dilate(L: TruncSeries, factor: int) -> TruncSeries:

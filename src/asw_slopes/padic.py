@@ -270,6 +270,16 @@ class CycInt:
             out.append(q)
         return CycInt(self.p, self.m, out)
 
+    def exact_div(self, other: "CycInt") -> "CycInt":
+        """self / other in Z[zeta] for nonzero other: times the product of
+        the other conjugates of `other`, then exact_div_int by its norm."""
+        other = self._join(other)
+        cofactor = self.one_like()
+        for c in range(2, self.p**self.m):
+            if c % self.p:
+                cofactor = cofactor * other.conjugate(c)
+        return (self * cofactor).exact_div_int((other * cofactor).rational_value())
+
     def zero_like(self):
         return CycInt.zero(self.p, self.m)
 

@@ -22,13 +22,12 @@ from .expsum import (
     character_sum,
     l_degree,
     l_series,
-    newton_from_cyclotomic,
     observed_polygon,
     q_normalization,
     trace_histogram,
 )
-from .newton import NewtonPolygon, hodge_polygon, turning_points
-from .padic import CycInt, phi_pm
+from .newton import NewtonPolygon, hodge_polygon, lower_hull, turning_points
+from .padic import CycInt, Valuation, cyc_valuation, phi_pm
 from .series import TruncSeries
 
 # ---------------------------------------------------------------------------
@@ -205,17 +204,28 @@ def stable_level(spec: TowerSpec) -> int:
 
 
 def l_newton(spec: TowerSpec, m: int, c: int = 1) -> NewtonPolygon:
-    """q-adic Newton polygon of the exact level-m L-series."""
-    return series_newton(spec, m, l_series(spec, m, c))
+    """q-adic Newton polygon of the level-m L-series, from its coefficients
+    up to floor(D/2) (enumerating F_{q^k} for k <= floor(D/2) only)."""
+    return series_newton(spec, m, l_series(spec, m, c, s_order=l_degree(spec, m) // 2))
 
 
 def series_newton(spec: TowerSpec, m: int, L: TruncSeries) -> NewtonPolygon:
-    """q-adic Newton polygon of a level-m L-series already computed."""
-    return newton_from_cyclotomic(
-        L.coeffs,
-        scale=q_normalization(spec.p, spec.a, m),
-        source=f"q-adic level {m}",
-    )
+    """q-adic Newton polygon of a level-m L-series of degree D, exactly.
+
+    Each coefficient a_n that L holds gives the point (n, v_pi(a_n)).  The
+    one prime over p is totally ramified, so valuations are Galois-invariant,
+    and the functional equation a_D conj(a_{D-n}) = q^{D-n} a_n (see
+    expsum._rebuild_upper) gives v(a_{D-n}) = v(a_n) + (D - 2n) a phi(p^m)/2
+    for every a_{D-n} past L's end; a zero a_n mirrors to a zero.
+    """
+    D = l_degree(spec, m)
+    pts = [(n, cyc_valuation(z)) for n, z in enumerate(L.coeffs)]
+    half = Fraction(spec.a * phi_pm(spec.p, m), 2)
+    for n in range(D + 1 - len(pts)):
+        v = pts[n][1]
+        pts.append((D - n, Valuation.exact(v.value + (D - 2 * n) * half) if v.is_exact() else v))
+    source = f"q-adic level {m}"
+    return lower_hull(pts, source).rescale(q_normalization(spec.p, spec.a, m), source)
 
 
 def base_slopes(spec: TowerSpec) -> list[Fraction]:

@@ -169,15 +169,37 @@ def test_exit_code_precision(capsys):
 
 
 def test_budget_is_checked_before_any_histogram(capsys, tmp_path, monkeypatch):
-    # the level-3 L-series of a quadric over F_3 needs F_{3^17}, past the
-    # point budget: refuse at once, enumerating and caching nothing
+    # the level-4 polygon of a quadric over F_3 reads its L-series (degree
+    # 53) up to F_{3^26}, past the point budget: refuse at once, enumerating
+    # and caching nothing
     monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
     start = time.perf_counter()
-    code, out, err = run(capsys, ["slopes", "--p", "3", "--f", "1,0,0", "--m", "3"])
+    code, out, err = run(capsys, ["slopes", "--p", "3", "--f", "1,0,0", "--m", "4"])
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BudgetExceeded"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["slopes", *P3, "--m", "3"], ["slopes", *P2, "--m", "5"]], ids=["p3-m3", "p2-m5"]
+)
+def test_deep_slopes_fit_the_point_budget(capsys, argv):
+    # degrees 17 and 47: the polygons read F_{3^8} and F_{2^23}, inside the
+    # point budget, where reading every k <= D was past it
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == "" and json.loads(out)["ok"] is True
+
+
+def test_no_histogram_is_cached_past_half_the_degree(capsys, tmp_path, monkeypatch):
+    # slopes reads k <= floor(17/2) for its level-3 polygon, zeta reads
+    # k <= ceil(5/2) for the exact level-2 L-series
+    for argv, k_max in ((["slopes", *P3, "--m", "3"], 8), (["zeta", *P3, "--m", "2"], 3)):
+        cache = tmp_path / argv[0]
+        monkeypatch.setenv("ASW_CACHE_DIR", str(cache))
+        assert run(capsys, argv)[0] == 0
+        ks = [int(x.name.split("_k")[1].split("_")[0]) for x in cache.iterdir()]
+        assert max(ks) == k_max
 
 
 def test_verify_counts_with_several_monomials(capsys):
@@ -679,6 +701,11 @@ STDOUT_SHA256 = [
         ["slopes", "--p", "2", "--f", "1,0,0,1", "--m", "2", "--c", "3", "--format", "csv"],
         "7307145b33d1998921709870584135aa044f12f1e8ff3fa0ed819a76324276a6",
         id="slopes-csv",
+    ),
+    pytest.param(
+        ["slopes", "--p", "3", "--f", "1,0,2", "--m", "3"],
+        "948c0a6143d0b33ccd3e84a997127fc7460f8a53ca55f48a5a60ae5a1e2e7cdf",
+        id="slopes-p3-m3-half-read",
     ),
     pytest.param(
         ["slopes", "--p", "5", "--f", "1,0,2", "--m", "2"],

@@ -1,0 +1,132 @@
+"""The half read of each L-series against full enumeration.
+
+Without an s_order, `l_series` enumerates F_{q^k} only for k <= ceil(D/2)
+and rebuilds the rest from a_D conj(a_{D-n}) = q^{D-n} a_n, and
+`tower.l_newton` reads k <= floor(D/2) and mirrors the valuations.  At every
+(tower, level) the other tests enumerate in full, both must give what
+enumerating every k <= D gives.
+"""
+
+import pytest
+
+from asw_slopes import expsum, tower
+from asw_slopes.errors import VerificationError
+from asw_slopes.expsum import (
+    TowerSpec,
+    l_degree,
+    l_series,
+    newton_from_cyclotomic,
+    q_normalization,
+)
+from asw_slopes.padic import CycInt
+
+# (p, a, f ascending, levels); the first three have a_{floor(D/2)} = 0 at
+# m = 1, where the exact read falls back to enumerating every k <= D
+CASES = [
+    (2, 1, [0, 0, 0, 1], (1, 2, 3)),  # x^3
+    (2, 1, [1, 0, 0, 1], (1, 2, 3)),  # x^3 + 1
+    (2, 1, [1, 0, 0, 0, 0, 1], (1, 2)),  # x^5 + 1
+    (2, 1, [1, 1, 0, 1], (1, 2)),  # x^3 + x + 1
+    (2, 2, [1, 0, 0, 1], (1, 2)),  # x^3 + 1 over F_4
+    (3, 1, [0, 0, 1], (1, 2)),  # x^2
+    (3, 1, [2, 0, 1], (1, 2)),  # x^2 + 2
+    (3, 1, [1, 1, 2], (1, 2)),  # 2x^2 + x + 1
+    (3, 1, [0, 0, 0, 0, 1], (1,)),  # x^4
+    (3, 2, [2, 0, 1], (1, 2)),  # x^2 + 2 over F_9
+    (5, 1, [0, 0, 1], (1, 2)),  # x^2
+    (5, 1, [1, 2, 1], (1,)),  # x^2 + 2x + 1
+]
+FALLBACK = {(2, 1, (0, 0, 0, 1)), (2, 1, (1, 0, 0, 1)), (2, 1, (1, 0, 0, 0, 0, 1))}
+
+LEVELS = [
+    pytest.param(p, a, f, m, id=f"p{p}a{a}-{''.join(map(str, f))}-m{m}")
+    for p, a, f, levels in CASES
+    for m in levels
+]
+
+
+def _units(p, m):
+    return [c for c in range(1, p**m) if c % p]
+
+
+def _holds(L, q, D):
+    a = L.coeffs
+    return all(a[D] * a[D - n].conjugate(-1) == a[n].scale(q ** (D - n)) for n in range(D + 1))
+
+
+@pytest.mark.parametrize("p, a, f, m", LEVELS)
+def test_half_read_equals_full_enumeration(p, a, f, m):
+    spec = TowerSpec(p, a, f)
+    D = l_degree(spec, m)
+    for c in _units(p, m)[:2]:
+        full = l_series(spec, m, c, s_order=D)
+        assert _holds(full, spec.q, D)
+        assert l_series(spec, m, c).coeffs == full.coeffs
+        assert (
+            l_series(spec, m, c, punctured=True).coeffs
+            == l_series(spec, m, c, punctured=True, s_order=D + 1).coeffs
+        )
+        want = newton_from_cyclotomic(
+            full.coeffs, scale=q_normalization(p, a, m), source=f"q-adic level {m}"
+        )
+        assert tower.l_newton(spec, m, c) == want
+
+
+@pytest.mark.parametrize("p, a, f, m", LEVELS)
+def test_the_half_read_enumerates_no_field_past_half_the_degree(p, a, f, m, monkeypatch):
+    spec = TowerSpec(p, a, f)
+    D = l_degree(spec, m)
+    read = []
+    histogram = expsum.trace_histogram
+
+    def recording(spec, k, digits):
+        read.append(k)
+        return histogram(spec, k, digits)
+
+    monkeypatch.setattr(expsum, "trace_histogram", recording)
+    tower.l_newton(spec, m)
+    assert max(read, default=0) == D // 2
+    read.clear()
+    l_series(spec, m)
+    fallback = m == 1 and (p, a, tuple(f)) in FALLBACK
+    assert max(read, default=0) == (D if fallback else (D + 1) // 2)
+    assert l_series(spec, m, s_order=D // 2).coeffs[D // 2].is_zero() == fallback
+
+
+def _perturbed_at(n, monkeypatch):
+    """exp_from_power_sums with a_n raised by 1."""
+    exp = expsum.exp_from_power_sums
+
+    def perturbed(sums, var):
+        L = exp(sums, var)
+        coeffs = list(L.coeffs)
+        if n < len(coeffs):
+            one = CycInt.from_int(coeffs[0].p, coeffs[0].m, 1)
+            coeffs[n] = coeffs[n] + one
+        return type(L)(var, coeffs)
+
+    monkeypatch.setattr(expsum, "exp_from_power_sums", perturbed)
+
+
+@pytest.mark.parametrize(
+    "p, a, f, m",
+    [(2, 1, [1, 0, 0, 1], 3), (3, 1, [2, 0, 1], 2), (5, 1, [0, 0, 1], 2), (3, 2, [2, 0, 1], 2)],
+)
+def test_a_perturbed_low_coefficient_never_passes(p, a, f, m, monkeypatch):
+    spec = TowerSpec(p, a, f)
+    D = l_degree(spec, m)
+    truth = l_series(spec, m)
+    for n in range(1, (D + 1) // 2 + 1):
+        with monkeypatch.context() as mp:
+            _perturbed_at(n, mp)
+            # the rebuild raises or gives another upper half
+            top = (D + 1) // 2 + 1
+            try:
+                rebuilt = l_series(spec, m)
+            except VerificationError:
+                pass
+            else:
+                assert rebuilt.coeffs[top:] != truth.coeffs[top:]
+            # a full read fails its functional-equation self-check
+            with pytest.raises(VerificationError):
+                l_series(spec, m, s_order=D)
