@@ -15,6 +15,10 @@ all powers unchanged, entry (i, j) is the splitting coefficient c_{pj-i}
 itself, a finite expansion in pi = w^d.  Matrix products run over Python
 integers with the pi-lanes Kronecker-packed into fixed-width bit fields, so
 they are exact.
+
+Rows are sparse and sorted by pi-valuation.  A product of two entries whose
+valuations sum to t_order or more is never formed, and every other one
+multiplies only the lanes the window keeps; see the notes above _matmul.
 """
 
 from __future__ import annotations
@@ -102,7 +106,12 @@ def splitting_coefficients(spec, x_max: int, w_order: int, digits: int):
 
 
 class PackedMatrix:
-    """Square matrix of pi-truncated series, one packed integer per entry."""
+    """Square matrix of pi-truncated series in sorted sparse rows.
+
+    rows[i] lists (v, j, e) for every nonzero entry (i, j), sorted by v: v
+    is the entry's pi-valuation and e the packed entry with its v zero lanes
+    shifted out, so lane r of e holds the pi^(v + r) coefficient.
+    """
 
     __slots__ = ("size", "lanes", "stride", "mod", "rows")
 
@@ -131,6 +140,12 @@ def _unpack(value: int, lanes: int, stride: int, mod: int):
     ]
 
 
+def _entry(col: int, value: int, lane_bits: int):
+    """(v, col, value >> v lanes) of a nonzero packed entry."""
+    v = ((value & -value).bit_length() - 1) // lane_bits
+    return v, col, value >> v * lane_bits
+
+
 def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatrix:
     """Truncated operator matrix, conjugated into pi-lanes, exact mod
     (pi^t_order, p^digits).
@@ -154,27 +169,67 @@ def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatri
     lane_bits = 2 * (mod - 1).bit_length() + (R * R * t_order).bit_length() + 1
     stride = (lane_bits + 7) // 8
     packed = [_pack(row[::d], stride) for row in c]
-    rows = [[packed[p * j - i] if p * j >= i else 0 for j in range(R)] for i in range(R)]
+    # entry (i, j) is c_{pj-i}, so row i starts at column ceil(i/p)
+    rows = [
+        sorted(
+            _entry(j, packed[p * j - i], 8 * stride)
+            for j in range(-(-i // p), R)
+            if packed[p * j - i]
+        )
+        for i in range(R)
+    ]
     return PackedMatrix(R, t_order, stride, mod, rows)
 
 
+# Products.  A product a*b with v(a) + v(b) >= lanes lies past the window, and
+# any other needs only the low L = lanes - v(a) - v(b) lanes of each shifted
+# operand: masking them off is exact, as lanes never carry.  Each lane of a
+# masked sum adds a subset of the terms the same lane of the full product
+# adds, so the lane width of nuclear_matrix still holds.  Rows are sorted by
+# v, so a row's scan stops at its first product past the window.
+
+def _masks(lanes: int, lane_bits: int):
+    return [(1 << lane_bits * L) - 1 for L in range(lanes + 1)]
+
+
 def _matmul(A: PackedMatrix, B: PackedMatrix) -> PackedMatrix:
-    R = A.size
-    out = [[0] * R for _ in range(R)]
-    for i in range(R):
-        Ai = A.rows[i]
-        oi = out[i]
-        for j in range(R):
-            a = Ai[j]
-            if not a:
-                continue
-            Bj = B.rows[j]
-            for k in range(R):
-                b = Bj[k]
-                if b:
-                    oi[k] += a * b
-    rows = [_repack(row, A.lanes, A.stride, A.mod) for row in out]
-    return PackedMatrix(R, A.lanes, A.stride, A.mod, rows)
+    R, T, stride, mod = A.size, A.lanes, A.stride, A.mod
+    bits = 8 * stride
+    mask = _masks(T, bits)
+    # nonzero accumulators are repacked in batches of about 16 KiB of lanes
+    batch = max(1, 16384 // (T * stride))
+    rows: list = [[] for _ in range(R)]
+    where: list = []
+    raw: list = []
+
+    def flush():
+        for (i, k), v in zip(where, _repack(raw, T, stride, mod)):
+            if v:
+                rows[i].append(_entry(k, v, bits))
+        where.clear()
+        raw.clear()
+
+    Brows = B.rows
+    for i, Ai in enumerate(A.rows):
+        acc = [0] * R
+        for va, j, a in Ai:
+            room = T - va
+            for vb, k, b in Brows[j]:
+                L = room - vb
+                if L <= 0:
+                    break
+                m = mask[L]
+                acc[k] += (a & m) * (b & m) << bits * (va + vb)
+        for k, x in enumerate(acc):
+            if x:
+                where.append((i, k))
+                raw.append(x)
+                if len(raw) == batch:
+                    flush()
+    flush()
+    for row in rows:
+        row.sort()
+    return PackedMatrix(R, T, stride, mod, rows)
 
 
 def _repack(row, lanes: int, stride: int, mod: int):
@@ -194,35 +249,45 @@ def _repack(row, lanes: int, stride: int, mod: int):
 
 
 def _trace_pair(A: PackedMatrix, B: PackedMatrix):
+    """pi-coefficients of tr(A B)."""
+    T = A.lanes
+    bits = 8 * A.stride
+    mask = _masks(T, bits)
+    cols = [{k: (vb, b) for vb, k, b in row} for row in B.rows]
     acc = 0
-    for i in range(A.size):
-        Ai = A.rows[i]
-        for j in range(A.size):
-            a = Ai[j]
-            if a:
-                b = B.rows[j][i]
-                if b:
-                    acc += a * b
-    return _unpack(acc, A.lanes, A.stride, A.mod)
+    for i, Ai in enumerate(A.rows):
+        for va, j, a in Ai:
+            hit = cols[j].get(i)
+            if hit is not None:
+                vb, b = hit
+                L = T - va - vb
+                if L > 0:
+                    m = mask[L]
+                    acc += (a & m) * (b & m) << bits * (va + vb)
+    return _unpack(acc, T, A.stride, A.mod)
 
 
 def _trace(A: PackedMatrix):
-    acc = 0
-    for i in range(A.size):
-        acc += A.rows[i][i]
+    bits = 8 * A.stride
+    acc = sum(e << bits * v for i, row in enumerate(A.rows) for v, j, e in row if j == i)
     return _unpack(acc, A.lanes, A.stride, A.mod)
 
 
 def nuclear_traces(spec, s_order: int, t_order: int, digits: int):
-    """Traces of the first s_order operator powers as pi-coefficient lists."""
+    """Traces of the first s_order operator powers as pi-coefficient lists.
+
+    tr(M^k) = tr(M^floor(k/2) M^ceil(k/2)), taken as soon as both powers
+    exist; only M and the two powers the next trace reads stay alive.
+    """
     M = nuclear_matrix(spec, s_order, t_order, digits)
-    top = -(-s_order // 2)
-    powers = {1: M}
-    for t in range(2, top + 1):
-        powers[t] = _matmul(powers[t - 1], M)
     out = [_trace(M)]
+    lo = hi = M
     for k in range(2, s_order + 1):
-        out.append(_trace_pair(powers[k // 2], powers[k - k // 2]))
+        if k % 2:
+            hi = _matmul(hi, M)
+        else:
+            lo = hi
+        out.append(_trace_pair(lo, hi))
     return out
 
 

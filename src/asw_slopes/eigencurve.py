@@ -20,6 +20,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -255,7 +256,8 @@ def _eliminate(rows, terms, floors, p: int, mod: int):
     # Each known-part product (a slot tuple, every subset of a term) gets
     # one id.  splits[n] holds every (unknown subset, known complement)
     # split of every term of equation n: the subset's slots padded with the
-    # sentinel, 1 if it is one slot (else 0) and the complement's id;
+    # sentinel, 1 if it is one slot (else 0) and the complement's id, taken
+    # in bit-mask order through the split table of the term's width;
     # singles[n] the slot and complement of its one-slot splits.  All are
     # intp: numpy indexes and adds them with no conversion loop, whose
     # first use alone would map more code pages than the arrays save.
@@ -264,6 +266,7 @@ def _eliminate(rows, terms, floors, p: int, mod: int):
     def name(comp) -> int:
         return comp_id.setdefault(comp, len(comp_id))
 
+    tables = [_split_table(size, width) for size in range(width + 1)]
     splits: list = [None]
     singles: list = [None]
     for n in range(1, K + 1):
@@ -272,11 +275,11 @@ def _eliminate(rows, terms, floors, p: int, mod: int):
             ids = [sid[f] for f in fs]
             for k in ids:
                 slot_eqs[k].add(n)
-            for bits in range(1, 1 << len(fs)):
-                sel = [k for u, k in enumerate(ids) if bits >> u & 1]
-                idx.append(sel + [S] * (width - len(sel)))
-                one.append(len(sel) == 1)
-                cid.append(name(tuple(f for u, f in enumerate(fs) if not bits >> u & 1)))
+            picks, ones, rests = tables[len(fs)]
+            ids.append(S)
+            idx += [pick(ids) for pick in picks]
+            one += ones
+            cid += [name(rest(fs)) for rest in rests]
         idx, one, cid = (np.array(a, dtype=np.intp) for a in (idx, one, cid))
         splits.append((idx, one, cid))
         singles.append((idx[one == 1, 0], cid[one == 1]))
@@ -378,6 +381,28 @@ def _eliminate(rows, terms, floors, p: int, mod: int):
     vals = {f: val[k] for k, f in enumerate(slots)}
     mark = {f: int(marks[k]) for k, f in enumerate(slots)}
     return vals, mark, solved_digits, checks, sweeps
+
+
+def _picker(positions):
+    """itemgetter of `positions` that returns a sequence even for one or
+    no position (a slice; a lone index would return the bare item)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
+def _split_table(size: int, width: int):
+    """The splits of a term of `size` slots, one per nonzero bit mask in
+    mask order: a picker of the selected positions padded with position
+    `size` to `width`, 1 if one position is selected (else 0), and a
+    picker of the complement."""
+    picks, ones, rests = [], [], []
+    for bits in range(1, 1 << size):
+        sel = [u for u in range(size) if bits >> u & 1]
+        picks.append(_picker(sel + [size] * (width - len(sel))))
+        ones.append(int(len(sel) == 1))
+        rests.append(_picker([u for u in range(size) if not bits >> u & 1]))
+    return picks, ones, rests
 
 
 def _lead(row) -> int:

@@ -382,6 +382,53 @@ def reference_repack(row, lanes, stride, mod):
     return [_pack(_unpack(v, lanes, stride, mod), stride) if v else 0 for v in row]
 
 
+def densify(M):
+    """The dense packed rows of a dwork.PackedMatrix: entry (i, j) is the
+    listed entry shifted back up by its v lanes, 0 where row i lists none."""
+    bits = 8 * M.stride
+    dense = [[0] * M.size for _ in range(M.size)]
+    for i, row in enumerate(M.rows):
+        for v, j, e in row:
+            dense[i][j] = e << bits * v
+    return dense
+
+
+def reference_matmul(A, B, lanes, stride, mod):
+    """The dense packed product the sparse one replaced: every pair of
+    nonzero entries multiplied in full, each row repacked entry by entry.
+    A and B are dense packed rows; so is the result."""
+    R = len(A)
+    out = [[0] * R for _ in range(R)]
+    for i in range(R):
+        Ai = A[i]
+        oi = out[i]
+        for j in range(R):
+            a = Ai[j]
+            if not a:
+                continue
+            Bj = B[j]
+            for k in range(R):
+                b = Bj[k]
+                if b:
+                    oi[k] += a * b
+    return [reference_repack(row, lanes, stride, mod) for row in out]
+
+
+def reference_trace_pair(A, B, lanes, stride, mod):
+    """pi-coefficients of tr(A B) from dense packed rows, every pair of
+    nonzero entries multiplied in full."""
+    acc = 0
+    for i in range(len(A)):
+        Ai = A[i]
+        for j in range(len(A)):
+            a = Ai[j]
+            if a:
+                b = B[j][i]
+                if b:
+                    acc += a * b
+    return _unpack(acc, lanes, stride, mod)
+
+
 def reference_eliminate(rows, terms, floors, p, mod):
     """The graded elimination of eigencurve._eliminate as a scalar loop over
     every split of every term, known-part products recomputed by

@@ -7,6 +7,8 @@ from asw_slopes.dwork import (
     _matmul,
     _repack,
     _teich_zp,
+    _trace,
+    _trace_pair,
     artin_hasse,
     char_series_via_operator,
     nuclear_matrix,
@@ -24,7 +26,13 @@ from asw_slopes.expsum import (
     t_valuation_points,
 )
 from asw_slopes.series import TruncSeries, compose
-from oracles import reference_repack, reference_teich_zp
+from oracles import (
+    densify,
+    reference_matmul,
+    reference_repack,
+    reference_teich_zp,
+    reference_trace_pair,
+)
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])
 SPEC3 = TowerSpec(3, 1, [0, 0, 1])
@@ -211,12 +219,56 @@ def test_packed_rows_match_the_per_entry_repack(p):
     for digits in (4, 64 // p.bit_length()):
         M = nuclear_matrix(TowerSpec(p, 1, f), 3, 8, digits)
         assert (M.stride <= 8) == (digits == 4)
+        dense = densify(M)
         raw = [
-            [sum(a * M.rows[j][k] for j, a in enumerate(row)) for k in range(M.size)]
-            for row in M.rows
+            [sum(a * dense[j][k] for j, a in enumerate(row)) for k in range(M.size)]
+            for row in dense
         ]
         want = [reference_repack(r, M.lanes, M.stride, M.mod) for r in raw]
-        assert _matmul(M, M).rows == want
+        assert densify(_matmul(M, M)) == want
+
+
+def _check_rows(M):
+    """Each row lists distinct columns by ascending v, each entry with a
+    nonzero lowest lane and nothing past the window."""
+    bits = 8 * M.stride
+    low = (1 << bits) - 1
+    for row in M.rows:
+        assert [v for v, _, _ in row] == sorted(v for v, _, _ in row)
+        assert len({j for _, j, _ in row}) == len(row)
+        assert all(0 <= v < M.lanes and e & low for v, _, e in row)
+        assert all(e >> bits * (M.lanes - v) == 0 for v, _, e in row)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sparse_products_match_the_dense_oracle(p):
+    # windows: one pi-lane, shallow and deep, and lanes wider than 8 bytes
+    rng = random.Random(100 + p)
+    for d in (2, 3, 4, 5):
+        if d % p == 0:
+            continue
+        f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        spec = TowerSpec(p, 1, f)
+        windows = ((4, 1, 5), (5, 6, 4), (5, 9, 7), (3, 5, 64 // p.bit_length()))
+        for s_order, t_order, digits in windows:
+            M = nuclear_matrix(spec, s_order, t_order, digits)
+            assert (M.stride > 8) == (digits > 7), (p, d, M.stride)
+            args = (M.lanes, M.stride, M.mod)
+            _check_rows(M)
+            dense = [None, densify(M)]
+            powers = [None, M]
+            for k in range(2, s_order + 1):
+                powers.append(_matmul(powers[k - 1], M))
+                _check_rows(powers[k])
+                dense.append(reference_matmul(dense[k - 1], dense[1], *args))
+                assert densify(powers[k]) == dense[k], (p, d, t_order, k)
+            want = [_ref_unpack(sum(dense[1][i][i] for i in range(M.size)), *args)]
+            assert _trace(M) == want[0]
+            for k in range(2, s_order + 1):
+                lo, hi = k // 2, k - k // 2
+                want.append(reference_trace_pair(dense[lo], dense[hi], *args))
+                assert _trace_pair(powers[lo], powers[hi]) == want[-1], (p, d, t_order, k)
+            assert nuclear_traces(spec, s_order, t_order, digits) == want
 
 
 def test_operator_requires_prime_base():
