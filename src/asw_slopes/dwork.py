@@ -69,9 +69,10 @@ def pi_of_T(p: int, order: int, digits: int) -> TruncSeries:
 def splitting_coefficients(spec, x_max: int, w_order: int, digits: int):
     """Coefficients c_J (J < x_max) of the product splitting function.
 
-    Returned as an (x_max, w_order) list of int rows: c[J][r] is the w^r
-    digit, nonzero only for r >= J and r a multiple of d -- both are
-    asserted, as they are the load-bearing facts for nuclearity.  Each
+    The w^r digit of c_J is nonzero only for r >= J and r a multiple of d --
+    both are asserted, as they are the load-bearing facts for nuclearity.
+    Returned as x_max int rows of the d-grid digits only: c[J][g] is the
+    w^(g d) digit, that is the pi^g digit for pi = w^d.  Each
     entry accumulates at most n_max products of two residues before it is
     reduced, so int64 is exact while n_max (p^digits - 1)^2 < 2^62;
     past that the same code runs on Python ints (dtype=object).
@@ -102,7 +103,7 @@ def splitting_coefficients(spec, x_max: int, w_order: int, digits: int):
     r = np.arange(w_order)[None, :]
     assert not (F[r < J] != 0).any(), "splitting coefficient below its w-floor"
     assert not (F[:, r[0] % d != 0] != 0).any(), "w-exponent off the d-grid"
-    return F.tolist()
+    return F[:, ::d].tolist()
 
 
 class PackedMatrix:
@@ -168,7 +169,7 @@ def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatri
     # each lane of a product a sum of at most t_order digit products
     lane_bits = 2 * (mod - 1).bit_length() + (R * R * t_order).bit_length() + 1
     stride = (lane_bits + 7) // 8
-    packed = [_pack(row[::d], stride) for row in c]
+    packed = [_pack(row, stride) for row in c]
     # entry (i, j) is c_{pj-i}, so row i starts at column ceil(i/p)
     rows = [
         sorted(

@@ -539,18 +539,21 @@ def char_series(
 ) -> TruncSeries:
     """Bivariate characteristic series mod (T^t_order, s^{s_order+1}, p^digits).
 
-    Built as exp of the unit-normalized T-adic sums; both guard layers
-    (binomial and exp denominators) are added up front, so column n carries
-    exactly digits + v_p(s_order!) - v_p(n!) p-adic digits, the last one
-    `digits`.
+    Built as exp of the unit-normalized T-adic sums.  The recurrence divides
+    the k-th sum only by k, k + 1, ..., s_order, so it is read to
+    digits + v_p(s_order!) - v_p((k-1)!) digits (plus the binomial guard of
+    t_adic_sum): the largest fields, the costliest to enumerate, the
+    fewest.  Column n carries exactly digits + v_p(s_order!) - v_p(n!)
+    p-adic digits, the last one `digits`.
     """
     _check_digits(digits)
     _check_budget(spec.q**s_order)
-    inner = digits + vp_factorial(s_order, spec.p)
+    p, inner = spec.p, digits + vp_factorial(s_order, spec.p)
     sums = []
     for k in range(1, s_order + 1):
-        sk = t_adic_sum(spec, k, t_order, inner)
-        sums.append(sk.scale(pow(1 - spec.q**k, -1, spec.p**inner)))
+        need = inner - vp_factorial(k - 1, p)
+        sk = t_adic_sum(spec, k, t_order, need)
+        sums.append(sk.scale(pow(1 - spec.q**k, -1, p**need)))
     C = exp_from_power_sums(sums, "s")
     got = min(col.prec for col in C.coeffs)
     if got < digits:

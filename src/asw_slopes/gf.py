@@ -126,14 +126,17 @@ def mulmod(a, b, h, mod: int, fold=None) -> list[int]:
 
 
 def powmod(base, e: int, h, mod: int, fold=None) -> list[int]:
+    """base^e mod (h, mod), left to right: the base is reduced once and
+    never multiplied by one."""
+    if not e:
+        return [1] + [0] * (len(h) - 2)
     fold = fold or fold_rows(h, mod)
-    result = [1] + [0] * (len(h) - 2)
-    while e:
-        if e & 1:
+    base = reduce_mod(base, h, mod)
+    result = base
+    for bit in bin(e)[3:]:
+        result = mulmod(result, result, h, mod, fold)
+        if bit == "1":
             result = mulmod(result, base, h, mod, fold)
-        e >>= 1
-        if e:
-            base = mulmod(base, base, h, mod, fold)
     return result
 
 
@@ -161,12 +164,17 @@ def _poly_gcd(a, b, p):
 
 
 def _is_irreducible(h: list[int], p: int) -> bool:
-    """Rabin test: u^{p^n} == u mod h, and gcd(u^{p^{n/r}} - u, h) = 1."""
+    """Rabin test: u^{p^n} == u mod h, and gcd(u^{p^{n/r}} - u, h) = 1,
+    every u^(p^e) read off one Frobenius chain."""
     n = len(h) - 1
+    fold = fold_rows(h, p)
     x = reduce_mod([0, 1], h, p)
+    chain = [x]
+    for _ in range(n):
+        chain.append(powmod(chain[-1], p, h, p, fold))
 
     def frobenius_less_u(e):  # u^(p^e) - u mod (h, p), trimmed
-        return _trim([(a - b) % p for a, b in zip(powmod(x, p**e, h, p), x)])
+        return _trim([(a - b) % p for a, b in zip(chain[e], x)])
 
     return not frobenius_less_u(n) and all(
         len(_poly_gcd(h, frobenius_less_u(n // r), p)) == 1 for r in factorize(n)

@@ -126,13 +126,15 @@ class ZqCtx:
 
 def teichmuller(zctx: ZqCtx, x, q: int | None = None) -> tuple[int, ...]:
     """Teichmuller lift mod p^N of the residue of x, a coordinate tuple (an
-    F_{p^n} element or any integer lift of one), by Newton's method on
-    omega^{q-1} = 1.
+    F_{p^n} element or any integer lift of one), by powers and then Newton's
+    method on omega^{q-1} = 1.
 
-    The step omega <- omega (1 - (omega^{q-1} - 1)/(q - 1)) turns an error
-    omega^{q-1} = 1 + eps into 1 + O(eps^2), and any lift of a nonzero
-    residue starts with p | eps, so ceil(log2 N) steps reach the lift mod
-    p^N.  That lift is unique, so the coordinates are the same as those of
+    Any lift of a nonzero residue is right to 1 digit, and omega <- omega^q
+    turns k right digits into k + v_p(q) (each p-th power adds one), which
+    outruns Newton's doubling while k <= v_p(q) and costs only squarings
+    for q = 2^n.  The Newton step omega <- omega (1 - (omega^{q-1} - 1)/(q - 1))
+    turns an error omega^{q-1} = 1 + eps into 1 + O(eps^2), doubling the
+    digits.  The lift is unique, so the coordinates are the same as those of
     omega^{q^N}.  A residue 0 lifts to 0.  q is p^n unless a residue of a
     subfield F_q passes its q (prime-to-p roots of unity stay distinct mod p).
     """
@@ -141,8 +143,11 @@ def teichmuller(zctx: ZqCtx, x, q: int | None = None) -> tuple[int, ...]:
     if all(c % p == 0 for c in omega):
         return (0,) * n
     q = q or p**n
+    digits, vq = 1, vp(q, p)
+    while digits < zctx.N and digits <= vq:
+        omega = zctx.pow(omega, q)
+        digits += vq
     inv = pow(q - 1, -1, mod)
-    digits = 1
     while digits < zctx.N:
         err = zctx.pow(omega, q - 1)
         step = [(-c * inv) % mod for c in err]

@@ -122,21 +122,26 @@ def exp_from_power_sums(power_sums, var: str = "s") -> TruncSeries:
 def _exp_padic(cs, var):
     """The exp recurrence for p-adic series power sums, on int vectors.
 
-    With e_0 the least precision among the c_k, step n works mod p^e_{n-1},
-    divides the p-part of n exactly (a remainder is NonIntegralResult) and
-    the unit part by its inverse, and declares e_n = e_{n-1} - v_p(n).  So
-    a_n carries e_0 - v_p(n!) digits: a caller that adds v_p(K!) guard
-    digits up front gets at least its target in every a_n.
+    With e_0 = prec c_1, step n works mod p^w, w = min(e_{n-1}, prec c_n),
+    a running minimum: w is at most every prec c_k, k <= n, and every
+    e_{n-k}, so it bounds each term c_k a_{n-k}.  It divides the p-part of n
+    exactly (a remainder is NonIntegralResult) and the unit part by its
+    inverse, and declares e_n = w - v_p(n).  With one precision e for all
+    c_k, a_n carries e - v_p(n!) digits.  A caller may instead give c_k
+    only the digits the divisions by k, ..., K spend,
+    target + v_p(K!) - v_p((k-1)!); a_n then carries
+    target + v_p(K!) - v_p(n!) all the same.
     """
     inner, p = cs[0].var, cs[0].p
     if any(not isinstance(c, TruncSeries) or c.prec is None or (c.var, c.p) != (inner, p)
            for c in cs):
         raise CtxMismatch("power sums must be p-adic series in one variable")
     L = min(c.order for c in cs)
-    e = min(c.prec for c in cs)
+    e = cs[0].prec
     sums = [c.coeffs[:L] for c in cs]
     cols = [TruncSeries(inner, [1] + [0] * (L - 1), e, p)]
     for n in range(1, len(cs) + 1):
+        e = min(e, cs[n - 1].prec)
         acc = [0] * L
         for k in range(1, n + 1):
             for i, x in enumerate(convolve(cols[n - k].coeffs, sums[k - 1], L)):

@@ -81,12 +81,19 @@ def test_pi_of_T_inverts_the_exponential():
 
 
 def test_splitting_coefficients_grid():
-    rows = c = splitting_coefficients(SPEC2, x_max=8, w_order=12, digits=5)
-    assert c[0][0] == 1
+    # only the d-grid columns come back: c[J][g] is the w^(g d) digit, zero
+    # below the w-floor J; the off-grid zeros are asserted inside
+    d = SPEC2.d
+    c = splitting_coefficients(SPEC2, x_max=8, w_order=12, digits=5)
+    full = reference_splitting_coefficients(SPEC2, 8, 12, 5)
+    assert c[0][0] == 1 and len(c) == 8
+    assert all(len(row) == 12 // d for row in c)
+    assert c == [row[::d] for row in full]
     for J in range(8):
-        for r in range(12):
-            if r < J or r % SPEC2.d:
-                assert rows[J][r] == 0
+        for g in range(12 // d):
+            if g * d < J:
+                assert c[J][g] == 0
+        assert not any(full[J][r] for r in range(12) if r % d)
 
 
 def reference_splitting_coefficients(spec, x_max, w_order, digits):
@@ -125,8 +132,9 @@ def test_splitting_coefficients_paths_agree():
     for spec in (SPEC2, TowerSpec(3, 1, [1, 1, 1])):
         wide = splitting_coefficients(spec, 6, 9, 31)
         fast = splitting_coefficients(spec, 6, 9, 4)
-        assert wide == reference_splitting_coefficients(spec, 6, 9, 31)
-        assert fast == reference_splitting_coefficients(spec, 6, 9, 4)
+        d = spec.d
+        assert wide == [row[::d] for row in reference_splitting_coefficients(spec, 6, 9, 31)]
+        assert fast == [row[::d] for row in reference_splitting_coefficients(spec, 6, 9, 4)]
         assert all(type(x) is int for row in wide + fast for x in row)
         for rw, rf in zip(wide, fast):
             assert [x % spec.p**4 for x in rw] == rf

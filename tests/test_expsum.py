@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from asw_slopes import expsum, gf
+from asw_slopes.dwork import char_series_via_operator
 from asw_slopes.errors import (
     BudgetExceeded,
     ConfigError,
@@ -29,6 +30,7 @@ from asw_slopes.expsum import (
     trace_histogram,
 )
 from asw_slopes.padic import CycInt, Valuation, ZqCtx, teichmuller, vp_factorial
+from asw_slopes.series import exp_from_power_sums
 from oracles import (
     reference_char_series_at_character,
     reference_character_sum,
@@ -437,3 +439,67 @@ def test_t_adic_sum_matches_the_binomial_sum_seeded():
         want = reference_t_adic_sum(p, hist.reduce(need).counts, t_order, digits)
         assert got == want and got.prec == want.prec == digits, (p, t_order, digits)
     assert wide >= 3
+
+
+def test_a_stored_entry_is_the_sorted_json_dump(monkeypatch, tmp_path):
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
+    for spec, k, digits in ((SPEC3, 2, 5), (SPEC2, 4, 6), (TowerSpec(3, 2, [1, 0, 4]), 1, 3)):
+        hist = trace_histogram(spec, k, digits)
+        path = tmp_path / f"hist_{spec.key()}_k{k}_N{digits}.json"
+        want = json.dumps(hist.to_json(spec), sort_keys=True).encode()
+        assert path.read_bytes() == want, (spec, k, digits)
+
+
+def test_a_cold_deep_charfn_caches_each_field_at_its_graded_digits(monkeypatch, tmp_path):
+    # the deep query of the benchmark, x^3 + 1 over F_2 at (t, s, digits) =
+    # (7, 15, 4): F_{2^k} is read to 4 + v_2(15!) + v_2(6!) - v_2((k-1)!)
+    # digits, where the uniform read took 19 for every k
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
+    spec = TowerSpec(2, 1, [1, 0, 0, 1])
+    char_series(spec, 7, 15, 4)
+    graded = [19, 19, 18, 18, 16, 16, 15, 15, 12, 12, 11, 11, 9, 9, 8]
+    assert graded == [4 + 11 + 4 - vp_factorial(k - 1, 2) for k in range(1, 16)]
+    want = {f"hist_{spec.key()}_k{k}_N{n}.json" for k, n in enumerate(graded, start=1)}
+    assert {x.name for x in tmp_path.iterdir()} == want
+
+
+def _uniform_char_series(spec, t_order, s_order, digits):
+    """exp of the unit-normalized sums, every F_{q^k} read to the same
+    digits + v_p(s_order!)."""
+    p = spec.p
+    inner = digits + vp_factorial(s_order, p)
+    sums = [t_adic_sum(spec, k, t_order, inner).scale(pow(1 - spec.q**k, -1, p**inner))
+            for k in range(1, s_order + 1)]
+    return exp_from_power_sums(sums, "s")
+
+
+def test_graded_char_series_equals_the_uniform_exp_seeded(monkeypatch, tmp_path):
+    # random f with p prime to d; == compares every column's values and
+    # declared precision, digits + v_p(s!) - v_p(n!); for a = 1 the
+    # operator pathway agrees mod p^digits as well
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
+    rng = random.Random(101)
+    graded = 0
+    for p in (2, 3, 5, 7):
+        for a in (1, 2):
+            q = p**a
+            s_order = min(8, int(math.log(2**16, q) + 1e-9))
+            d = rng.choice([d for d in (2, 3, 4, 5) if d % p])
+            f = [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+            spec = TowerSpec(p, a, f)
+            t_order, digits = rng.randrange(2, 7), rng.randrange(1, 5)
+            got = char_series(spec, t_order, s_order, digits)
+            want = _uniform_char_series(spec, t_order, s_order, digits)
+            inner = digits + vp_factorial(s_order, p)
+            assert [col.prec for col in got.coeffs] == [
+                inner - vp_factorial(n, p) for n in range(s_order + 1)
+            ], (p, a, f)
+            assert got == want, (p, a, f, t_order, digits)
+            graded += vp_factorial(s_order - 1, p) > 0
+            if a == 1:
+                mod = p**digits
+                ops = char_series_via_operator(spec, t_order, s_order, digits)
+                assert [[c % mod for c in col.coeffs] for col in ops.coeffs] == [
+                    [c % mod for c in col.coeffs] for col in got.coeffs
+                ], (p, f, t_order, digits)
+    assert graded >= 4

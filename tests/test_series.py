@@ -3,7 +3,7 @@ import random
 import pytest
 
 from asw_slopes.errors import CtxMismatch, InsufficientGuard, NonIntegralResult
-from asw_slopes.padic import vp_factorial
+from asw_slopes.padic import vp, vp_factorial
 from asw_slopes.series import TruncSeries, compose, exp_from_power_sums, reversion
 from oracles import (
     PadicInt,
@@ -200,10 +200,25 @@ def _power_sums(rng, p, L, K, lo):
     return sums
 
 
+def _running_min_precisions(sums):
+    """The declared precision e_n of each exp column, or None where the
+    guard runs out: e_0 = prec c_1, and step n works at
+    w = min(e_{n-1}, prec c_n) and declares e_n = w - v_p(n)."""
+    p = sums[0].p
+    e = [sums[0].prec]
+    for n, c in enumerate(sums, start=1):
+        w = min(e[-1], c.prec)
+        if w < vp(n, p):
+            return None
+        e.append(w - vp(n, p))
+    return e
+
+
 def test_flat_exp_matches_the_padic_recurrence_seeded():
-    # column n declares exactly e_0 - v_p(n!), e_0 the least precision of
-    # the sums; the zero-skipping oracle never declares less and agrees to
-    # that precision.  The guard runs out exactly when e_0 < v_p(K!), and a
+    # column n declares exactly e_n of the running-minimum rule, which for
+    # one uniform precision e is e - v_p(n!); the zero-skipping oracle never
+    # declares less and agrees to that precision.  The guard runs out
+    # exactly when some step's working precision is below v_p(n), and a
     # remainder in a division is NonIntegralResult on both sides.
     rng = random.Random(71)
     cases = []
@@ -218,21 +233,29 @@ def test_flat_exp_matches_the_padic_recurrence_seeded():
                                    rng.choice([0.2, 0.6, 1])) for _ in range(K)]
         else:
             sums = _power_sums(rng, p, L, K, lo)
+            if case % 2:
+                # graded as char_series reads them: c_k keeps only the
+                # digits the divisions by k, ..., K spend, over a target t
+                t = rng.randrange(0, 4)
+                sums = [TruncSeries("T", c.coeffs, min(c.prec, t + vp_factorial(K, p)
+                                                       - vp_factorial(k, p)), p)
+                        for k, c in enumerate(sums)]
         cases.append(sums)
     # a_2 = (c_2 + c_1 a_1)/2 is 1/2 for c = (1, 0), and needs a digit that
     # precision 0 does not have
     cases += [[TruncSeries("T", [1, 0], 5, 2), TruncSeries("T", [0, 0], 5, 2)],
               [TruncSeries("T", [0, 2], 0, 2), TruncSeries("T", [0, 0], 5, 2)]]
-    raised, more = set(), 0
+    raised, more, graded = set(), 0, 0
     for sums in cases:
         p, K = sums[0].p, len(sums)
         e0 = min(c.prec for c in sums)
+        declared = _running_min_precisions(sums)
         oracle = [padic_coeffs(c) for c in sums]
         try:
             got = exp_from_power_sums(sums, "s")
         except InsufficientGuard:
             raised.add("InsufficientGuard")
-            assert e0 < vp_factorial(K, p)
+            assert declared is None
             continue
         except NonIntegralResult:
             raised.add("NonIntegralResult")
@@ -240,10 +263,12 @@ def test_flat_exp_matches_the_padic_recurrence_seeded():
                 reference_exp(oracle, "s")
             continue
         want = reference_exp(oracle, "s")
+        assert [col.prec for col in got.coeffs] == declared
         for n, (col, ref) in enumerate(zip(got.coeffs, want.coeffs)):
-            assert col.prec == e0 - vp_factorial(n, p)
+            assert col.prec >= e0 - vp_factorial(n, p)
             assert _agrees_below(col, ref)
             more += any(c.prec > col.prec for c in ref.coeffs)
+        graded += declared[-1] > e0 - vp_factorial(K, p)
     assert any(not any(s.coeffs) for sums in cases for s in sums)
     assert raised == {"InsufficientGuard", "NonIntegralResult"}
-    assert more
+    assert more and graded
