@@ -332,7 +332,8 @@ def _cmd_eigencurve(args) -> int:
         raise ConfigError(f"vertex {vertex} must be a multiple of d = {d}")
     count = args.components if vertex is None else vertex // d
     levels = None if args.levels is None else _ints(args.levels)
-    t_order, s_order = block_window(spec, count, args.t_order, args.s_order)
+    base = tower.base_slopes(spec)
+    t_order, s_order = block_window(spec, count, args.t_order, args.s_order, base)
     C = expsum.char_series(spec, t_order, s_order, args.digits)
     factors, stats = nested_block_factors(C, d, count)
     payload = _base_payload(spec)
@@ -341,18 +342,18 @@ def _cmd_eigencurve(args) -> int:
     if vertex is not None:
         factor = block_product(factors)
         spans = list(range(1, count + 1))
-        levels = pick_levels(spec, spans, factor.digits, levels)
-        law = verify_weight_slope_law(spec, factor, spans, levels)
+        levels = pick_levels(spec, spans, factor.digits, levels, base)
+        law = verify_weight_slope_law(spec, factor, spans, levels, base)
         payload.update(
             {"mode": "vertex", "vertex": vertex, "factor": _factor_json(factor), "law": law}
         )
         ok = law["ok"]
     else:
         # the deepest block needs the highest level; all share it
-        levels = pick_levels(spec, [count], factors[-1].digits, levels)
+        levels = pick_levels(spec, [count], factors[-1].digits, levels, base)
         blocks = []
         for i, factor in enumerate(factors, start=1):
-            law = verify_weight_slope_law(spec, factor, i, levels)
+            law = verify_weight_slope_law(spec, factor, i, levels, base)
             blocks.append({**_factor_json(factor), "block": i, "law": law})
         payload.update(
             {"mode": "components", "components": count, "engine": stats, "blocks": blocks}

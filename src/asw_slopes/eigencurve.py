@@ -20,7 +20,6 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
@@ -64,33 +63,37 @@ def _slope_step(spec) -> int:
     return spec.a * phi_pm(spec.p, stable_level(spec))
 
 
-def corner_y(spec, i: int) -> int:
+def corner_y(spec, i: int, base=None) -> int:
     """T-adic hull height at the block corner x = i*d.
 
     Block j has slopes e0*(j-1) once and e0*(j-1+alpha) for each base slope
-    alpha, so the corners are integral; the ceiling is only a guard.
+    alpha, so the corners are integral; the ceiling is only a guard.  Here
+    and below, `base` passes the tower's base slopes when the caller has
+    them; None reads them.
     """
     e0 = _slope_step(spec)
-    s_alpha = sum(base_slopes(spec), Fraction(0))
+    s_alpha = sum(base_slopes(spec) if base is None else base, Fraction(0))
     return math.ceil(e0 * (Fraction(spec.d * i * (i - 1), 2) + i * s_alpha))
 
 
-def block_window(spec, count: int, t_order=None, s_order=None) -> tuple[int, int]:
+def block_window(spec, count: int, t_order=None, s_order=None, base=None) -> tuple[int, int]:
     """(T-order, s-order) that pins the first `count` blocks; None plans it.
 
     The s-order reaches one column past the last corner so that x = count*d
     is interior; the T-order anchors the hull there, e0*count past the corner.
     """
-    if max(base_slopes(spec), default=0) >= 1:
+    if base is None:
+        base = base_slopes(spec)
+    if max(base, default=0) >= 1:
         raise ConfigError("no slope gap at block vertices for this tower")
     if t_order is None:
-        t_order = corner_y(spec, count) + _slope_step(spec) * count + 2
+        t_order = corner_y(spec, count, base) + _slope_step(spec) * count + 2
     if s_order is None:
         s_order = count * spec.d + 1
     return t_order, s_order
 
 
-def pick_levels(spec, blocks, p_digits: int, levels=None) -> list[int]:
+def pick_levels(spec, blocks, p_digits: int, levels=None, base=None) -> list[int]:
     """Character levels for the weight law on a factor spanning `blocks`.
 
     None plans them: the smallest annulus level whose cap p_digits*e exceeds
@@ -99,7 +102,7 @@ def pick_levels(spec, blocks, p_digits: int, levels=None) -> list[int]:
     """
     if levels is not None:
         return levels
-    h_max = corner_y(spec, max(blocks)) - corner_y(spec, min(blocks) - 1)
+    h_max = corner_y(spec, max(blocks), base) - corner_y(spec, min(blocks) - 1, base)
     m = stable_level(spec)
     while p_digits * phi_pm(spec.p, m) <= h_max:
         m += 1
@@ -121,8 +124,7 @@ def pick_levels(spec, blocks, p_digits: int, levels=None) -> list[int]:
 
 def _hull_eval(poly: NewtonPolygon, x: int) -> Fraction:
     """Hull height, extended past the data range at the last slope."""
-    xs = [v[0] for v in poly.vertices]
-    if x <= xs[-1]:
+    if x <= poly.vertices[-1][0]:
         return poly.y_at(x)
     (x0, y0), (x1, y1) = poly.vertices[-2], poly.vertices[-1]
     return Fraction(y1) + Fraction(y1 - y0, x1 - x0) * (x - x1)
@@ -155,7 +157,8 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
     digits = min(c.prec for c in cols)
     mod = p**digits
     N = max(len(c.coeffs) for c in cols)
-    if cols[0].coeffs[0] % mod != 1 or any(cf % mod for cf in cols[0].coeffs[1:]):
+    # C_0 must be 1 mod p^digits: digit t of it is 1 at t = 0, else 0
+    if any(cf % mod != (t == 0) for t, cf in enumerate(cols[0].coeffs)):
         raise VerificationError("constant term of the series is not 1")
 
     poly = observed_polygon(C)
@@ -172,24 +175,22 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
     if any(y.denominator != 1 for y in corner):
         raise VerificationError("block corner heights are not integral")
 
-    # slots: (i, j) = coefficient j of block i; i == count is the tail
-    floors: dict = {}
-    for i in range(count):
-        for j in range(1, d + 1):
-            floors[(i, j)] = math.ceil(_hull_eval(poly, i * d + j) - corner[i])
-    for n in range(1, K + 1):
-        floors[(count, n)] = math.ceil(_hull_eval(poly, count * d + n) - corner[count])
+    # slots: (i, j) = coefficient j of block i; i == count is the tail,
+    # whose coefficients run to s^K
+    floors = {
+        (i, j): math.ceil(_hull_eval(poly, i * d + j) - corner[i])
+        for i in range(count + 1)
+        for j in range(1, (K if i == count else d) + 1)
+    }
 
-    # terms list their slots in block order, so a slot tuple is canonical
+    # terms list their slots in block order, so a slot tuple is canonical;
+    # the tail slot (count, n - s_deg) closes each term of s-degree n
     terms: list = [[] for _ in range(K + 1)]
     for jv in itertools.product(range(d + 1), repeat=count):
         s_deg = sum(jv)
-        if s_deg > K:
-            continue
         base_fs = tuple((i, j) for i, j in enumerate(jv) if j)
         for n in range(max(s_deg, 1), K + 1):
-            jm = n - s_deg
-            terms[n].append(base_fs + (((count, jm),) if jm else ()))
+            terms[n].append(base_fs + ((count, n - s_deg),) * (n > s_deg))
 
     rows = [[cf % mod for cf in col.coeffs] for col in cols]
     vals, mark, solved_digits, checks, sweeps = _eliminate(rows, terms, floors, p, mod)
@@ -198,8 +199,8 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
     for i in range(count):
         coeffs = [TruncSeries("T", [1] + [0] * (N - 1), digits, p)]
         for j in range(1, d + 1):
-            phi = floors[(i, j)]
-            got = mark[(i, j)]
+            phi = floors[i, j]
+            got = mark[i, j]
             if j == d and got <= phi:
                 raise InsufficientPrecision(
                     f"block {i}: leading digit of the s^{d} coefficient "
@@ -207,27 +208,20 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
                 )
             # a vertex of C must be attained; an interior lattice point of
             # a segment need not be
-            if i * d + j in xs and got > phi and int(vals[(i, j)][phi]) % p == 0:
+            if i * d + j in xs and got > phi and int(vals[i, j][phi]) % p == 0:
                 raise VerificationError(
                     f"block {i}: coefficient at s^{j} under a vertex is not "
                     "unit-leading"
                 )
-            coeffs.append(TruncSeries("T", [int(v) for v in vals[(i, j)][:got]], digits, p))
-        factors.append(
-            BlockFactor(
-                vertex=d,
-                p=p,
-                digits=digits,
-                t_digits=min(mark[(i, j)] for j in range(1, d + 1)),
-                coeffs=coeffs,
-            )
-        )
+            coeffs.append(TruncSeries("T", [int(v) for v in vals[i, j][:got]], digits, p))
+        # vertex, p, digits, t_digits, coefficients
+        factors.append(BlockFactor(d, p, digits, min(mark[i, j] for j in range(1, d + 1)), coeffs))
     stats = {
         "solved_digits": solved_digits,
         "verified_digits": checks,
         "sweeps": sweeps,
-        "orders": {f"{i},{j}": mark[(i, j)] for i in range(count) for j in range(1, d + 1)},
-        "tail_orders": [mark[(count, n)] for n in range(1, K + 1)],
+        "orders": {f"{i},{j}": got for (i, j), got in mark.items() if i < count},
+        "tail_orders": [got for (i, _), got in mark.items() if i == count],
     }
     return factors, stats
 
@@ -241,86 +235,91 @@ def _eliminate(rows, terms, floors, p: int, mod: int):
     solves nothing.  Returns (vals, mark, solved, checks, sweeps): each
     slot's digit row and first unsolved digit, the digits solved, the
     digits verified in the last sweep and the sweep count.
+
+    A known-part product holds at most one slot (i, j) per block i, so it
+    is named by the mixed-radix number sum_i j w_i, w_i the product of the
+    radices (largest j + 1) of the blocks before i; the numbers in use get
+    ids in number order, the empty product 0.  A term splits into an
+    unknown subset sel and its known complement, one split per nonzero bit
+    mask of its slot positions, stored term by term, so that equation n
+    owns the segment edge[n]:edge[n + 1] of the split arrays.  A split
+    reaches digit w past its known part (an unknown digit beyond the first,
+    or a product of two unknowns) from its reach sum, sum(marks[sel]) + 1
+    if sel is one slot, plus the first nonzero digit of its complement on.
+    The reach sums are kept current (a solved digit adds 1 wherever its
+    slot is unknown), so an equation's reach, the least such w over its
+    splits, is one add and min over its own segment.
     """
     K = len(rows) - 1
     N = max(map(len, rows))
     slots = list(floors)
     S = len(slots)
     sid = {f: k for k, f in enumerate(slots)}
-    # slot S is a sentinel whose mark stays 0, padding each split's unknown
-    # subset to the widest term
-    marks = np.array([floors[f] for f in slots] + [0], dtype=np.int64)
-    width = max(len(fs) for t in terms for fs in t)
-    slot_eqs: list = [set() for _ in range(S)]
-
-    # Each known-part product (a slot tuple, every subset of a term) gets
-    # one id.  splits[n] holds every (unknown subset, known complement)
-    # split of every term of equation n: the subset's slots padded with the
-    # sentinel, 1 if it is one slot (else 0) and the complement's id, taken
-    # in bit-mask order through the split table of the term's width;
-    # singles[n] the slot and complement of its one-slot splits.  All are
-    # intp: numpy indexes and adds them with no conversion loop, whose
-    # first use alone would map more code pages than the arrays save.
-    comp_id: dict = {(): 0}
-
-    def name(comp) -> int:
-        return comp_id.setdefault(comp, len(comp_id))
-
-    tables = [_split_table(size, width) for size in range(width + 1)]
-    splits: list = [None]
-    singles: list = [None]
-    for n in range(1, K + 1):
-        idx, one, cid = [], [], []
-        for fs in terms[n]:
-            ids = [sid[f] for f in fs]
-            for k in ids:
-                slot_eqs[k].add(n)
-            picks, ones, rests = tables[len(fs)]
-            ids.append(S)
-            idx += [pick(ids) for pick in picks]
-            one += ones
-            cid += [name(rest(fs)) for rest in rests]
-        idx, one, cid = (np.array(a, dtype=np.intp) for a in (idx, one, cid))
-        splits.append((idx, one, cid))
-        singles.append((idx[one == 1, 0], cid[one == 1]))
-    term_ids = [np.array([name(fs) for fs in t], dtype=np.intp) for t in terms]
-    # a new digit of slot f scales the product of the rest of each
-    # product holding f into it: holders[f] = (those products, the rests)
-    holders: list = [([], []) for _ in range(S)]
-    for comp, c in comp_id.items():
-        for u, f in enumerate(comp):
-            holders[sid[f]][0].append(c)
-            holders[sid[f]][1].append(comp_id[comp[:u] + comp[u + 1 :]])
-    holders = [(np.array(cs, dtype=np.intp), np.array(ps, dtype=np.intp)) for cs, ps in holders]
+    # slot S pads the term rows; its mark keeps it out of reach
+    marks = np.array([*floors.values(), 2 * N])
+    radix = {i: j + 1 for i, j in sorted(slots)}
+    weight, span = {}, 1
+    for i, r in radix.items():
+        weight[i], span = span, span * r
+    sval = np.array([j * weight[i] for i, j in slots] + [0])
+    flat = list(itertools.chain(*terms))
+    width = max(map(len, flat))
+    T = np.array([[sid[f] for f in fs] + [S] * (width - len(fs)) for fs in flat])
+    tnum = sval[T].sum(1)
+    nsplit = np.array([(1 << len(fs)) - 1 for fs in flat])
+    start = np.cumsum(nsplit) - nsplit
+    edge = [0, *itertools.accumulate(sum((1 << len(fs)) - 1 for fs in t) for t in terms)]
+    # split m - 1 of a term selects the positions of the bits of m; lone
+    # names the slot of a one-slot split (else S)
+    reach_sum, cnum, lone = np.full((3, edge[-1]), S)
+    for m in range(1, 1 << width):
+        pos = [u for u in range(width) if m >> u & 1]
+        R = np.flatnonzero(nsplit >= m)
+        sel = T[R[:, None], pos]
+        at = start[R] + m - 1
+        reach_sum[at] = marks[sel].sum(1) + int(len(pos) == 1)
+        cnum[at] = tnum[R] - sval[sel].sum(1)
+        if len(pos) == 1:
+            lone[at] = sel[:, 0]
+    used = np.bincount(np.append(cnum, tnum), minlength=span)
+    lut = np.where(used > 0, 1, 0).cumsum() - 1
+    cid = lut[cnum]
+    # per slot f: the splits holding f unknown; the products holding f
+    # with the same products without f, whose digits a new digit of f
+    # scales into them; the equations holding f with the rest of each of
+    # their terms holding f, grouped by equation, and each group's start
+    pick = np.array([[m - 1 for m in range(1, 1 << width) if m >> u & 1] for u in range(width)])
+    term_eq = np.array([n for n, t in enumerate(terms) for _ in t])
+    holds, holders, rests = [], [], []
+    for k, (i, j) in enumerate(slots):
+        t, u = np.nonzero(T == k)
+        holds.append((start[t][:, None] + pick[u])[pick[u] < nsplit[t][:, None]])
+        cs = np.arange(span).reshape(-1, radix[i], weight[i])[:, j].ravel()
+        cs = cs[used[cs] > 0]
+        holders.append((lut[cs], lut[cs - sval[k]]))
+        eq = term_eq[t]
+        at = np.flatnonzero(np.diff(eq, prepend=-1))
+        rests.append((eq[at].tolist(), lut[tnum[t] - sval[k]], at))
+    del T, used
 
     # Entries stay reduced mod `mod`.  A rank-1 update x*a + b is at most
-    # mod (mod - 1) <= 2 (mod - 1)^2, and an acc_row entry or a pivot sums
-    # at most len(terms[n]) residues, so int64 is exact under that bound
-    # < 2^62; past it, Python ints in numpy.
+    # mod (mod - 1) <= 2 (mod - 1)^2, and an acc_row gain sums at most
+    # len(terms[n]) residues, so int64 is exact under that bound < 2^62;
+    # past it, Python ints in numpy.
     dtype = int_dtype(max(2 * (mod - 1), max(map(len, terms))) * (mod - 1))
     val = np.zeros((S, N), dtype=dtype)
     # every slot starts at zero, so every product but the empty one does
-    kval = np.zeros((len(comp_id), N), dtype=dtype)
+    kval = np.zeros((int(lut[-1]) + 1, N), dtype=dtype)
     kval[0, 0] = 1
-    kfirst = np.full(len(comp_id), N, dtype=np.int64)
+    kfirst = np.full(len(kval), N)
     kfirst[0] = 0
-    digit = np.arange(N)
     acc_row = np.zeros((K + 1, N), dtype=dtype)
 
-    # A split with unknown subset sel reaches digit w past its known part
-    # (an unknown digit beyond the first, or a product of two unknowns) from
-    # w = sum(marks[sel]) + first nonzero digit of the complement (+ 1 for
-    # a singleton) on; the least such w over an equation's splits is its
-    # reach, fixed until one of its slots gains a digit.
-    def reach_of(n: int) -> int:
-        idx, one, cid = splits[n]
-        return int((marks[idx].sum(1) + kfirst[cid] + one).min())
-
     # The verdict of an equation digit that solved nothing (skipped, or a
-    # verified check) holds until some slot of its terms gains a digit,
-    # which bumps the equation's version.
+    # verified check) and the equation's reach hold until some slot of its
+    # terms gains a digit, which bumps the equation's version.
     version = [0] * (K + 1)
-    reach: list = [(-1, 0)] * (K + 1)
+    reach = [(-1, 0)] * (K + 1)
     verdict: dict = {}
     solved_digits = checks = sweeps = 0
     progress = True
@@ -336,73 +335,55 @@ def _eliminate(rows, terms, floors, p: int, mod: int):
                 if seen is not None and seen[0] == version[n]:
                     checks += seen[1]
                     continue
-                verdict[(n, w)] = (version[n], 0)
+                verdict[n, w] = (version[n], 0)
+                a, b = edge[n], edge[n + 1]
                 if reach[n][0] != version[n]:
-                    reach[n] = (version[n], reach_of(n))
+                    reach[n] = (version[n], int((reach_sum[a:b] + kfirst[cid[a:b]]).min()))
                 if w >= reach[n][1]:
                     continue
-                # the pivot of slot f: its first unknown digit's cofactor
-                s_slot, s_cid = singles[n]
-                base = marks[s_slot]
-                hit = base <= w
-                piv = np.zeros(S, dtype=dtype)
-                np.add.at(piv, s_slot[hit], kval[s_cid[hit], w - base[hit]])
-                piv %= mod
-                live = np.flatnonzero(piv)
-                if (piv[live] % p == 0).any():
-                    continue
-                acc = int(acc_row[n, w])
-                target = rows[n][w]
-                if not len(live):
-                    if (target - acc) % mod:
+                # the pivot of slot f sums the complements of its one-slot
+                # splits at digit w - marks[f]; each is zero below its first
+                # nonzero digit v, and marks[f] + v + 1 >= reach, so below
+                # the reach only w = reach - 1 can carry a pivot
+                live = []
+                if w == reach[n][1] - 1:
+                    piv = Counter()
+                    hit = a + np.flatnonzero(marks[lone[a:b]] + kfirst[cid[a:b]] == w)
+                    for f, c in zip(lone[hit].tolist(), cid[hit].tolist()):
+                        piv[f] += int(kval[c, w - marks[f]])
+                    live = [(f, v % mod) for f, v in piv.items() if v % mod]
+                    if any(v % p == 0 for _, v in live):
+                        continue
+                rhs = (rows[n][w] - int(acc_row[n, w])) % mod
+                if not live:
+                    if rhs:
                         raise VerificationError(
                             f"factor product disagrees with the series at "
                             f"s^{n} T^{w}"
                         )
                     checks += 1
-                    verdict[(n, w)] = (version[n], 1)
+                    verdict[n, w] = (version[n], 1)
                     continue
                 if len(live) > 1:
                     continue
-                f = int(live[0])
-                x = (target - acc) * pow(int(piv[f]), -1, mod) % mod
-                m0 = int(marks[f])
+                f, v = live[0]
+                x = rhs * pow(v, -1, mod) % mod
+                m0 = marks[f]
                 val[f, m0] = x
                 marks[f] += 1
+                reach_sum[holds[f]] += 1
                 solved_digits += 1
                 progress = True
+                # each term holding f gains x T^m0 times the rest of it
+                eqs, rest, at = rests[f]
+                gain = np.add.reduceat(kval[rest, : N - m0], at) % mod
+                acc_row[eqs, m0:] = (acc_row[eqs, m0:] + x * gain) % mod
                 cs, ps = holders[f]
                 kval[cs, m0:] = (kval[cs, m0:] + x * kval[ps, : N - m0]) % mod
-                kfirst[cs] = np.where(kval[cs] != 0, digit, N).min(1)
-                for tn in slot_eqs[f]:
-                    acc_row[tn] = kval[term_ids[tn]].sum(0) % mod
+                kfirst[cs] = np.where(kval[cs] != 0, np.arange(N), N).min(1)
+                for tn in eqs:
                     version[tn] += 1
-
-    vals = {f: val[k] for k, f in enumerate(slots)}
-    mark = {f: int(marks[k]) for k, f in enumerate(slots)}
-    return vals, mark, solved_digits, checks, sweeps
-
-
-def _picker(positions):
-    """itemgetter of `positions` that returns a sequence even for one or
-    no position (a slice; a lone index would return the bare item)."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
-
-
-def _split_table(size: int, width: int):
-    """The splits of a term of `size` slots, one per nonzero bit mask in
-    mask order: a picker of the selected positions padded with position
-    `size` to `width`, 1 if one position is selected (else 0), and a
-    picker of the complement."""
-    picks, ones, rests = [], [], []
-    for bits in range(1, 1 << size):
-        sel = [u for u in range(size) if bits >> u & 1]
-        picks.append(_picker(sel + [size] * (width - len(sel))))
-        ones.append(int(len(sel) == 1))
-        rests.append(_picker([u for u in range(size) if not bits >> u & 1]))
-    return picks, ones, rests
+    return dict(zip(slots, val)), dict(zip(slots, marks.tolist())), solved_digits, checks, sweeps
 
 
 def _lead(row) -> int:
@@ -485,7 +466,7 @@ def predicted_block_slopes(spec, block_index: int, base=None) -> Counter:
     return out
 
 
-def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels) -> dict:
+def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels, base=None) -> dict:
     """Exact slope multisets of the specialized factor across character levels.
 
     The law: the pi-adic polygon of the factor is one and the same at every
@@ -505,7 +486,8 @@ def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels) -> dict:
     if not levels:
         raise ConfigError("no character levels to check the law at")
     floor = stable_level(spec)
-    base = base_slopes(spec)
+    if base is None:
+        base = base_slopes(spec)
     predicted: Counter = Counter()
     for b in blocks:
         predicted += predicted_block_slopes(spec, b, base)

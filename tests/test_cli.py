@@ -548,6 +548,20 @@ def test_eigencurve_engine_and_factors_are_pinned(capsys, argv, engine, blocks):
         assert rest == want
 
 
+@pytest.mark.parametrize(
+    "argv, counters",
+    [
+        (["--p", "2", "--f", "1,0,0,1", "--digits", "6", "--components", "5"], (7, 55, 285)),
+        (["--p", "3", "--f", "1,0,2", "--components", "5"], (11, 66, 286)),
+    ],
+)
+def test_deep_eigencurve_engine_counters_are_pinned(capsys, argv, counters):
+    # sweeps, solved digits and verified digits of five blocks; four are
+    # pinned with their factors above
+    engine = _eigencurve_blocks(capsys, argv)["engine"]
+    assert (engine["sweeps"], engine["solved_digits"], engine["verified_digits"]) == counters
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, ["zeta", *P2, "--m", "1", "--out", str(target)])
@@ -681,6 +695,26 @@ STDOUT_SHA256 = [
         ["eigencurve", "--p", "3", "--f", "1,0,2", "--components", "3"],
         "abb234608df0ed34a7268000a3302a85186cbc0417ae3721807a816d9b7e2a99",
         id="eigencurve-p3",
+    ),
+    pytest.param(
+        ["eigencurve", "--p", "2", "--f", "1,0,0,1", "--digits", "6", "--components", "4"],
+        "dac9d8fe66c436b9c63eaf2419a187bb5f822524418e97b16c10288b6842e909",
+        id="eigencurve-p2-digits6-4-blocks",
+    ),
+    pytest.param(
+        ["eigencurve", "--p", "2", "--f", "1,0,0,1", "--digits", "6", "--components", "5"],
+        "836615b428ef4ed0f34aba26ce01181803bd4b6ddee5a846d045279ddac3a9ce",
+        id="eigencurve-p2-digits6-5-blocks",
+    ),
+    pytest.param(
+        ["eigencurve", "--p", "3", "--f", "1,0,2", "--components", "4"],
+        "9c12faad246a809148ee2bdf20076db0c50f37b38a6ac27ae8c763c962f55e02",
+        id="eigencurve-p3-4-blocks",
+    ),
+    pytest.param(
+        ["eigencurve", "--p", "3", "--f", "1,0,2", "--components", "5"],
+        "b9a6d997e0c63d9265b567230b372eec0f3579c7dbeaa785a66c1bbbc370cbee",
+        id="eigencurve-p3-5-blocks",
     ),
     pytest.param(
         ["expsum", "--p", "2", "--f", "1,0,0,1", "--method", "both", "--k", "3", "--t-order", "20"],

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -111,12 +113,14 @@ def _elimination_cases():
     cases = [
         pytest.param(TowerSpec(2, 1, [c, 0, 0, 1]), count, 6, id=f"p2-x3+{c}-{count}")
         for c in (0, 1)
-        for count in (1, 2, 3)
+        for count in (1, 2, 3, 4)
     ]
     for p in (3, 5):
         for count in (1, 2, 3):
             u, c = rng.randrange(1, p), rng.randrange(p)
             cases.append(pytest.param(TowerSpec(p, 1, [c, 0, u]), count, 4, id=f"p{p}-{u}x2+{c}-{count}"))
+    # four blocks: the widest terms, with the deepest complements
+    cases.append(pytest.param(TowerSpec(3, 1, [2, 0, 1]), 4, 4, id="p3-x2+2-4"))
     # (3^21 - 1)^2 passes 2^63, so every product leaves int64
     cases.append(pytest.param(TowerSpec(3, 1, [2, 0, 1]), 2, 21, id="p3-wide-digits"))
     return cases
@@ -243,3 +247,28 @@ def test_window_planners_are_pinned():
     assert turning_window(SPEC2) == (8, 7) and turning_window(SPEC3) == (11, 5)
     assert turning_window(SPEC2, s_order=5) == (4, 5)
     assert turning_window(SPEC2, t_order=3) == (3, 7)
+
+
+def test_eigencurve_calls_no_sorting_routine():
+    """The first call of a numpy routine maps its code pages, and the bench
+    counts them in peak RSS.  Added peak RSS at first use, measured after
+    the `operator` queries had run: np.unique 640 KiB, np.sort 320 KiB,
+    np.argsort 128 KiB, np.searchsorted 64 KiB (integer //, np.full of a
+    bool into intp, a cumsum of bools and a Python bool added to an int64
+    array also 64 KiB each).  The elimination numbers and groups its splits
+    with bincount, integer cumsum, flatnonzero, diff and reduceat instead,
+    which cost nothing new, so eigencurve.py calls none of the sorting
+    routines, as a function or as a method."""
+    banned = {"unique", "sort", "argsort", "lexsort", "searchsorted", "partition"}
+    tree = ast.parse(pathlib.Path(eigencurve.__file__).read_text())
+    calls = [
+        (node.lineno, node.func.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in banned
+    ]
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in banned
+    ]
+    assert calls == [] and imported == []
