@@ -328,8 +328,3 @@ def char_series_via_operator(
         raise InsufficientPrecision(f"operator series certified only to {got} digits")
     return out
 
-
-def structural_floor(spec, k: int):
-    """Certified lower bound (in w-lanes) for the k-th coefficient: the
-    column divisibility gives v_w >= (p-1) k(k-1)/2 before any computation."""
-    return (spec.p - 1) * k * (k - 1) // 2

@@ -136,29 +136,6 @@ def hodge_polygon(d: int, width: int, source: str = "hodge") -> NewtonPolygon:
     )
 
 
-def upper_bound_polygon(d: int, width: int, source: str = "upper") -> NewtonPolygon:
-    """Slope pattern per block of width d: one slope n, then d-1 slopes n+1/2.
-
-    The slopes never decrease, so the hull keeps every corner of the pattern.
-    """
-    y = Fraction(0)
-    pts = [(0, y)]
-    for k in range(width):
-        n = k // d
-        y += n if k % d == 0 else n + Fraction(1, 2)
-        pts.append((k + 1, y))
-    return lower_hull([(x, Valuation.exact(y)) for x, y in pts], source)
-
-
-def max_gap(d: int):
-    """Peak vertical gap between the two model polygons (continuous max).
-
-    Attained at x = (d+1)/2 with value (d-1)^2/(8d); for even d the best
-    integer abscissa gives the slightly smaller (d-2)/8.
-    """
-    return Fraction((d - 1) ** 2, 8 * d), Fraction(d + 1, 2)
-
-
 def turning_points(d: int, width: int) -> list:
     """Forced contact points: x = nd and nd+1, y(nd) = n(nd-1)/2."""
     out = []

@@ -9,10 +9,11 @@ single wrong digit anywhere upstream shows up as a mismatch here.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from . import gf
 from .errors import ConfigError, DegreeViolation, VerificationError
@@ -31,55 +32,67 @@ from .padic import CycInt, Valuation, cyc_valuation, phi_pm
 from .series import TruncSeries
 
 # ---------------------------------------------------------------------------
-# length-2 Witt arithmetic over a finite field of characteristic p
+# length-2 Witt arithmetic on arrays: an element of F_Q = F_p[u]/(h) is a last
+# axis of n coefficients in [0, p), little-endian; leading axes broadcast
 
 @functools.cache
-def _carry_coeffs(p: int) -> tuple[int, ...]:
-    """C(p,i)/p for 0 < i < p: the integer carry polynomial coefficients."""
-    return tuple(math.comb(p, i) // p for i in range(1, p))
+def _fold(ctx: gf.FieldCtx):
+    """(dtype, fold): fold is the (2n - 1, n) matrix of u^e mod h.  A product
+    of two elements has 2n - 1 coefficients below n (p - 1)^2, so folding
+    keeps them below (2n - 1) n (p - 1)^3; sums before a reduction stay
+    below p^2 <= Q^2, and Witt codes below Q^2."""
+    n, p = ctx.n, ctx.p
+    dtype = gf.int_dtype(max((2 * n - 1) * n * (p - 1) ** 3, ctx.order**2))
+    return dtype, np.array(gf.shifts([1] + [0] * (n - 1), 2 * n - 1, ctx.h, p), dtype=dtype)
 
 
-def _carry(ctx: gf.FieldCtx, a, b) -> tuple[int, ...]:
-    """sum_{0<i<p} C(p,i)/p a^i b^(p-i) by Horner's rule in a: the second
-    Witt coordinate of a + b is a_1 + b_1 less this carry."""
-    acc, bpow = (0,) * ctx.n, b
-    for j, ci in enumerate(reversed(_carry_coeffs(ctx.p))):
-        if j:
-            bpow = ctx.mul(bpow, b)
-        acc = ctx.mul([x + ci * y for x, y in zip(acc, bpow)], a)
+def _mul(ctx: gf.FieldCtx, a, b):
+    """a * b elementwise: one shifted-add convolution into 2n - 1 columns,
+    one product with the fold matrix, one reduction mod p."""
+    (dtype, fold), n = _fold(ctx), ctx.n
+    wide = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * n - 1,), dtype)
+    for j in range(n):
+        wide[..., j : j + n] += a[..., j, None] * b
+    return wide @ fold % ctx.p
+
+
+def _pow(ctx: gf.FieldCtx, a, e: int):
+    """a^e elementwise, left to right (a^0 = 1)."""
+    out = a if e else np.broadcast_to(_fold(ctx)[1][0], a.shape)
+    for bit in bin(e)[3:]:
+        out = _mul(ctx, out, out)
+        if bit == "1":
+            out = _mul(ctx, out, a)
+    return out
+
+
+def _carry(ctx: gf.FieldCtx, a, b):
+    """sum_{0<i<p} C(p,i)/p a^i b^(p-i) by Horner's rule in a, each C(p,i)/p
+    reduced mod p to meet the arrays: the second Witt coordinate of a + b is
+    a_1 + b_1 less this carry."""
+    p = ctx.p
+    acc, bpow = 0, b
+    for i in range(p - 1, 0, -1):
+        if i < p - 1:
+            bpow = _mul(ctx, bpow, b)
+        acc = _mul(ctx, (acc + math.comb(p, i) // p % p * bpow) % p, a)
     return acc
 
 
-def _length(u, v) -> int:
-    if len(u) != len(v) or len(u) not in (1, 2):
-        raise ConfigError("witt vectors must both have length 1 or 2")
-    return len(u)
-
-
 def witt_add(ctx: gf.FieldCtx, u, v):
-    if _length(u, v) == 1:
-        return (ctx.add(u[0], v[0]),)
-    s1 = ctx.sub(ctx.add(u[1], v[1]), _carry(ctx, u[0], v[0]))
-    return (ctx.add(u[0], v[0]), s1)
-
-
-def witt_neg(ctx: gf.FieldCtx, u):
-    n0 = ctx.sub((0,) * ctx.n, u[0])
-    if len(u) == 1:
-        return (n0,)
-    return (n0, ctx.sub(_carry(ctx, u[0], n0), u[1]))
+    """u + v for Witt vectors of length 1 or 2, each a tuple of arrays."""
+    s = [(u[0] + v[0]) % ctx.p]
+    if len(u) == 2:
+        s.append((u[1] + v[1] - _carry(ctx, u[0], v[0])) % ctx.p)
+    return tuple(s)
 
 
 def witt_sub(ctx: gf.FieldCtx, u, v):
     """u - v with one carry: (u - v) + v = u fixes the second coordinate."""
-    if _length(u, v) == 1:
-        return (ctx.sub(u[0], v[0]),)
-    d0 = ctx.sub(u[0], v[0])
-    return (d0, ctx.add(ctx.sub(u[1], v[1]), _carry(ctx, d0, v[0])))
-
-
-def witt_frobenius(ctx: gf.FieldCtx, u):
-    return tuple(ctx.pow(c, ctx.p) for c in u)
+    d = [(u[0] - v[0]) % ctx.p]
+    if len(u) == 2:
+        d.append((u[1] - v[1] + _carry(ctx, d[0], v[0])) % ctx.p)
+    return tuple(d)
 
 
 # ---------------------------------------------------------------------------
@@ -95,45 +108,46 @@ def count_points_witt(spec: TowerSpec, m: int, k: int) -> int:
     """Brute force: #{(x, y) : F(y) - y = sum_i (b_i x^i, 0)} over F_{q^k}.
 
     The right side is the Witt sum of the monomials' Teichmuller lifts, the
-    image of f-hat(x-hat) in W_m.  Every y in W_m is enumerated once and its
-    F(y) - y bucketed, so each x costs one lookup.
+    image of f-hat(x-hat) in W_m.  F(y) - y is found for every y in W_m at
+    once (y_0 down axis 0, y_1 across axis 1), coded as d_0 Q + d_1 and
+    binned; each x's target then reads its bin.
     """
     if not witt_feasible(spec, m, k):
         raise ConfigError(f"no brute-force Witt count for m = {m} over F_(q^{k})")
     ctx = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
-    monos = [
-        (i, gf.embed_element(spec.ctx, spec.ctx.element(b), ctx))
-        for i, b in spec.monomials()
-    ]
-    elts = list(ctx.elements())
-    frob = {c: ctx.pow(c, ctx.p) for c in elts}
-    wp = Counter(
-        witt_sub(ctx, tuple(frob[c] for c in y), y)
-        for y in itertools.product(elts, repeat=m)
-    )
-    zero = (0,) * ctx.n
-    count = 0
-    for x in elts:
-        target = (zero,) * m
-        for i, b in monos:
-            target = witt_add(ctx, target, (ctx.mul(b, ctx.pow(x, i)), zero)[:m])
-        count += wp[target]
-    return count
+    p, Q = ctx.p, ctx.order
+    digits = p ** np.arange(ctx.n, dtype=_fold(ctx)[0])
+    elts = np.arange(Q, dtype=digits.dtype)[:, None] // digits % p
+
+    def code(w):  # d_0 Q + d_1 for length 2, the index of d_0 for length 1
+        return sum(c @ digits * Q**e for e, c in enumerate(reversed(w)))
+
+    y = (elts[:, None], elts[None, :])[:m]
+    fy_less_y = witt_sub(ctx, tuple(_pow(ctx, c, p) for c in y), y)
+    bins = np.bincount(code(fy_less_y).ravel(), minlength=Q**m)
+    zero = np.zeros_like(elts)
+    target = (zero,) * m
+    for i, b in spec.monomials():
+        lift = np.array(gf.embed_element(spec.ctx, spec.ctx.element(b), ctx), digits.dtype)
+        target = witt_add(ctx, target, (_mul(ctx, lift, _pow(ctx, elts, i)), zero)[:m])
+    return int(bins[code(target)].sum())
 
 
-def count_points_trace(spec: TowerSpec, m: int, k: int) -> int:
-    """p^m * #{x : lifted trace vanishes mod p^m}, zero fiber included."""
-    hist = trace_histogram(spec, k, m)
+def count_points_trace(spec: TowerSpec, m: int, k: int, hist=None) -> int:
+    """p^m * #{x : lifted trace vanishes mod p^m}, zero fiber included; `hist`
+    is trace_histogram(spec, k, m) when already read."""
+    hist = trace_histogram(spec, k, m) if hist is None else hist
     zeros = hist.counts.get(0, 0)
     if hist.zero_cell == 0:
         zeros += 1
     return spec.p**m * zeros
 
 
-def count_points_char(spec: TowerSpec, m: int, k: int) -> int:
+def count_points_char(spec: TowerSpec, m: int, k: int, hist=None) -> int:
     """Same count as the sum of the character sums over every c mod p^m
-    (c = 0 gives q^k), each in Z[zeta_{p^m}]; the total must land in Z."""
-    hist = trace_histogram(spec, k, m)
+    (c = 0 gives q^k), each in Z[zeta_{p^m}]; the total must land in Z.
+    `hist` is trace_histogram(spec, k, m) when already read."""
+    hist = trace_histogram(spec, k, m) if hist is None else hist
     total = CycInt.zero(spec.p, m)
     for c in range(spec.p**m):
         total = total + character_sum(hist, m, c, include_zero=True)
@@ -349,8 +363,9 @@ def verify_turning(spec: TowerSpec, digits: int, t_order=None, s_order=None) -> 
 
 def cross_check_counts(spec: TowerSpec, m: int, k: int) -> dict:
     """All three point counts for the m-th cover over the k-th extension."""
-    via_trace = count_points_trace(spec, m, k)
-    via_char = count_points_char(spec, m, k)
+    hist = trace_histogram(spec, k, m)
+    via_trace = count_points_trace(spec, m, k, hist)
+    via_char = count_points_char(spec, m, k, hist)
     out = {"m": m, "k": k, "trace": via_trace, "character": via_char}
     if witt_feasible(spec, m, k):
         out["witt"] = count_points_witt(spec, m, k)

@@ -8,8 +8,14 @@ kernels' own (budgeted) precision and require the oracle never to declare
 less.
 """
 
+import itertools
+import math
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 
+from asw_slopes import gf
 from asw_slopes.dwork import _pack, _unpack
 from asw_slopes.errors import (
     ConfigError,
@@ -18,8 +24,10 @@ from asw_slopes.errors import (
     VerificationError,
 )
 from asw_slopes.gf import int_dtype
+from asw_slopes.newton import lower_hull
 from asw_slopes.padic import (
     CycInt,
+    Valuation,
     ZqCtx,
     _cyc_reduce,
     binom_pow,
@@ -267,6 +275,75 @@ def reference_teich_trace(ctx, x, f_coeffs, N):
     total = [c % zctx.mod for c in total]
     assert not any(total[1:]), f"non-constant trace coordinates {total[1:]}"
     return total[0]
+
+
+def reference_carry(ctx, a, b):
+    """sum_{0<i<p} C(p,i)/p a^i b^(p-i) on FieldCtx tuples, by Horner's rule
+    in a."""
+    p = ctx.p
+    acc, bpow = (0,) * ctx.n, b
+    for j, i in enumerate(range(p - 1, 0, -1)):
+        if j:
+            bpow = ctx.mul(bpow, b)
+        acc = ctx.mul([x + math.comb(p, i) // p * y for x, y in zip(acc, bpow)], a)
+    return acc
+
+
+def _reference_length(u, v):
+    if len(u) != len(v) or len(u) not in (1, 2):
+        raise ConfigError("witt vectors must both have length 1 or 2")
+    return len(u)
+
+
+def reference_witt_add(ctx, u, v):
+    """u + v in W_1 or W_2 of ctx, one Witt vector of FieldCtx tuples."""
+    if _reference_length(u, v) == 1:
+        return (ctx.add(u[0], v[0]),)
+    s1 = ctx.sub(ctx.add(u[1], v[1]), reference_carry(ctx, u[0], v[0]))
+    return (ctx.add(u[0], v[0]), s1)
+
+
+def reference_witt_neg(ctx, u):
+    n0 = ctx.sub((0,) * ctx.n, u[0])
+    if len(u) == 1:
+        return (n0,)
+    return (n0, ctx.sub(reference_carry(ctx, u[0], n0), u[1]))
+
+
+def reference_witt_sub(ctx, u, v):
+    """u - v with one carry: (u - v) + v = u fixes the second coordinate."""
+    if _reference_length(u, v) == 1:
+        return (ctx.sub(u[0], v[0]),)
+    d0 = ctx.sub(u[0], v[0])
+    return (d0, ctx.add(ctx.sub(u[1], v[1]), reference_carry(ctx, d0, v[0])))
+
+
+def reference_witt_frobenius(ctx, u):
+    return tuple(ctx.pow(c, ctx.p) for c in u)
+
+
+def reference_count_points_witt(spec, m, k):
+    """#{(x, y) : F(y) - y = sum_i (b_i x^i, 0)} over F_{q^k}, one Witt
+    vector at a time: every y in W_m bucketed by F(y) - y in a Counter, then
+    one lookup per x."""
+    ctx = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
+    monos = [
+        (i, gf.embed_element(spec.ctx, spec.ctx.element(b), ctx))
+        for i, b in spec.monomials()
+    ]
+    elts = list(ctx.elements())
+    wp = Counter(
+        reference_witt_sub(ctx, reference_witt_frobenius(ctx, y), y)
+        for y in itertools.product(elts, repeat=m)
+    )
+    zero = (0,) * ctx.n
+    count = 0
+    for x in elts:
+        target = (zero,) * m
+        for i, b in monos:
+            target = reference_witt_add(ctx, target, (ctx.mul(b, ctx.pow(x, i)), zero)[:m])
+        count += wp[target]
+    return count
 
 
 def reference_polymul(a, b, p):
@@ -562,3 +639,33 @@ def reference_eliminate(rows, terms, floors, p, mod):
                     acc_row[tn] = row_sum(tn)
                     version[tn] += 1
     return vals, mark, solved_digits, checks, sweeps
+
+
+def upper_bound_polygon(d, width, source="upper"):
+    """Slope pattern per block of width d: one slope n, then d-1 slopes n+1/2.
+
+    The slopes never decrease, so the hull keeps every corner of the pattern.
+    """
+    y = Fraction(0)
+    pts = [(0, y)]
+    for k in range(width):
+        n = k // d
+        y += n if k % d == 0 else n + Fraction(1, 2)
+        pts.append((k + 1, y))
+    return lower_hull([(x, Valuation.exact(y)) for x, y in pts], source)
+
+
+def max_gap(d):
+    """Peak vertical gap between the two model polygons (continuous max).
+
+    Attained at x = (d+1)/2 with value (d-1)^2/(8d); for even d the best
+    integer abscissa gives the slightly smaller (d-2)/8.
+    """
+    return Fraction((d - 1) ** 2, 8 * d), Fraction(d + 1, 2)
+
+
+def structural_floor(spec, k):
+    """Certified lower bound (in w-lanes) for the k-th coefficient of the
+    operator series: the column divisibility gives v_w >= (p-1) k(k-1)/2
+    before any computation."""
+    return (spec.p - 1) * k * (k - 1) // 2

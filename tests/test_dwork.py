@@ -15,7 +15,6 @@ from asw_slopes.dwork import (
     nuclear_traces,
     pi_of_T,
     splitting_coefficients,
-    structural_floor,
     t_adic_sum_via_operator,
 )
 from asw_slopes.errors import ConfigError
@@ -32,6 +31,7 @@ from oracles import (
     reference_repack,
     reference_teich_zp,
     reference_trace_pair,
+    structural_floor,
 )
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])

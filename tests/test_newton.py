@@ -8,12 +8,11 @@ from asw_slopes.newton import (
     NewtonPolygon,
     hodge_polygon,
     lower_hull,
-    max_gap,
     render_svg,
     turning_points,
-    upper_bound_polygon,
 )
 from asw_slopes.padic import Valuation
+from oracles import max_gap, upper_bound_polygon
 
 
 def E(v):

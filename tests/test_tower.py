@@ -3,9 +3,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from asw_slopes import gf
+from asw_slopes import gf, tower
 from asw_slopes.errors import ConfigError
 from asw_slopes.expsum import TowerSpec, l_degree
 from asw_slopes.tower import (
@@ -24,10 +25,15 @@ from asw_slopes.tower import (
     verify_turning,
     witt_add,
     witt_feasible,
-    witt_frobenius,
-    witt_neg,
     witt_sub,
     zeta_numerator,
+)
+from oracles import (
+    reference_count_points_witt,
+    reference_witt_add,
+    reference_witt_frobenius,
+    reference_witt_neg,
+    reference_witt_sub,
 )
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])
@@ -47,12 +53,12 @@ def test_witt_ring_axioms_seeded(p):
     vecs = _random_pairs(ctx, rng, 12)
     zero = (ctx.element(0), ctx.element(0))
     for u, v in zip(vecs, vecs[1:]):
-        assert witt_add(ctx, u, v) == witt_add(ctx, v, u)
-        assert witt_add(ctx, u, witt_neg(ctx, u)) == zero
-        assert witt_add(ctx, witt_sub(ctx, u, v), v) == u
+        assert reference_witt_add(ctx, u, v) == reference_witt_add(ctx, v, u)
+        assert reference_witt_add(ctx, u, reference_witt_neg(ctx, u)) == zero
+        assert reference_witt_add(ctx, reference_witt_sub(ctx, u, v), v) == u
     for u, v, w in zip(vecs, vecs[1:], vecs[2:]):
-        lhs = witt_add(ctx, witt_add(ctx, u, v), w)
-        rhs = witt_add(ctx, u, witt_add(ctx, v, w))
+        lhs = reference_witt_add(ctx, reference_witt_add(ctx, u, v), w)
+        rhs = reference_witt_add(ctx, u, reference_witt_add(ctx, v, w))
         assert lhs == rhs
 
 
@@ -63,29 +69,77 @@ def test_witt_sub_is_adding_the_negative_exhaustive(p, n):
     vecs = list(itertools.product(ctx.elements(), repeat=2))
     for u in vecs:
         for v in vecs:
-            assert witt_sub(ctx, u, v) == witt_add(ctx, u, witt_neg(ctx, v)), (u, v)
+            want = reference_witt_add(ctx, u, reference_witt_neg(ctx, v))
+            assert reference_witt_sub(ctx, u, v) == want, (u, v)
     for u in ctx.elements():
-        assert witt_sub(ctx, (u,), (u,)) == (ctx.element(0),)
+        assert reference_witt_sub(ctx, (u,), (u,)) == (ctx.element(0),)
 
 
 def test_witt_frobenius_is_additive():
     ctx = gf.FieldCtx(3, 2)
     rng = random.Random(11)
     vecs = _random_pairs(ctx, rng, 8)
+    F, add = reference_witt_frobenius, reference_witt_add
     for u, v in zip(vecs, vecs[1:]):
-        assert witt_frobenius(ctx, witt_add(ctx, u, v)) == witt_add(
-            ctx, witt_frobenius(ctx, u), witt_frobenius(ctx, v)
-        )
+        assert F(ctx, add(ctx, u, v)) == add(ctx, F(ctx, u), F(ctx, v))
 
 
 def test_witt_length_guard():
     ctx = gf.FieldCtx(2, 1)
     z = ctx.element(0)
-    for op in (witt_add, witt_sub):
+    for op in (reference_witt_add, reference_witt_sub):
         with pytest.raises(ConfigError):
             op(ctx, (z, z, z), (z, z, z))
         with pytest.raises(ConfigError):
             op(ctx, (z,), (z, z))
+
+
+def _witt_pairs(ctx):
+    """Pairs (u, v) of W_2(F_q): all of them for q <= 9; past that every pair
+    (u_0, v_0) of the j-th and i-th elements, with u_1 = v_0 and v_1 the
+    element of index i + j, so every value meets every carry argument."""
+    elts = list(ctx.elements())
+    q = len(elts)
+    if q <= 9:
+        return list(itertools.product(itertools.product(elts, repeat=2), repeat=2))
+    return [
+        ((elts[j], elts[i]), (elts[i], elts[(i + j) % q]))
+        for i, j in itertools.product(range(q), repeat=2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)],
+)
+def test_the_array_witt_kernel_equals_the_reference_exhaustive(p, n):
+    # every field with p^n <= 49: the production add and sub, row for row
+    # against the scalar references, and the group law on the kernel itself
+    ctx = gf.field(p, n)
+    pairs = _witt_pairs(ctx)
+    u = tuple(np.array([uv[0][i] for uv in pairs]) for i in range(2))
+    v = tuple(np.array([uv[1][i] for uv in pairs]) for i in range(2))
+
+    def rows(w):
+        return [tuple(tuple(map(int, c[r])) for c in w) for r in range(len(pairs))]
+
+    s, d = witt_add(ctx, u, v), witt_sub(ctx, u, v)
+    assert rows(s) == [reference_witt_add(ctx, a, b) for a, b in pairs]
+    assert rows(d) == [reference_witt_sub(ctx, a, b) for a, b in pairs]
+    zero = tuple(np.zeros_like(c) for c in u)
+    neg = witt_sub(ctx, zero, v)
+    assert rows(neg) == [reference_witt_neg(ctx, b) for _, b in pairs]
+    w = tuple(np.roll(c, 1, axis=0) for c in v)
+    laws = [
+        (witt_add(ctx, v, u), s),  # commutative
+        (witt_add(ctx, u, neg), d),  # sub is adding the negative
+        (witt_add(ctx, d, v), u),
+        (witt_add(ctx, s, w), witt_add(ctx, u, witt_add(ctx, v, w))),  # associative
+    ]
+    for got, want in laws:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    frob = [reference_witt_frobenius(ctx, b) for _, b in pairs]
+    assert rows(tuple(tower._pow(ctx, c, p) for c in v)) == frob
 
 
 def test_witt_enumeration_guards():
@@ -141,6 +195,65 @@ def test_witt_counts_sum_the_monomial_lifts(p, a, f):
             out = cross_check_counts(spec, m, k)
             assert out["ok"] and "witt" in out
             k += 1
+
+
+# the seeded three-count battery runs the scalar reference count on the cells
+# with (q^k)^(m+1) up to this cap
+REFERENCE_CAP = 2**16
+
+
+def _seeded_towers(p, a, count=2):
+    """`count` towers over F_(p^a) with two or more monomials and p not
+    dividing the degree d <= 5."""
+    rng = random.Random(f"three-counts:{p}:{a}")
+    q, out = p**a, []
+    while len(out) < count:
+        d = rng.choice([d for d in range(2, 6) if d % p])
+        f = [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+        if sum(1 for b in f if b) >= 2:
+            out.append(TowerSpec(p, a, f))
+    return out
+
+
+@pytest.mark.parametrize("a", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_three_counts_agree_on_seeded_towers(p, a):
+    # every (m, k) the Witt gate admits, whose (q^k)^(m+1) <= 4*10^6 is the
+    # size cap: Witt = trace = character, and the array kernel = the scalar
+    # reference where that is cheap
+    cells = 0
+    for spec in _seeded_towers(p, a):
+        for m in (1, 2):
+            k = 1
+            while witt_feasible(spec, m, k):
+                out = cross_check_counts(spec, m, k)
+                assert out["ok"] and out["witt"] == out["trace"] == out["character"]
+                if spec.q ** (k * (m + 1)) <= REFERENCE_CAP:
+                    assert out["witt"] == reference_count_points_witt(spec, m, k), (spec.coeffs, m, k)
+                cells += 1
+                k += 1
+    assert cells >= 4
+
+
+@pytest.mark.parametrize(
+    "spec,m,k,past,count",
+    [
+        (TowerSpec(157, 1, [1, 0, 1]), 2, 1, (163, 1), 49298),  # largest p at m = 2
+        (TowerSpec(1999, 1, [1998, 3, 1]), 1, 1, (2003, 1), None),  # largest p at m = 1
+        (TowerSpec(2, 1, [1, 1, 0, 1]), 2, 7, (2, 8), None),  # largest n for p = 2
+        (TowerSpec(2, 1, [1, 1, 0, 1]), 1, 10, (2, 11), None),
+    ],
+)
+def test_the_witt_kernel_stays_on_int64_at_the_gates_corners(spec, m, k, past, count):
+    # one step past each corner (the next prime, or the next k) the gate
+    # closes; inside, the kernel's proven bound keeps it on int64 and its
+    # count meets the trace count
+    ctx = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
+    assert witt_feasible(spec, m, k) and tower._fold(ctx)[0] is np.int64
+    assert not witt_feasible(TowerSpec(past[0], 1, [0, 1]), m, past[1])
+    witt = count_points_witt(spec, m, k)
+    assert witt == count_points_trace(spec, m, k) and witt > 0
+    assert count is None or witt == count
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
