@@ -37,20 +37,20 @@ from .series import TruncSeries
 
 @functools.cache
 def _fold(ctx: gf.FieldCtx):
-    """(dtype, fold): fold is the (2n - 1, n) matrix of u^e mod h.  A product
-    of two elements has 2n - 1 coefficients below n (p - 1)^2, so folding
-    keeps them below (2n - 1) n (p - 1)^3; sums before a reduction stay
-    below p^2 <= Q^2, and Witt codes below Q^2."""
+    """The (2n - 1, n) matrix of u^e mod h, in the dtype of every array of
+    the Witt count.  A product of two elements has 2n - 1 coefficients below
+    n (p - 1)^2, so folding keeps them below (2n - 1) n (p - 1)^3; sums before
+    a reduction stay below p^2 <= Q^2, and Witt codes below Q^2."""
     n, p = ctx.n, ctx.p
     dtype = gf.int_dtype(max((2 * n - 1) * n * (p - 1) ** 3, ctx.order**2))
-    return dtype, np.array(gf.shifts([1] + [0] * (n - 1), 2 * n - 1, ctx.h, p), dtype=dtype)
+    return np.array(gf.shifts([1] + [0] * (n - 1), 2 * n - 1, ctx.h, p), dtype=dtype)
 
 
 def _mul(ctx: gf.FieldCtx, a, b):
     """a * b elementwise: one shifted-add convolution into 2n - 1 columns,
     one product with the fold matrix, one reduction mod p."""
-    (dtype, fold), n = _fold(ctx), ctx.n
-    wide = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * n - 1,), dtype)
+    fold, n = _fold(ctx), ctx.n
+    wide = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * n - 1,), fold.dtype)
     for j in range(n):
         wide[..., j : j + n] += a[..., j, None] * b
     return wide @ fold % ctx.p
@@ -58,7 +58,7 @@ def _mul(ctx: gf.FieldCtx, a, b):
 
 def _pow(ctx: gf.FieldCtx, a, e: int):
     """a^e elementwise, left to right (a^0 = 1)."""
-    out = a if e else np.broadcast_to(_fold(ctx)[1][0], a.shape)
+    out = a if e else np.broadcast_to(_fold(ctx)[0], a.shape)
     for bit in bin(e)[3:]:
         out = _mul(ctx, out, out)
         if bit == "1":
@@ -116,7 +116,7 @@ def count_points_witt(spec: TowerSpec, m: int, k: int) -> int:
         raise ConfigError(f"no brute-force Witt count for m = {m} over F_(q^{k})")
     ctx = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
     p, Q = ctx.p, ctx.order
-    digits = p ** np.arange(ctx.n, dtype=_fold(ctx)[0])
+    digits = p ** np.arange(ctx.n, dtype=_fold(ctx).dtype)
     elts = np.arange(Q, dtype=digits.dtype)[:, None] // digits % p
 
     def code(w):  # d_0 Q + d_1 for length 2, the index of d_0 for length 1

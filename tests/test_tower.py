@@ -249,7 +249,7 @@ def test_the_witt_kernel_stays_on_int64_at_the_gates_corners(spec, m, k, past, c
     # closes; inside, the kernel's proven bound keeps it on int64 and its
     # count meets the trace count
     ctx = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
-    assert witt_feasible(spec, m, k) and tower._fold(ctx)[0] is np.int64
+    assert witt_feasible(spec, m, k) and tower._fold(ctx).dtype == np.int64
     assert not witt_feasible(TowerSpec(past[0], 1, [0, 1]), m, past[1])
     witt = count_points_witt(spec, m, k)
     assert witt == count_points_trace(spec, m, k) and witt > 0
