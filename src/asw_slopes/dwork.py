@@ -14,7 +14,7 @@ integer coefficients.  Conjugated by diag(w^i), which leaves the traces of
 all powers unchanged, entry (i, j) is the splitting coefficient c_{pj-i}
 itself, a finite expansion in pi = w^d.  Matrix products run over Python
 integers with the pi-lanes Kronecker-packed into fixed-width bit fields, so
-they are exact.
+they are exact; _read_lanes and _write_lanes are its one reader and writer.
 
 Rows are sparse and sorted by pi-valuation.  A product of two entries whose
 valuations sum to t_order or more is never formed, and every other one
@@ -124,21 +124,44 @@ class PackedMatrix:
         self.rows = rows
 
 
-def _pack(coeffs, stride: int) -> int:
-    buf = bytearray(len(coeffs) * stride)
-    for r, c in enumerate(coeffs):
-        if c:
-            buf[r * stride : (r + 1) * stride] = int(c).to_bytes(stride, "little")
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(value: int, lanes: int, stride: int, mod: int):
+def _read_lanes(values, lanes: int, stride: int, mod: int):
+    """Lanes 0 to lanes - 1 of each packed int mod `mod`, a (len(values),
+    lanes) array.  A lane, padded with at least one zero byte to whole
+    64-bit words, is read as signed words (exact in either dtype; the zero
+    byte keeps the top word nonnegative) and folded by Horner's rule, top
+    word first: a negative word w stands for w + 2^64, so a step is
+    acc -> ((acc + [w < 0]) c + w) mod m with c = 2^64 mod m."""
+    words = stride // 8 + 1
     need = lanes * stride
-    data = value.to_bytes(max((value.bit_length() + 7) // 8, need), "little")[:need]
-    return [
-        int.from_bytes(data[r * stride : (r + 1) * stride], "little") % mod
-        for r in range(lanes)
-    ]
+    mask = (1 << 8 * need) - 1
+    buf = np.frombuffer(b"".join((v & mask).to_bytes(need, "little") for v in values), np.uint8)
+    wide = np.zeros((len(values) * lanes, 8 * words), dtype=np.uint8)
+    wide[:, :stride] = buf.reshape(-1, stride)
+    # while acc < m a step's sum before its reduction is below m^2
+    signed = wide.view("<i8").astype(int_dtype(mod * mod), copy=False)
+    c = 2**64 % mod
+    acc = signed[:, -1] % mod
+    for k in range(words - 2, -1, -1):
+        w = signed[:, k]
+        acc = ((acc + (w < 0)) * c + w % mod) % mod
+    return acc.reshape(len(values), lanes)
+
+
+def _write_lanes(residues, stride: int) -> list:
+    """The packed int of each row of a (rows, lanes) array of entries below
+    2^(8 stride), entry r in lane r: the signed words of _read_lanes,
+    peeled off low word first."""
+    words = stride // 8 + 1
+    wide = np.zeros((residues.size, words), dtype="<i8")
+    rest = residues.reshape(-1)
+    for k in range(words - 1):
+        low = rest - (rest >> 64 << 64)
+        wide[:, k] = low - (low >> 63 << 64)
+        rest = rest >> 64
+    wide[:, -1] = rest
+    need = residues.shape[1] * stride
+    data = wide.view(np.uint8)[:, :stride].tobytes()
+    return [int.from_bytes(data[k : k + need], "little") for k in range(0, len(data), need)]
 
 
 def _entry(col: int, value: int, lane_bits: int):
@@ -169,7 +192,8 @@ def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatri
     # each lane of a product a sum of at most t_order digit products
     lane_bits = 2 * (mod - 1).bit_length() + (R * R * t_order).bit_length() + 1
     stride = (lane_bits + 7) // 8
-    packed = [_pack(row, stride) for row in c]
+    # the splitting coefficients are residues below mod
+    packed = _write_lanes(np.array(c, dtype=int_dtype(mod)), stride)
     # entry (i, j) is c_{pj-i}, so row i starts at column ceil(i/p)
     rows = [
         sorted(
@@ -189,14 +213,10 @@ def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatri
 # adds, so the lane width of nuclear_matrix still holds.  Rows are sorted by
 # v, so a row's scan stops at its first product past the window.
 
-def _masks(lanes: int, lane_bits: int):
-    return [(1 << lane_bits * L) - 1 for L in range(lanes + 1)]
-
-
 def _matmul(A: PackedMatrix, B: PackedMatrix) -> PackedMatrix:
     R, T, stride, mod = A.size, A.lanes, A.stride, A.mod
     bits = 8 * stride
-    mask = _masks(T, bits)
+    mask = [(1 << bits * L) - 1 for L in range(T + 1)]
     # nonzero accumulators are repacked in batches of about 16 KiB of lanes
     batch = max(1, 16384 // (T * stride))
     rows: list = [[] for _ in range(R)]
@@ -204,7 +224,7 @@ def _matmul(A: PackedMatrix, B: PackedMatrix) -> PackedMatrix:
     raw: list = []
 
     def flush():
-        for (i, k), v in zip(where, _repack(raw, T, stride, mod)):
+        for (i, k), v in zip(where, _write_lanes(_read_lanes(raw, T, stride, mod), stride)):
             if v:
                 rows[i].append(_entry(k, v, bits))
         where.clear()
@@ -233,27 +253,11 @@ def _matmul(A: PackedMatrix, B: PackedMatrix) -> PackedMatrix:
     return PackedMatrix(R, T, stride, mod, rows)
 
 
-def _repack(row, lanes: int, stride: int, mod: int):
-    """Packed entries with the lanes past `lanes` dropped and the rest
-    reduced mod `mod`; lanes of at most 8 bytes are reduced in one numpy
-    pass as uint64, wider ones lane by lane on Python ints."""
-    if stride > 8:
-        return [_pack(_unpack(v, lanes, stride, mod), stride) if v else 0 for v in row]
-    need = lanes * stride
-    mask = (1 << 8 * need) - 1
-    buf = np.frombuffer(b"".join((v & mask).to_bytes(need, "little") for v in row), np.uint8)
-    wide = np.zeros((len(row) * lanes, 8), dtype=np.uint8)
-    wide[:, :stride] = buf.reshape(-1, stride)
-    low = (wide.view("<u8") % np.uint64(mod)).astype("<u8").view(np.uint8)
-    data = low[:, :stride].tobytes()
-    return [int.from_bytes(data[k : k + need], "little") for k in range(0, len(data), need)]
-
-
 def _trace_pair(A: PackedMatrix, B: PackedMatrix):
     """pi-coefficients of tr(A B)."""
     T = A.lanes
     bits = 8 * A.stride
-    mask = _masks(T, bits)
+    mask = [(1 << bits * L) - 1 for L in range(T + 1)]
     cols = [{k: (vb, b) for vb, k, b in row} for row in B.rows]
     acc = 0
     for i, Ai in enumerate(A.rows):
@@ -265,13 +269,13 @@ def _trace_pair(A: PackedMatrix, B: PackedMatrix):
                 if L > 0:
                     m = mask[L]
                     acc += (a & m) * (b & m) << bits * (va + vb)
-    return _unpack(acc, T, A.stride, A.mod)
+    return _read_lanes([acc], T, A.stride, A.mod)[0].tolist()
 
 
 def _trace(A: PackedMatrix):
     bits = 8 * A.stride
     acc = sum(e << bits * v for i, row in enumerate(A.rows) for v, j, e in row if j == i)
-    return _unpack(acc, A.lanes, A.stride, A.mod)
+    return _read_lanes([acc], A.lanes, A.stride, A.mod)[0].tolist()
 
 
 def nuclear_traces(spec, s_order: int, t_order: int, digits: int):

@@ -29,7 +29,7 @@ from .errors import (
     VerificationError,
 )
 from .newton import NewtonPolygon, lower_hull
-from .padic import CycInt, Valuation, ZqCtx, cyc_valuation, phi_pm, teichmuller, vp_factorial
+from .padic import CycInt, Valuation, ZqCtx, phi_pm, teichmuller, vp_factorial
 from .series import TruncSeries, exp_from_power_sums
 
 MAX_POINTS = 2 * 10**7  # hard budget on |field| for histogram enumeration
@@ -415,41 +415,43 @@ def l_series(
 
     Coefficients are exact Z[zeta_{p^m}] integers.  The affine variant (the
     factor appearing in the cover's zeta function) has degree D = p^{m-1}d - 1;
-    the punctured variant (x = 0 removed) is the affine one times the factor
-    (1 - w s) of x = 0, of degree D + 1.  An explicit s_order enumerates
-    F_{q^k} for k <= s_order; computing past the degree asserts vanishing,
-    and a full read checks the functional equation.  Without one, only
-    k <= ceil(D/2) are enumerated and the functional equation rebuilds the
-    rest (see _rebuild_upper), unless a_{floor(D/2)} = 0.
+    the punctured variant (x = 0 removed) is always built as the affine one
+    times the factor (1 - w s) of x = 0, of degree D + 1.  An explicit
+    s_order enumerates F_{q^k} for k <= s_order; computing past the degree
+    asserts vanishing, and a full read checks the functional equation.
+    Without one, only k <= ceil(D/2) are enumerated and the functional
+    equation rebuilds the rest (see _rebuild_upper), unless a_{floor(D/2)} = 0.
     """
     if m < 1:
         raise ConfigError("character level m must be >= 1")
     if c % spec.p == 0:
         raise ConfigError("character index must be a unit mod p (else lower level)")
-    deg = l_degree(spec, m, punctured)
-    if s_order is None:
-        L = _rebuild_upper(spec, m, c)
-        if L is not None:
-            return _puncture(spec, m, c, L) if punctured else L
-        s_order = deg  # the middle coefficient vanishes: read every k
-    L = _enumerate(spec, m, c, punctured, s_order)
-    for n in range(deg + 1, s_order + 1):
-        if not L.coeffs[n].is_zero():
-            raise DegreeViolation(f"coefficient {n} past degree {deg} is nonzero")
-    if s_order >= deg:
-        if deg >= 1 and L.coeffs[deg].is_zero():
-            raise DegreeViolation(f"leading coefficient at degree {deg} vanishes")
-        _check_functional_equation(spec, m, c, L, punctured)
-    return L
+    D = l_degree(spec, m)
+    L = _rebuild_upper(spec, m, c) if s_order is None else None
+    if L is None:
+        # an explicit s_order, or a vanishing middle coefficient: read every k
+        K = D if s_order is None else s_order
+        L = _enumerate(spec, m, c, K)
+        for n in range(D + 1, K + 1):
+            if not L.coeffs[n].is_zero():
+                raise DegreeViolation(f"coefficient {n} past degree {D} is nonzero")
+        if K >= D:
+            if D >= 1 and L.coeffs[D].is_zero():
+                raise DegreeViolation(f"leading coefficient at degree {D} vanishes")
+            _check_functional_equation(L, D, spec.q)
+    if not punctured:
+        return L
+    P = _puncture(spec, m, c, L)
+    return P if s_order is None else TruncSeries("s", P.coeffs[: s_order + 1])
 
 
-def _enumerate(spec: TowerSpec, m: int, c: int, punctured: bool, K: int) -> TruncSeries:
-    """The L-series mod s^{K+1} from the character sums over F_{q^k}, k <= K."""
+def _enumerate(spec: TowerSpec, m: int, c: int, K: int) -> TruncSeries:
+    """The affine L-series mod s^{K+1} from character sums, k <= K."""
     _check_budget(spec.q**K)  # the largest field enumerated, before any work
     sums = []
     for k in range(1, K + 1):
         hist = trace_histogram(spec, k, m)
-        sums.append(character_sum(hist, m, c, include_zero=not punctured))
+        sums.append(character_sum(hist, m, c, include_zero=True))
     if not sums:
         return TruncSeries("s", [CycInt.from_int(spec.p, m, 1)])
     return exp_from_power_sums(sums, "s")
@@ -468,7 +470,7 @@ def _rebuild_upper(spec: TowerSpec, m: int, c: int) -> TruncSeries | None:
     NonIntegralResult.  None when a_{floor(D/2)} = 0.
     """
     D = l_degree(spec, m)
-    low = _enumerate(spec, m, c, False, (D + 1) // 2).coeffs
+    low = _enumerate(spec, m, c, (D + 1) // 2).coeffs
     h, q = D // 2, spec.q
     if low[h].is_zero():
         return None
@@ -490,48 +492,13 @@ def _puncture(spec: TowerSpec, m: int, c: int, L: TruncSeries) -> TruncSeries:
     return TruncSeries("s", [a - w * b for a, b in zip(L.coeffs + [zero], [zero] + L.coeffs)])
 
 
-def _check_functional_equation(
-    spec: TowerSpec, m: int, c: int, L: TruncSeries, punctured: bool
-) -> None:
+def _check_functional_equation(L: TruncSeries, D: int, q: int) -> None:
     """a_D conj(a_{D-n}) = q^{D-n} a_n for every n <= D on a full read of
-    the affine series (a punctured one is first divided by (1 - w s))."""
-    a = list(L.coeffs)
-    if punctured:  # a_n += w a_{n-1}
-        w = _zero_root(spec, m, c)
-        for n in range(1, len(a)):
-            a[n] = a[n] + w * a[n - 1]
-    D, q = l_degree(spec, m), spec.q
+    the affine series."""
+    a = L.coeffs
     for n in range(D + 1):
         if a[D] * a[D - n].conjugate(-1) != a[n].scale(q ** (D - n)):
             raise VerificationError(f"the L-series breaks the functional equation at s^{n}")
-
-
-def _dilate(L: TruncSeries, factor: int) -> TruncSeries:
-    """s -> factor * s on an exact cyclotomic series."""
-    out = []
-    fn = 1
-    for n, cn in enumerate(L.coeffs):
-        out.append(cn.scale(fn))
-        fn *= factor
-    return TruncSeries(L.var, out)
-
-
-def char_series_at_character(
-    spec: TowerSpec, m: int, s_order: int, digits: int, c: int = 1
-) -> TruncSeries:
-    """Characteristic series at a fixed character, mod (p^digits, s^{s_order+1}).
-
-    The finite product of q-power dilates of the punctured L-series: factor
-    j is 1 + O(q^j), so j < ceil(digits/a) terms suffice.
-    """
-    _check_budget(spec.q**s_order)
-    modulus = spec.p**digits
-    L = l_series(spec, m, c, punctured=True, s_order=s_order)
-    acc = None
-    for j in range(-(-digits // spec.a)):
-        factor = _dilate(L, spec.q**j).truncate(s_order + 1)
-        acc = factor if acc is None else (acc * factor)
-    return TruncSeries("s", [a.reduce_mod(modulus) for a in acc.coeffs])
 
 
 def char_series(
@@ -567,25 +534,6 @@ def char_series(
 def q_normalization(p: int, a: int, m: int) -> Fraction:
     """Factor converting pi-adic valuations to q-adic ones."""
     return Fraction(1, a * phi_pm(p, m))
-
-
-def newton_from_cyclotomic(
-    coeffs,
-    cap_exp: int | None = None,
-    scale: Fraction = Fraction(1),
-    source: str = "pi-adic",
-) -> NewtonPolygon:
-    """Newton polygon of a polynomial with Z[zeta_{p^m}] coefficients.
-
-    cap_exp: if the coefficients are only representatives mod p^cap_exp,
-    valuation readings at or above cap_exp * e are demoted to floors so the
-    hull never overstates what the data certifies.
-    """
-    first = coeffs[0]
-    cap = None if cap_exp is None else cap_exp * phi_pm(first.p, first.m)
-    pts = [(i, cyc_valuation(z, cap)) for i, z in enumerate(coeffs)]
-    poly = lower_hull(pts, source)
-    return poly.rescale(scale, source) if scale != 1 else poly
 
 
 def observed_polygon(C: TruncSeries) -> NewtonPolygon:

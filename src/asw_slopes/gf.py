@@ -248,17 +248,9 @@ class FieldCtx:
             j = j * self.p + c
         return j
 
-    def elements(self):
-        for j in range(self.order):
-            yield self.element(j)
-
     def add(self, a, b) -> tuple[int, ...]:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b) -> tuple[int, ...]:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
 
     def mul(self, a, b) -> tuple[int, ...]:
         return tuple(mulmod(a, b, self.h, self.p, self.fold))

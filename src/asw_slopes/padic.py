@@ -255,10 +255,6 @@ class CycInt:
                 vec[(e * c) % pm] += g
         return CycInt(self.p, self.m, _cyc_reduce(vec, self.p, self.m))
 
-    def reduce_mod(self, modulus: int) -> "CycInt":
-        """Representative with coefficients in [0, modulus)."""
-        return CycInt(self.p, self.m, [a % modulus for a in self.coeffs])
-
     def rational_value(self) -> int:
         """The integer this element equals; NonIntegralResult otherwise."""
         if any(self.coeffs[1:]):

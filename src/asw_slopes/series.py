@@ -54,11 +54,6 @@ class TruncSeries:
         coeffs = [op(a, b) for a, b in zip(self.coeffs, other.coeffs)]
         return TruncSeries(self.var, coeffs, prec, self.p)
 
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise InsufficientGuard(f"cannot extend truncation {self.order} -> {order}")
-        return TruncSeries(self.var, self.coeffs[:order], self.prec, self.p)
-
     def __add__(self, other):
         return self._zip(other, lambda a, b: a + b)
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from asw_slopes import gf
-from asw_slopes.dwork import _pack, _unpack
 from asw_slopes.errors import (
     ConfigError,
     InsufficientGuard,
@@ -31,11 +30,23 @@ from asw_slopes.padic import (
     ZqCtx,
     _cyc_reduce,
     binom_pow,
+    cyc_valuation,
+    phi_pm,
     teichmuller,
     vp,
     vp_factorial,
 )
 from asw_slopes.series import TruncSeries
+
+
+def field_elements(ctx):
+    """Every element of a gf.FieldCtx, in enumeration order."""
+    return [ctx.element(j) for j in range(ctx.order)]
+
+
+def field_sub(ctx, a, b):
+    """a - b in F_{p^n}, coordinate by coordinate mod p."""
+    return tuple((x - y) % ctx.p for x, y in zip(a, b))
 
 
 class PadicInt:
@@ -210,16 +221,66 @@ def reference_char_series_at_character(spec, m, s_order, digits, c=1):
     sums = []
     for k in range(1, s_order + 1):
         sk = character_sum(trace_histogram(spec, k, m), m, c, include_zero=False)
-        sums.append(sk.scale(pow(1 - spec.q**k, -1, work)).reduce_mod(work))
+        sums.append(cyc_reduce_mod(sk.scale(pow(1 - spec.q**k, -1, work)), work))
     coeffs = [CycInt.from_int(p, m, 1)]
     for n in range(1, s_order + 1):
         acc = sums[n - 1]
         for k in range(1, n):
             acc = acc + sums[k - 1] * coeffs[n - k]
         v = vp(n, p)
-        acc = acc.scale(pow(n // p**v, -1, work)).reduce_mod(work)
-        coeffs.append(acc.exact_div_int(p**v).reduce_mod(work // p**v))
-    return TruncSeries("s", [a.reduce_mod(p**digits) for a in coeffs])
+        acc = cyc_reduce_mod(acc.scale(pow(n // p**v, -1, work)), work)
+        coeffs.append(cyc_reduce_mod(acc.exact_div_int(p**v), work // p**v))
+    return TruncSeries("s", [cyc_reduce_mod(a, p**digits) for a in coeffs])
+
+
+def cyc_reduce_mod(z, modulus):
+    """The representative of z in Z[zeta] with coefficients in [0, modulus)."""
+    return CycInt(z.p, z.m, [a % modulus for a in z.coeffs])
+
+
+def truncate(F, order):
+    """F mod x^order; a truncation can only shrink."""
+    if order > F.order:
+        raise InsufficientGuard(f"cannot extend truncation {F.order} -> {order}")
+    return TruncSeries(F.var, F.coeffs[:order], F.prec, F.p)
+
+
+def _dilate(L, factor):
+    """s -> factor * s on an exact cyclotomic series."""
+    out = []
+    fn = 1
+    for cn in L.coeffs:
+        out.append(cn.scale(fn))
+        fn *= factor
+    return TruncSeries(L.var, out)
+
+
+def char_series_at_character(spec, m, s_order, digits, c=1):
+    """Characteristic series at a fixed character, mod (p^digits, s^{s_order+1}),
+    as the finite product of q-power dilates of the punctured L-series:
+    factor j is 1 + O(q^j), so j < ceil(digits/a) terms suffice."""
+    from asw_slopes.expsum import l_series
+
+    L = l_series(spec, m, c, punctured=True, s_order=s_order)
+    acc = None
+    for j in range(-(-digits // spec.a)):
+        factor = truncate(_dilate(L, spec.q**j), s_order + 1)
+        acc = factor if acc is None else (acc * factor)
+    return TruncSeries("s", [cyc_reduce_mod(a, spec.p**digits) for a in acc.coeffs])
+
+
+def newton_from_cyclotomic(coeffs, cap_exp=None, scale=Fraction(1), source="pi-adic"):
+    """Newton polygon of a polynomial with Z[zeta_{p^m}] coefficients.
+
+    cap_exp: if the coefficients are only representatives mod p^cap_exp,
+    valuation readings at or above cap_exp * e are demoted to floors so the
+    hull never overstates what the data certifies.
+    """
+    first = coeffs[0]
+    cap = None if cap_exp is None else cap_exp * phi_pm(first.p, first.m)
+    pts = [(i, cyc_valuation(z, cap)) for i, z in enumerate(coeffs)]
+    poly = lower_hull(pts, source)
+    return poly.rescale(scale, source) if scale != 1 else poly
 
 
 def reference_teichmuller(zctx, x):
@@ -299,23 +360,23 @@ def reference_witt_add(ctx, u, v):
     """u + v in W_1 or W_2 of ctx, one Witt vector of FieldCtx tuples."""
     if _reference_length(u, v) == 1:
         return (ctx.add(u[0], v[0]),)
-    s1 = ctx.sub(ctx.add(u[1], v[1]), reference_carry(ctx, u[0], v[0]))
+    s1 = field_sub(ctx, ctx.add(u[1], v[1]), reference_carry(ctx, u[0], v[0]))
     return (ctx.add(u[0], v[0]), s1)
 
 
 def reference_witt_neg(ctx, u):
-    n0 = ctx.sub((0,) * ctx.n, u[0])
+    n0 = field_sub(ctx, (0,) * ctx.n, u[0])
     if len(u) == 1:
         return (n0,)
-    return (n0, ctx.sub(reference_carry(ctx, u[0], n0), u[1]))
+    return (n0, field_sub(ctx, reference_carry(ctx, u[0], n0), u[1]))
 
 
 def reference_witt_sub(ctx, u, v):
     """u - v with one carry: (u - v) + v = u fixes the second coordinate."""
     if _reference_length(u, v) == 1:
-        return (ctx.sub(u[0], v[0]),)
-    d0 = ctx.sub(u[0], v[0])
-    return (d0, ctx.add(ctx.sub(u[1], v[1]), reference_carry(ctx, d0, v[0])))
+        return (field_sub(ctx, u[0], v[0]),)
+    d0 = field_sub(ctx, u[0], v[0])
+    return (d0, ctx.add(field_sub(ctx, u[1], v[1]), reference_carry(ctx, d0, v[0])))
 
 
 def reference_witt_frobenius(ctx, u):
@@ -331,7 +392,7 @@ def reference_count_points_witt(spec, m, k):
         (i, gf.embed_element(spec.ctx, spec.ctx.element(b), ctx))
         for i, b in spec.monomials()
     ]
-    elts = list(ctx.elements())
+    elts = field_elements(ctx)
     wp = Counter(
         reference_witt_sub(ctx, reference_witt_frobenius(ctx, y), y)
         for y in itertools.product(elts, repeat=m)
@@ -453,10 +514,26 @@ def reference_cyc_mul(x, y):
     return CycInt(x.p, x.m, _cyc_reduce(out, x.p, x.m))
 
 
+def reference_pack(coeffs, stride):
+    """One packed entry, byte by byte: coefficient r in lane r."""
+    return int.from_bytes(
+        b"".join(int(c).to_bytes(stride, "little") for c in coeffs), "little"
+    )
+
+
+def reference_unpack(value, lanes, stride, mod):
+    """Lanes 0 to lanes - 1 of one packed entry, byte by byte, each mod `mod`."""
+    data = value.to_bytes(max((value.bit_length() + 7) // 8, lanes * stride), "little")
+    return [
+        int.from_bytes(data[r * stride : (r + 1) * stride], "little") % mod
+        for r in range(lanes)
+    ]
+
+
 def reference_repack(row, lanes, stride, mod):
     """A packed product row repacked entry by entry: unpack every lane,
     reduce it mod `mod`, pack again."""
-    return [_pack(_unpack(v, lanes, stride, mod), stride) if v else 0 for v in row]
+    return [reference_pack(reference_unpack(v, lanes, stride, mod), stride) for v in row]
 
 
 def densify(M):
@@ -503,7 +580,7 @@ def reference_trace_pair(A, B, lanes, stride, mod):
                 b = B[j][i]
                 if b:
                     acc += a * b
-    return _unpack(acc, lanes, stride, mod)
+    return reference_unpack(acc, lanes, stride, mod)
 
 
 def reference_eliminate(rows, terms, floors, p, mod):

@@ -682,6 +682,12 @@ STDOUT_SHA256 = [
         id="charfn-p3",
     ),
     pytest.param(
+        # lanes of 18 bytes with p^N past 2^64
+        ["charfn", "--p", "7", "--f", "1,0,2", "--method", "operator", "--t-order", "8", "--s-order", "6", "--digits", "23"],
+        "d158d3b8ead08813204326ee2a3bf9005bd0481954e0daf2ffe722fcb773aa80",
+        id="charfn-p7-wide-lanes",
+    ),
+    pytest.param(
         ["eigencurve", "--p", "2", "--f", "1,0,0,1", "--components", "3"],
         "857ee667dcd2d6ccf1f8e5e0cf6b7a0eaabc94c2e9fa24ae35d3a3078b7bf72c",
         id="eigencurve-p2",

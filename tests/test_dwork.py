@@ -5,10 +5,11 @@ import pytest
 
 from asw_slopes.dwork import (
     _matmul,
-    _repack,
+    _read_lanes,
     _teich_zp,
     _trace,
     _trace_pair,
+    _write_lanes,
     artin_hasse,
     char_series_via_operator,
     nuclear_matrix,
@@ -28,9 +29,11 @@ from asw_slopes.series import TruncSeries, compose
 from oracles import (
     densify,
     reference_matmul,
+    reference_pack,
     reference_repack,
     reference_teich_zp,
     reference_trace_pair,
+    reference_unpack,
     structural_floor,
 )
 
@@ -140,20 +143,6 @@ def test_splitting_coefficients_paths_agree():
             assert [x % spec.p**4 for x in rw] == rf
 
 
-def _ref_pack(coeffs, stride):
-    return int.from_bytes(
-        b"".join(int(c).to_bytes(stride, "little") for c in coeffs), "little"
-    )
-
-
-def _ref_unpack(value, lanes, stride, mod):
-    data = value.to_bytes(max((value.bit_length() + 7) // 8, lanes * stride), "little")
-    return [
-        int.from_bytes(data[r * stride : (r + 1) * stride], "little") % mod
-        for r in range(lanes)
-    ]
-
-
 def reference_nuclear_traces(spec, s_order, t_order, digits):
     """tr(M^k), k <= s_order, from the unconjugated operator: entry (i, j) is
     w^{i-j} c_{pj-i} kept as W = d t_order w-lanes, so it reads W + R
@@ -171,10 +160,10 @@ def reference_nuclear_traces(spec, s_order, t_order, digits):
             J, shift = p * j - i, i - j
             if J >= 0:
                 entry = [c[J][r - shift] if 0 <= r - shift < w_c else 0 for r in range(W)]
-                M[i][j] = _ref_pack(entry, stride)
+                M[i][j] = reference_pack(entry, stride)
 
     def reduce(v):
-        return _ref_pack(_ref_unpack(v, W, stride, mod), stride)
+        return reference_pack(reference_unpack(v, W, stride, mod), stride)
 
     power = M
     out = []
@@ -184,7 +173,7 @@ def reference_nuclear_traces(spec, s_order, t_order, digits):
                 [reduce(sum(power[i][u] * M[u][j] for u in range(R))) for j in range(R)]
                 for i in range(R)
             ]
-        out.append(_ref_unpack(sum(power[i][i] for i in range(R)), W, stride, mod))
+        out.append(reference_unpack(sum(power[i][i] for i in range(R)), W, stride, mod))
     return out
 
 
@@ -208,19 +197,40 @@ def test_pi_lane_traces_match_the_w_lane_operator(p):
                 assert not any(w[r] for r in range(len(w)) if r % d), (p, d)
 
 
+def _repack(row, lanes, stride, mod):
+    return _write_lanes(_read_lanes(row, lanes, stride, mod), stride)
+
+
+def _moduli(p, stride, rng):
+    """A random power of p, the powers on both sides of the lane fold's
+    int64 bound (m^2 < 2^62) and the first past 2^64."""
+    e = 1
+    while p ** (2 * e + 2) < 2**62:
+        e += 1
+    past = 1
+    while p**past <= 2**64:
+        past += 1
+    return [p ** rng.randrange(1, 8 * stride // p.bit_length() + 1), p**e, p ** (e + 1), p**past]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_packed_rows_match_the_per_entry_repack(p):
     rng = random.Random(p)
-    # random packed sums: lanes of 1 to 12 bytes, the high half past the
-    # kept lanes as a product leaves it, some entries zero
-    for stride in range(1, 13):
-        mod = p ** rng.randrange(1, 8 * stride // p.bit_length() + 1)
-        for lanes in (1, 2, 5):
-            row = [
-                rng.getrandbits(8 * stride * (2 * lanes - 1)) * rng.randrange(2)
-                for _ in range(rng.randrange(1, 9))
-            ]
-            assert _repack(row, lanes, stride, mod) == reference_repack(row, lanes, stride, mod)
+    # random packed sums: lanes of 1 to 24 bytes, the high half past the
+    # kept lanes as a product leaves it, some entries zero; a residue is
+    # packed again only where it fits its lane
+    for stride in range(1, 25):
+        for mod in _moduli(p, stride, rng):
+            for lanes in (1, 2, 5):
+                row = [
+                    rng.getrandbits(8 * stride * (2 * lanes - 1)) * rng.randrange(2)
+                    for _ in range(rng.randrange(1, 9))
+                ]
+                got = _read_lanes(row, lanes, stride, mod)
+                assert got.tolist() == [reference_unpack(v, lanes, stride, mod) for v in row]
+                if mod <= 2 ** (8 * stride):
+                    want = reference_repack(row, lanes, stride, mod)
+                    assert _repack(row, lanes, stride, mod) == want
     # and the products of a nuclear matrix, at a stride of 8 bytes or less
     # and at one above
     f = [rng.randrange(p) for _ in range(3 if p == 2 else 2)] + [1]
@@ -248,19 +258,32 @@ def _check_rows(M):
         assert all(e >> bits * (M.lanes - v) == 0 for v, _, e in row)
 
 
+def _wide_windows(spec, s_order, t_order, strides):
+    """(s_order, t_order, digits) at the fewest digits giving each stride."""
+    found, digits = {}, 1
+    while len(found) < len(strides):
+        stride = nuclear_matrix(spec, s_order, t_order, digits).stride
+        if stride in strides:
+            found.setdefault(stride, digits)
+        digits += 1
+    return [(s_order, t_order, found[stride]) for stride in strides]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_sparse_products_match_the_dense_oracle(p):
-    # windows: one pi-lane, shallow and deep, and lanes wider than 8 bytes
+    # windows: one pi-lane, shallow and deep, and lanes of 9 to 16 bytes
     rng = random.Random(100 + p)
+    strides = set()
     for d in (2, 3, 4, 5):
         if d % p == 0:
             continue
         f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
         spec = TowerSpec(p, 1, f)
-        windows = ((4, 1, 5), (5, 6, 4), (5, 9, 7), (3, 5, 64 // p.bit_length()))
-        for s_order, t_order, digits in windows:
+        windows = [(4, 1, 5), (5, 6, 4), (5, 9, 7), (3, 5, 64 // p.bit_length())]
+        for s_order, t_order, digits in windows + _wide_windows(spec, 3, 5, range(9, 17)):
             M = nuclear_matrix(spec, s_order, t_order, digits)
             assert (M.stride > 8) == (digits > 7), (p, d, M.stride)
+            strides.add(M.stride)
             args = (M.lanes, M.stride, M.mod)
             _check_rows(M)
             dense = [None, densify(M)]
@@ -270,13 +293,14 @@ def test_sparse_products_match_the_dense_oracle(p):
                 _check_rows(powers[k])
                 dense.append(reference_matmul(dense[k - 1], dense[1], *args))
                 assert densify(powers[k]) == dense[k], (p, d, t_order, k)
-            want = [_ref_unpack(sum(dense[1][i][i] for i in range(M.size)), *args)]
+            want = [reference_unpack(sum(dense[1][i][i] for i in range(M.size)), *args)]
             assert _trace(M) == want[0]
             for k in range(2, s_order + 1):
                 lo, hi = k // 2, k - k // 2
                 want.append(reference_trace_pair(dense[lo], dense[hi], *args))
                 assert _trace_pair(powers[lo], powers[hi]) == want[-1], (p, d, t_order, k)
             assert nuclear_traces(spec, s_order, t_order, digits) == want
+    assert set(range(9, 17)) <= strides
 
 
 def test_operator_requires_prime_base():

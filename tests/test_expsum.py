@@ -19,11 +19,9 @@ from asw_slopes.expsum import (
     TraceHistogram,
     cache_dir,
     char_series,
-    char_series_at_character,
     character_sum,
     l_degree,
     l_series,
-    newton_from_cyclotomic,
     q_normalization,
     t_adic_sum,
     t_valuation_points,
@@ -32,6 +30,8 @@ from asw_slopes.expsum import (
 from asw_slopes.padic import CycInt, Valuation, ZqCtx, teichmuller, vp_factorial
 from asw_slopes.series import exp_from_power_sums
 from oracles import (
+    char_series_at_character,
+    newton_from_cyclotomic,
     reference_char_series_at_character,
     reference_character_sum,
     reference_t_adic_sum,
@@ -226,9 +226,8 @@ def test_trace_histogram_budget_and_args():
     [
         lambda: l_series(SPEC2, 1, s_order=10),
         lambda: char_series(SPEC2, t_order=3, s_order=10, digits=2),
-        lambda: char_series_at_character(SPEC2, 1, 10, 2),
     ],
-    ids=["l_series", "char_series", "char_series_at_character"],
+    ids=["l_series", "char_series"],
 )
 def test_budget_is_checked_before_any_histogram(build, monkeypatch, tmp_path):
     # F_{2^10} is past the lowered budget: refuse before enumerating (and

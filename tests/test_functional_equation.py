@@ -15,10 +15,10 @@ from asw_slopes.expsum import (
     TowerSpec,
     l_degree,
     l_series,
-    newton_from_cyclotomic,
     q_normalization,
 )
 from asw_slopes.padic import CycInt
+from oracles import newton_from_cyclotomic
 
 # (p, a, f ascending, levels); the first three have a_{floor(D/2)} = 0 at
 # m = 1, where the exact read falls back to enumerating every k <= D

@@ -7,6 +7,8 @@ from asw_slopes.errors import ConfigError, NotPrime
 from asw_slopes.expsum import TowerSpec
 from asw_slopes.padic import CycInt, ZqCtx
 from oracles import (
+    field_elements,
+    field_sub,
     reference_cyc_mul,
     reference_find_irreducible,
     reference_polymod,
@@ -64,7 +66,6 @@ def test_element_index_round_trip():
         assert ctx.index(x) == i
         seen.add(x)
     assert len(seen) == 9
-    assert list(ctx.elements()) == [ctx.element(i) for i in range(ctx.order)]
 
 
 def test_multiplicative_generator_order():
@@ -91,7 +92,7 @@ def test_ring_axioms_seeded():
             assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
             assert mul(a, b) == mul(b, a)
             assert add(add(a, b), c) == add(a, add(b, c))
-            assert ctx.sub(add(a, b), b) == a
+            assert field_sub(ctx, add(a, b), b) == a
             if any(a):
                 assert mul(a, ctx.pow(a, ctx.order - 2)) == ctx.element(1)
 
@@ -128,7 +129,7 @@ def test_embed_base_respects_arithmetic():
 
 def scan_for_root(ctx, base_h):
     """The first root of base_h in the enumeration order of all of ctx."""
-    for x in ctx.elements():
+    for x in field_elements(ctx):
         acc = ctx.element(0)
         xp = ctx.element(1)
         for c in base_h:
@@ -253,7 +254,7 @@ def test_field_arithmetic_in_f27():
     # independent of the reference loops: Lagrange in F_27^x, and Frobenius
     # is a ring map
     ctx = gf.FieldCtx(3, 3)
-    elts = list(ctx.elements())
+    elts = field_elements(ctx)
     for x in elts[1:]:
         assert ctx.pow(x, ctx.order - 1) == ctx.element(1)
     for x in elts:

@@ -1,7 +1,7 @@
 """The independent oracles share no code with what they check, read with
 ast as test_dead_code does: the brute-force Witt count none with the trace
 histograms and Teichmuller lifts, the operator pathway none with the point
-side."""
+side, and the test oracles none with the operator's packed lanes."""
 
 import ast
 import pathlib
@@ -60,3 +60,16 @@ def test_the_witt_count_reaches_no_histogram_or_lift_code():
 
 def test_the_operator_pathway_imports_no_point_side_module():
     assert not {"expsum", "tower"} & set(_imported(_tree("dwork")).values())
+
+
+def test_the_test_oracles_import_nothing_from_the_operator_pathway():
+    tree = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert "asw_slopes" in {m.split(".")[0] for m in modules}
+    assert "asw_slopes.dwork" not in modules

@@ -16,10 +16,12 @@ from asw_slopes.padic import (
 )
 from oracles import (
     PadicInt,
+    field_elements,
     padic_coeffs,
     reference_teich_trace,
     reference_teichmuller,
     reference_trace_form,
+    truncate,
 )
 
 
@@ -293,7 +295,7 @@ def test_truncation_cannot_extend():
     s = binom_pow(2, 3, 8, 5)
     assert s.prec == 8 - vp_factorial(4, 2)
     with pytest.raises(InsufficientGuard):
-        s.truncate(7)
+        truncate(s, 7)
     with pytest.raises(InsufficientGuard):
         binom_pow(2, 3, 3, 5)  # v_2(4!) = 3 guard digits leave none
 
@@ -329,7 +331,7 @@ def test_teichmuller_of_a_subfield_element_needs_only_the_subfield_exponent():
                 ext = gf.field(p, a * k)
                 for N in sorted({2, a + 1, 5, 2 * a + 1, 2 * a + 3}):
                     z = ZqCtx(ext, N)
-                    for b in base.elements():
+                    for b in field_elements(base):
                         bk = gf.embed_element(base, b, ext)
                         want = reference_teichmuller(z, bk)
                         assert teichmuller(z, bk, p**a) == want, (p, a, k, N, b)
