@@ -235,18 +235,23 @@ def _powers(zctx: ZqCtx, step, count: int, dtype):
 
     Built by doubling: rows [L, 2L) are rows [0, L) times step^L, one matrix
     product with the matrix whose row m is step^L * u^m, so log2(count)
-    products replace count - 1 multiplications in Z_q/p^N.
+    products replace count - 1 multiplications in Z_q/p^N.  That matrix is
+    step^L times the Hankel stack (i, m) -> u^(i+m) of zctx.pows, and step^L
+    times the matrix is (step^L)^2.  Every product has n terms below
+    (p^N - 1)^2, the bound trace_histogram proves for dtype.
     """
     n, mod = zctx.n, zctx.mod
+    basis = np.array(zctx.pows, dtype=dtype)
+    hankel = basis.take([i + m for i in range(n) for m in range(n)], axis=0).reshape(n, n * n)
     P = np.empty((count, n), dtype=dtype)
     P[0] = (1,) + (0,) * (n - 1)
-    L, sL = 1, step
+    L, sL = 1, np.asarray(step, dtype=dtype)
     while L < count:
         block = P[L : 2 * L]
-        rows = np.array(gf.shifts(sL, n, zctx.H, mod), dtype=dtype)
+        rows = (sL @ hankel).reshape(n, n) % mod
         np.matmul(P[: len(block)], rows, out=block)
         np.remainder(block, mod, out=block)
-        L, sL = 2 * L, zctx.mul(sL, sL)
+        L, sL = 2 * L, sL @ rows % mod
     return P
 
 
@@ -257,8 +262,9 @@ def _histogram(zctx: ZqCtx, ghat, lifted, const: int, Q: int, dtype) -> dict:
     G = gcd(Q - 1, every exponent i): each count over j < P is taken G
     times.  For one monomial put h = ghat^i and j = kB + r with B ~ sqrt(P);
     the trace is the bilinear form h^(kB) . S . h^r in the trace pairing S of
-    b-hat, so two power tables of about sqrt(P) rows and one (K x n)(n x B)
-    product give all P traces; the product takes in the running total (const
+    b-hat, so two power tables of about sqrt(P) rows (the last of the B + 1
+    baby rows, h^B, steps the giant table) and one (K x n)(n x B) product
+    give all P traces; the product takes in the running total (const
     at first) in place.  With int64 and factors below p^N, an entry is n terms
     below (p^N - 1)^2 < 2^62 (the caller's bound) plus a total below p^N.
     """
@@ -271,11 +277,11 @@ def _histogram(zctx: ZqCtx, ghat, lifted, const: int, Q: int, dtype) -> dict:
     for i, bh in lifted:
         if i == 0:
             continue
-        h = zctx.pow(ghat, i)
-        giant = _powers(zctx, zctx.pow(h, B), K, dtype)
+        baby = _powers(zctx, zctx.pow(ghat, i), B + 1, dtype)
+        giant = _powers(zctx, baby[B], K, dtype)
         left = giant @ np.array(_trace_pairing(zctx, bh), dtype=dtype)
         np.remainder(left, mod, out=left)
-        traces = (left @ _powers(zctx, h, B, dtype).T).reshape(-1)
+        traces = (left @ baby[:B].T).reshape(-1)
         traces += total
         total = np.remainder(traces, mod, out=traces)
     total = total[:P]
@@ -350,8 +356,13 @@ def t_adic_sum(
     """Sum of (1+T)^{Tr(f-hat(x-hat))} over nonzero x, mod (T^t_order, p^digits).
 
     With c_t points of trace t, [T^n] = sum_t c_t C(t, n) = S_n / n! for the
-    falling-factorial moment S_n = sum_t c_t t(t-1)...(t-n+1), taken in one
-    vectorized pass per n over the bins mod p^need, need = digits +
+    falling-factorial moment S_n = sum_t c_t t(t-1)...(t-n+1).  The histogram
+    is read at digits + e digits, e = floor(log_p(t_order - 1)), which is
+    exact: for n < p^(e+1), C(y, n) mod p^D depends only on y mod p^(D+e).
+    By Vandermonde C(y + p^a z, n) - C(y, n) = sum_{j>=1} C(p^a z, j)
+    C(y, n - j), and v_p C(p^a z, j) >= a - v_p(j) >= a - e for j <= n.
+    The moments are then taken over the integer representatives of the
+    bins, one vectorized pass per n mod p^need, need = digits +
     v_p((t_order-1)!): those guard digits are spent on the exact division
     by p^{v_p(n!)}, never silently.  int64 while every product of two
     residues and every sum of one residue per bin stays below 2^62,
@@ -359,14 +370,18 @@ def t_adic_sum(
     """
     _check_digits(digits)
     p = spec.p
-    need = digits + (vp_factorial(t_order - 1, p) if t_order > 1 else 0)
+    e, pe = 0, p
+    while pe < t_order:  # p^(e+1) <= t_order - 1
+        e, pe = e + 1, pe * p
+    read = digits + e
     if hist is None:
-        hist = trace_histogram(spec, k, need)
-    elif hist.digits < need:
+        hist = trace_histogram(spec, k, read)
+    elif hist.digits < read:
         raise InsufficientPrecision(
-            f"histogram digits {hist.digits} < required {need}"
+            f"histogram digits {hist.digits} < required {read}"
         )
-    hist = hist.reduce(need)
+    hist = hist.reduce(read)
+    need = digits + vp_factorial(t_order - 1, p)
     M, out_mod = p**need, p**digits
     dtype = gf.int_dtype(max(M - 1, len(hist.counts)) * (M - 1))
     t = np.array(list(hist.counts), dtype=dtype)
@@ -508,10 +523,11 @@ def char_series(
 
     Built as exp of the unit-normalized T-adic sums.  The recurrence divides
     the k-th sum only by k, k + 1, ..., s_order, so it is read to
-    digits + v_p(s_order!) - v_p((k-1)!) digits (plus the binomial guard of
-    t_adic_sum): the largest fields, the costliest to enumerate, the
-    fewest.  Column n carries exactly digits + v_p(s_order!) - v_p(n!)
-    p-adic digits, the last one `digits`.
+    digits + v_p(s_order!) - v_p((k-1)!) digits, and its histogram at
+    floor(log_p(t_order - 1)) more (the binomial guard of t_adic_sum): the
+    largest fields, the costliest to enumerate, the fewest.  Column n
+    carries exactly digits + v_p(s_order!) - v_p(n!) p-adic digits, the
+    last one `digits`.
     """
     _check_digits(digits)
     _check_budget(spec.q**s_order)

@@ -95,11 +95,12 @@ class Valuation:
 class ZqCtx:
     """Working context for Z_q/p^N.
 
-    trace_form holds s_m = Tr(u^m) mod p^N, m < n (multiplication by u^m
-    has column i u^(m+i) mod H); fold packs u^n ... u^(2n-2) for gf.mulmod.
+    pows holds the power basis u^e mod (H, p^N), e < 2n - 1; trace_form
+    holds s_m = Tr(u^m) mod p^N, m < n (multiplication by u^m has column i
+    u^(m+i) mod H); fold packs u^n ... u^(2n-2) for gf.mulmod.
     """
 
-    __slots__ = ("p", "n", "N", "H", "mod", "trace_form", "fold")
+    __slots__ = ("p", "n", "N", "H", "mod", "pows", "trace_form", "fold")
 
     def __init__(self, field: gf.FieldCtx, N: int):
         self.p = field.p
@@ -107,7 +108,8 @@ class ZqCtx:
         self.N = N
         self.H = tuple(int(c) for c in field.h)
         self.mod = field.p**N
-        pows = gf.shifts((1,) + (0,) * (self.n - 1), 2 * self.n - 1, self.H, self.mod)
+        one = (1,) + (0,) * (self.n - 1)
+        self.pows = pows = gf.shifts(one, 2 * self.n - 1, self.H, self.mod)
         self.trace_form = tuple(
             sum(pows[m + i][i] for i in range(self.n)) % self.mod for m in range(self.n)
         )

@@ -20,7 +20,6 @@ from .errors import ConfigError, DegreeViolation, VerificationError
 from .expsum import (
     TowerSpec,
     char_series,
-    character_sum,
     l_degree,
     l_series,
     observed_polygon,
@@ -146,12 +145,21 @@ def count_points_trace(spec: TowerSpec, m: int, k: int, hist=None) -> int:
 def count_points_char(spec: TowerSpec, m: int, k: int, hist=None) -> int:
     """Same count as the sum of the character sums over every c mod p^m
     (c = 0 gives q^k), each in Z[zeta_{p^m}]; the total must land in Z.
-    `hist` is trace_histogram(spec, k, m) when already read."""
-    hist = trace_histogram(spec, k, m) if hist is None else hist
-    total = CycInt.zero(spec.p, m)
-    for c in range(spec.p**m):
-        total = total + character_sum(hist, m, c, include_zero=True)
-    return total.rational_value()
+    `hist` is trace_histogram(spec, k, m) when already read.
+
+    All p^m sums go into one exponent vector, n at c t mod p^m for every c
+    and every cell (t, n), the zero cell included, reduced once in Z[zeta].
+    Its entries sum to p^m q^k, and the exponents c t stay below p^(2m).
+    """
+    hist = (trace_histogram(spec, k, m) if hist is None else hist).reduce(m)
+    pm = spec.p**m
+    dtype = gf.int_dtype(pm * max(pm, spec.q**k))
+    c = np.arange(pm, dtype=dtype)
+    vec = np.zeros(pm, dtype=dtype)
+    for t, n in [*hist.counts.items(), (hist.zero_cell, 1)]:
+        tally = np.bincount((c * t % pm).astype(np.intp, copy=False), minlength=pm)
+        vec += tally.astype(dtype, copy=False) * n
+    return CycInt(spec.p, m, vec.tolist()).rational_value()
 
 
 # ---------------------------------------------------------------------------

@@ -723,6 +723,24 @@ STDOUT_SHA256 = [
         id="eigencurve-p3-5-blocks",
     ),
     pytest.param(
+        # six blocks: exit 0 means every law is ok; the same bytes come from
+        # the operator pathway's series
+        ["eigencurve", "--p", "3", "--f", "1,0,2", "--components", "6"],
+        "7080c22c69082b7312215340a8ec084c8d742b376cb051bff2a0729c5fa2eb9e",
+        id="eigencurve-p3-6-blocks",
+    ),
+    pytest.param(
+        ["eigencurve", "--p", "2", "--f", "1,0,0,1", "--components", "6", "--digits", "6"],
+        "f69051f92fdbb12466cf07a7cfaf8b25e26fdb872efc5596088f8928ac88377a",
+        id="eigencurve-p2-digits6-6-blocks",
+    ),
+    pytest.param(
+        # the p = 3 six-block window, both pathways
+        ["charfn", "--p", "3", "--f", "1,0,2", "--t-order", "80", "--s-order", "13", "--digits", "4", "--method", "both"],
+        "10f10e78d96a6b8ac3ed7176caa590d5e686e36f09dd49daec26a6a244786012",
+        id="charfn-p3-6-block-window",
+    ),
+    pytest.param(
         ["expsum", "--p", "2", "--f", "1,0,0,1", "--method", "both", "--k", "3", "--t-order", "20"],
         "22902da1a4259d16cef907be7da3b81013ab6a24c1e8fb27828926ad57326dab",
         id="expsum-p2",

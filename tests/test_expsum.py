@@ -440,6 +440,73 @@ def test_t_adic_sum_matches_the_binomial_sum_seeded():
     assert wide >= 3
 
 
+def test_binomials_mod_p_to_the_d_depend_on_y_mod_p_to_the_d_plus_e():
+    # the lemma behind t_adic_sum's histogram read: for n < p^(e+1),
+    # C(y, n) mod p^D depends only on y mod p^(D+e).  Exhaustive over y below
+    # p^(D+e) and every such n for small p, D, e; seeded beyond that
+    cases = 0
+    for p in (2, 3, 5, 7):
+        for D in (1, 2, 3, 4):
+            for e in (0, 1, 2):
+                period, mod = p ** (D + e), p**D
+                if period * p ** (e + 1) > 20_000:
+                    continue
+                cases += 1
+                for n in range(p ** (e + 1)):
+                    for y in range(period):
+                        want = math.comb(y, n) % mod
+                        for z in (1, p - 1, p + 2):
+                            assert math.comb(y + z * period, n) % mod == want, (p, D, e, n, y, z)
+    assert cases == 38
+    rng = random.Random(31)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        e = rng.choice([e for e in range(6) if p ** (e + 1) <= 400])
+        D = rng.randrange(1, 13)
+        n = rng.randrange(p ** (e + 1))
+        y, z = rng.randrange(p ** (D + e + 3)), rng.randrange(1, 10**6)
+        shifted = math.comb(y + z * p ** (D + e), n)
+        assert shifted % p**D == math.comb(y, n) % p**D, (p, D, e, n, y, z)
+
+
+def test_the_binomial_period_is_sharp():
+    # at n = p^e one digit less breaks it: some y has C(y + p^(D+e-1), n) and
+    # C(y, n) apart mod p^D (y = 0, as v_p C(p^(D+e-1), p^e) = D - 1)
+    for p in (2, 3, 5, 7):
+        for D in range(1, 5):
+            for e in range(4):
+                n, period = p**e, p ** (D + e - 1)
+                assert any(
+                    math.comb(y + period, n) % p**D != math.comb(y, n) % p**D
+                    for y in range(min(period, 50))
+                ), (p, D, e)
+
+
+def test_t_adic_sum_reads_its_histogram_at_digits_plus_the_log_guard(monkeypatch):
+    # e = floor(log_p(t_order - 1)) guard digits, never v_p((t_order - 1)!)
+    asked = []
+    real = expsum.trace_histogram
+
+    def spy(spec, k, digits):
+        asked.append(digits)
+        return real(spec, k, digits)
+
+    monkeypatch.setattr(expsum, "trace_histogram", spy)
+    for spec in (SPEC2, SPEC3, TowerSpec(5, 1, [0, 0, 1])):
+        p = spec.p
+        for t_order in sorted({1, 2, p, p + 1, p * p, p * p + 1, p**3, p**3 + 1, 40}):
+            e = max(e for e in range(8) if p**e <= max(t_order - 1, 1))
+            for digits in (1, 3):
+                asked.clear()
+                got = t_adic_sum(spec, 2, t_order, digits)
+                assert asked == [digits + e], (p, t_order, digits)
+                hist = real(spec, 2, digits + e)
+                assert t_adic_sum(spec, 2, t_order, digits, hist=hist) == got
+                if t_order > p:  # a guard is needed, so one digit less is too few
+                    with pytest.raises(InsufficientPrecision):
+                        t_adic_sum(spec, 2, t_order, digits, hist=hist.reduce(digits + e - 1))
+
+
 def test_a_stored_entry_is_the_sorted_json_dump(monkeypatch, tmp_path):
     monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
     for spec, k, digits in ((SPEC3, 2, 5), (SPEC2, 4, 6), (TowerSpec(3, 2, [1, 0, 4]), 1, 3)):
@@ -451,13 +518,14 @@ def test_a_stored_entry_is_the_sorted_json_dump(monkeypatch, tmp_path):
 
 def test_a_cold_deep_charfn_caches_each_field_at_its_graded_digits(monkeypatch, tmp_path):
     # the deep query of the benchmark, x^3 + 1 over F_2 at (t, s, digits) =
-    # (7, 15, 4): F_{2^k} is read to 4 + v_2(15!) + v_2(6!) - v_2((k-1)!)
-    # digits, where the uniform read took 19 for every k
+    # (7, 15, 4): F_{2^k} is read to 4 + v_2(15!) + floor(log_2 6) -
+    # v_2((k-1)!) digits, where the uniform read took 4 + 11 + v_2(6!) = 19
+    # for every k
     monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
     spec = TowerSpec(2, 1, [1, 0, 0, 1])
     char_series(spec, 7, 15, 4)
-    graded = [19, 19, 18, 18, 16, 16, 15, 15, 12, 12, 11, 11, 9, 9, 8]
-    assert graded == [4 + 11 + 4 - vp_factorial(k - 1, 2) for k in range(1, 16)]
+    graded = [17, 17, 16, 16, 14, 14, 13, 13, 10, 10, 9, 9, 7, 7, 6]
+    assert graded == [4 + 11 + 2 - vp_factorial(k - 1, 2) for k in range(1, 16)]
     want = {f"hist_{spec.key()}_k{k}_N{n}.json" for k, n in enumerate(graded, start=1)}
     assert {x.name for x in tmp_path.iterdir()} == want
 

@@ -8,7 +8,8 @@ import pytest
 
 from asw_slopes import gf, tower
 from asw_slopes.errors import ConfigError
-from asw_slopes.expsum import TowerSpec, l_degree
+from asw_slopes.expsum import TowerSpec, character_sum, l_degree, trace_histogram
+from asw_slopes.padic import CycInt
 from asw_slopes.tower import (
     base_slopes,
     count_points_char,
@@ -255,6 +256,25 @@ def test_the_witt_kernel_stays_on_int64_at_the_gates_corners(spec, m, k, past, c
     witt = count_points_witt(spec, m, k)
     assert witt == count_points_trace(spec, m, k) and witt > 0
     assert count is None or witt == count
+
+
+def test_the_three_counts_meet_on_the_f157_cell():
+    # F_157 x^2 + 1 at m = 2, k = 1: p^m = 24,649 characters of phi(157^2) =
+    # 24,492 coordinates each, summed as one exponent vector
+    out = cross_check_counts(TowerSpec(157, 1, [1, 0, 1]), 2, 1)
+    assert out == {"m": 2, "k": 1, "trace": 49298, "character": 49298, "witt": 49298, "ok": True}
+
+
+def test_the_character_count_is_the_sum_of_the_character_sums():
+    # every character value, the c = 0 and non-unit ones included, summed in
+    # Z[zeta] one CycInt at a time, is the count read from one exponent vector
+    for spec in (SPEC2, SPEC3, TowerSpec(5, 1, [2, 1, 0, 3])):
+        for m, k in ((1, 1), (1, 3), (2, 2), (3, 1)):
+            hist = trace_histogram(spec, k, m)
+            total = CycInt.zero(spec.p, m)
+            for c in range(spec.p**m):
+                total = total + character_sum(hist, m, c, include_zero=True)
+            assert count_points_char(spec, m, k, hist) == total.rational_value(), (spec, m, k)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
