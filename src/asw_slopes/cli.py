@@ -318,7 +318,7 @@ def _turning_svg(spec, polygon: dict) -> str:
 
 def _factor_json(factor) -> dict:
     return {
-        "coefficients": [ts.coeffs for ts in factor.coeffs],
+        "coefficients": factor.coeffs,
         "t_digits": factor.t_digits,
         "p_digits": factor.digits,
     }

@@ -66,44 +66,39 @@ def pi_of_T(p: int, order: int, digits: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 # splitting-function coefficients and the operator matrix
 
-def splitting_coefficients(spec, x_max: int, w_order: int, digits: int):
+def splitting_coefficients(spec, x_max: int, t_order: int, digits: int):
     """Coefficients c_J (J < x_max) of the product splitting function.
 
-    The w^r digit of c_J is nonzero only for r >= J and r a multiple of d --
-    both are asserted, as they are the load-bearing facts for nuclearity.
-    Returned as x_max int rows of the d-grid digits only: c[J][g] is the
-    w^(g d) digit, that is the pi^g digit for pi = w^d.  Each
-    entry accumulates at most n_max products of two residues before it is
-    reduced, so int64 is exact while n_max (p^digits - 1)^2 < 2^62;
-    past that the same code runs on Python ints (dtype=object).
-    """
+    The w^r digit of c_J is nonzero only for r >= J and r a multiple of d,
+    the load-bearing facts for nuclearity.  Term n of every factor carries
+    w^(d n) = pi^n, so the product is filled on the pi-grid: c[J][g] is the
+    w^(g d) digit, g < t_order, and the floor d g >= J is asserted.  An entry
+    sums at most t_order products of two residues before it is reduced, so
+    int64 is exact while t_order (p^digits - 1)^2 < 2^62; past that the same
+    code runs on Python ints (dtype=object)."""
     if spec.a != 1:
         raise ConfigError("operator pathway requires a prime base field (a = 1)")
     p, d = spec.p, spec.d
     mod = p**digits
-    n_max = 1 + (w_order - 1) // d
-    E = artin_hasse(p, n_max, digits)
-    e = E.coeffs
-    F = np.zeros((x_max, w_order), dtype=int_dtype(n_max * (mod - 1) ** 2))
+    e = artin_hasse(p, t_order, digits).coeffs
+    F = np.zeros((x_max, t_order), dtype=int_dtype(t_order * (mod - 1) ** 2))
     F[0, 0] = 1
     for i, b in spec.monomials():
         bh = _teich_zp(p, b, digits)
         G = F
         F = np.zeros_like(G)
         bpow = 1
-        for n in range(n_max):
-            if i * n >= x_max or d * n >= w_order:
+        for n in range(t_order):
+            if i * n >= x_max:
                 break
             g = (e[n] * bpow) % mod
             if g:
-                F[i * n :, d * n :] += g * G[: x_max - i * n, : w_order - d * n]
+                F[i * n :, n:] += g * G[: x_max - i * n, : t_order - n]
             bpow = (bpow * bh) % mod
         F %= mod
-    J = np.arange(x_max)[:, None]
-    r = np.arange(w_order)[None, :]
-    assert not (F[r < J] != 0).any(), "splitting coefficient below its w-floor"
-    assert not (F[:, r[0] % d != 0] != 0).any(), "w-exponent off the d-grid"
-    return F[:, ::d].tolist()
+    below = d * np.arange(t_order) < np.arange(x_max)[:, None]
+    assert not (F[below] != 0).any(), "splitting coefficient below its w-floor"
+    return F.tolist()
 
 
 class PackedMatrix:
@@ -186,7 +181,7 @@ def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatri
     p, d = spec.p, spec.d
     W = d * t_order
     R = s_order + -(-W // (p - 1))
-    c = splitting_coefficients(spec, p * R, W, digits)
+    c = splitting_coefficients(spec, p * R, t_order, digits)
     mod = p**digits
     # trace contractions sum R^2 entry products into one packed integer,
     # each lane of a product a sum of at most t_order digit products

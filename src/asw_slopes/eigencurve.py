@@ -8,9 +8,9 @@ the first i blocks, each T-expansion kept on the window its inputs certify.
 The T-order, s-order and character levels of a run are planned here from the
 tower's base slopes.
 
-Specializing the parameter at a finite character's uniformizer then turns
-each block into a polynomial over a cyclotomic ring whose Newton polygon
-must reproduce the level-independent slope law -- verified by exact
+Specializing the parameter at a finite character's uniformizer pi then turns
+each block into a polynomial over Z_p[pi], read in the pi-basis, whose Newton
+polygon must reproduce the level-independent slope law -- verified by exact
 multiset comparison.
 """
 
@@ -31,18 +31,17 @@ from .errors import (
     WeightOutsideAnnulus,
 )
 from .expsum import observed_polygon
-from .gf import convolve, int_dtype
+from .gf import convolve, int_dtype, reduce_mod
 from .newton import NewtonPolygon, lower_hull
-from .padic import CycInt, cyc_valuation, phi_pm
-from .series import TruncSeries
+from .padic import eisenstein, phi_pm, pi_valuation
 from .tower import base_slopes, stable_level
 
 
 class BlockFactor:
     """Lower factor of the characteristic series at one polygon vertex.
 
-    coeffs[k] is the T-expansion of the s^k coefficient (constant term 1);
-    t_digits says how far the expansions are certified.
+    coeffs[k] is the T-digit row of the s^k coefficient mod p^digits
+    (constant row [1, 0, ...]); t_digits says how far the rows are certified.
     """
 
     __slots__ = ("vertex", "p", "digits", "t_digits", "coeffs")
@@ -130,7 +129,7 @@ def _hull_eval(poly: NewtonPolygon, x: int) -> Fraction:
     return Fraction(y1) + Fraction(y1 - y0, x1 - x0) * (x - x1)
 
 
-def nested_block_factors(C: TruncSeries, block_size: int, count: int):
+def nested_block_factors(C, block_size: int, count: int):
     """Factor the first `count` polygon blocks out of C simultaneously.
 
     Returns (factors, stats): one degree-`block_size` BlockFactor per block,
@@ -197,7 +196,7 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
 
     factors = []
     for i in range(count):
-        coeffs = [TruncSeries("T", [1] + [0] * (N - 1), digits, p)]
+        coeffs = [[1] + [0] * (N - 1)]
         for j in range(1, d + 1):
             phi = floors[i, j]
             got = mark[i, j]
@@ -213,7 +212,7 @@ def nested_block_factors(C: TruncSeries, block_size: int, count: int):
                     f"block {i}: coefficient at s^{j} under a vertex is not "
                     "unit-leading"
                 )
-            coeffs.append(TruncSeries("T", [int(v) for v in vals[i, j][:got]], digits, p))
+            coeffs.append(vals[i, j][:got].tolist())
         # vertex, p, digits, t_digits, coefficients
         factors.append(BlockFactor(d, p, digits, min(mark[i, j] for j in range(1, d + 1)), coeffs))
     stats = {
@@ -403,9 +402,9 @@ def block_product(factors) -> BlockFactor:
     p = factors[0].p
     digits = min(f.digits for f in factors)
     mod = p**digits
-    acc = [[c % mod for c in ts.coeffs] for ts in factors[0].coeffs]
+    acc = [[c % mod for c in row] for row in factors[0].coeffs]
     for f in factors[1:]:
-        b = [[c % mod for c in ts.coeffs] for ts in f.coeffs]
+        b = [[c % mod for c in row] for row in f.coeffs]
         win: dict = {}
         for j, x in enumerate(acc):
             for k, y in enumerate(b):
@@ -420,38 +419,28 @@ def block_product(factors) -> BlockFactor:
                 for s, c in enumerate(convolve(x, y, len(row))):
                     row[s] += c
         acc = [[c % mod for c in row] for row in out]
-    coeffs = [TruncSeries("T", row, digits, p) for row in acc]
-    return BlockFactor(len(acc) - 1, p, digits, min(map(len, acc[1:])), coeffs)
+    return BlockFactor(len(acc) - 1, p, digits, min(map(len, acc[1:])), acc)
 
 
 # ---------------------------------------------------------------------------
 # weight specialization and the slope law
 
 def specialize_block(factor: BlockFactor, m: int):
-    """Evaluate the block at the level-m uniformizer, exactly in Z[zeta].
+    """Read the block at the level-m uniformizer pi = zeta - 1, in the pi-basis.
 
-    Returns (coefficients, caps), parallel lists.  A reading at or above its
-    cap is a floor only: the p-precision contributes digits*e, and a dropped
-    T-tail O(T^n) specializes to O(pi^n), so each coefficient carries its own
-    certified depth min(digits*e, known T-digits).
-    """
-    p = factor.p
-    pi = CycInt.zeta_power(p, m, 1) - CycInt.from_int(p, m, 1)
-    n_max = max(len(ts.coeffs) for ts in factor.coeffs)
-    pi_pows = [CycInt.from_int(p, m, 1)]
-    for _ in range(n_max - 1):
-        pi_pows.append(pi_pows[-1] * pi)
-    e = phi_pm(p, m)
-    out = []
-    caps = []
-    for ts in factor.coeffs:
-        acc = CycInt.zero(p, m)
-        for t, cf in enumerate(ts.coeffs):
-            if cf:
-                acc = acc + pi_pows[t].scale(cf)
-        out.append(acc)
-        caps.append(min(factor.digits * e, len(ts.coeffs)))
-    return out, caps
+    Returns (digits, caps), parallel lists: each coefficient's pi-digits mod
+    p^digits, its T-row reduced (only if some row reaches pi^e) modulo the
+    Eisenstein E_m(pi) = Phi_{p^m}(1 + pi) of degree e = phi(p^m), and the
+    depth its reading is certified to.  A digit dropped mod p^digits weighs
+    at least digits*e, and a dropped T-tail O(T^n) specializes to O(pi^n),
+    so a reading at or above min(digits*e, known T-digits) is a floor."""
+    p, e = factor.p, phi_pm(factor.p, m)
+    mod = p**factor.digits
+    rows = factor.coeffs
+    if max(map(len, rows)) > e:
+        E = eisenstein(p, m, mod)
+        rows = [reduce_mod(row, E, mod) for row in rows]
+    return rows, [min(factor.digits * e, len(row)) for row in factor.coeffs]
 
 
 def predicted_block_slopes(spec, block_index: int, base=None) -> Counter:
@@ -498,8 +487,9 @@ def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels, base=None
             raise WeightOutsideAnnulus(
                 f"level {m} lies outside the annulus (floor {floor})"
             )
-        coeffs, caps = specialize_block(factor, m)
-        pts = [(k, cyc_valuation(z, c)) for k, (z, c) in enumerate(zip(coeffs, caps))]
+        e = phi_pm(spec.p, m)
+        rows, caps = specialize_block(factor, m)
+        pts = [(k, pi_valuation(b, spec.p, e, c)) for k, (b, c) in enumerate(zip(rows, caps))]
         poly = lower_hull(pts, source=f"pi-adic level {m}")
         if poly.vertices[-1][0] != factor.vertex:
             raise InsufficientPrecision(

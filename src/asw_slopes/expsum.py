@@ -298,11 +298,13 @@ def _histogram(zctx: ZqCtx, ghat, lifted, const: int, Q: int, dtype) -> dict:
     return counts
 
 
-def _check_budget(Q: int) -> None:
-    if Q - 1 > MAX_POINTS:
-        raise BudgetExceeded(
-            f"field size {Q} exceeds enumeration budget {MAX_POINTS}"
-        )
+def _check_budget(q: int, k: int) -> None:
+    """Refuse F_{q^k} past MAX_POINTS nonzero points; no power past it is built."""
+    k0 = 0
+    while q ** (k0 + 1) - 1 <= MAX_POINTS:
+        k0 += 1
+    if k > k0:
+        raise BudgetExceeded(f"field size {q}^{k} exceeds enumeration budget {MAX_POINTS}")
 
 
 def _check_digits(digits: int) -> None:
@@ -314,8 +316,8 @@ def trace_histogram(spec: TowerSpec, k: int, digits: int) -> TraceHistogram:
     """Histogram of Tr(f-hat(x-hat)) mod p^digits over nonzero x in F_{q^k}."""
     if k < 1 or digits < 1:
         raise ConfigError("need k >= 1 and digits >= 1")
+    _check_budget(spec.q, k)
     Q = spec.q**k
-    _check_budget(Q)
     hit = _load_cached(spec, k, digits)
     if hit is not None:
         return hit
@@ -462,7 +464,7 @@ def l_series(
 
 def _enumerate(spec: TowerSpec, m: int, c: int, K: int) -> TruncSeries:
     """The affine L-series mod s^{K+1} from character sums, k <= K."""
-    _check_budget(spec.q**K)  # the largest field enumerated, before any work
+    _check_budget(spec.q, K)  # the largest field enumerated, before any work
     sums = []
     for k in range(1, K + 1):
         hist = trace_histogram(spec, k, m)
@@ -530,7 +532,7 @@ def char_series(
     last one `digits`.
     """
     _check_digits(digits)
-    _check_budget(spec.q**s_order)
+    _check_budget(spec.q, s_order)
     p, inner = spec.p, digits + vp_factorial(s_order, spec.p)
     sums = []
     for k in range(1, s_order + 1):

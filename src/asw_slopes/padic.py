@@ -13,6 +13,7 @@ Teichmuller lifts use Newton's method on omega^{q-1} = 1.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import gf
@@ -168,6 +169,14 @@ def phi_pm(p: int, m: int) -> int:
     return (p - 1) * p ** (m - 1) if m >= 1 else 1
 
 
+def eisenstein(p: int, m: int, mod: int) -> list[int]:
+    """E_m(pi) = Phi_{p^m}(1 + pi) = sum_{k<p} (1 + pi)^{k p^{m-1}} mod `mod`,
+    low degree first: monic Eisenstein of degree phi(p^m), m >= 1, the
+    minimal polynomial of pi = zeta_{p^m} - 1."""
+    step = p ** (m - 1)
+    return [sum(math.comb(k * step, j) for k in range(p)) % mod for j in range(phi_pm(p, m) + 1)]
+
+
 def _cyc_reduce(vec, p: int, m: int) -> list[int]:
     """Reduce an integer polynomial in zeta modulo Phi_{p^m}."""
     if m == 0:
@@ -305,19 +314,26 @@ class CycInt:
         return f"CycInt(p={self.p}, m={self.m}, {list(self.coeffs)})"
 
 
+def pi_valuation(b, p: int, e: int, cap: int | None = None) -> Valuation:
+    """v_pi of sum_{j<e} b_j pi^j for integers b_j, pi a uniformizer of a
+    totally ramified extension of degree e: the least of the pairwise
+    distinct e*v_p(b_j) + j, infinite for all-zero digits.  With `cap` set
+    (the sum known mod pi^cap) readings at or above it are floors."""
+    if not any(b):
+        return Valuation.infinite() if cap is None else Valuation.at_least(cap)
+    v = min(e * vp(bj, p) + j for j, bj in enumerate(b) if bj)
+    if cap is not None and v >= cap:
+        return Valuation.at_least(cap)
+    return Valuation.exact(v)
+
+
 def cyc_valuation(z: CycInt, cap: int | None = None) -> Valuation:
     """pi-adic valuation of z in Z[zeta_{p^m}], pi = zeta - 1, exactly.
 
     Substituting zeta = 1 + pi rewrites z = sum_i c_i zeta^i (i < e) as
-    sum_{j<e} b_j pi^j with integers b_j = sum_i C(i, j) c_i.  The extension
-    is totally ramified of degree e = (p-1)p^{m-1}, so the terms have the
-    pairwise distinct valuations e*v_p(b_j) + j and v_pi(z) is their minimum
-    (which also equals v_p(Norm z)).  With `cap` set (truncated
-    representative known mod p^M, cap = M*e) readings at or above the cap
-    are demoted to lower bounds.
-    """
-    if z.is_zero():
-        return Valuation.infinite() if cap is None else Valuation.at_least(cap)
+    sum_{j<e} b_j pi^j with integers b_j = sum_i C(i, j) c_i, read by
+    pi_valuation at e = (p-1)p^{m-1}; v_pi(z) also equals v_p(Norm z).
+    `cap` (representative known mod p^M, cap = M*e) is passed on."""
     e = len(z.coeffs)
     # Taylor shift at 1 by Horner's rule: b <- b*(1 + pi) + c_i, top down
     b = [0] * e
@@ -325,10 +341,7 @@ def cyc_valuation(z: CycInt, cap: int | None = None) -> Valuation:
         for j in range(top, 0, -1):
             b[j] += b[j - 1]
         b[0] += c
-    v = min(e * vp(bj, z.p) + j for j, bj in enumerate(b) if bj)
-    if cap is not None and v >= cap:
-        return Valuation.at_least(cap)
-    return Valuation.exact(v)
+    return pi_valuation(b, z.p, e, cap)
 
 
 # ---------------------------------------------------------------------------

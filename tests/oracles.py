@@ -514,6 +514,27 @@ def reference_cyc_mul(x, y):
     return CycInt(x.p, x.m, _cyc_reduce(out, x.p, x.m))
 
 
+def reference_specialize_block(factor, m):
+    """The block at the level-m uniformizer, exactly in Z[zeta]: each T-row
+    summed against a table of pi-power CycInt products, with the caps
+    min(digits*e, len(row)).  Read with cyc_valuation, it is the oracle for
+    eigencurve.specialize_block's pi-digits."""
+    p = factor.p
+    pi = CycInt.zeta_power(p, m, 1) - CycInt.from_int(p, m, 1)
+    pi_pows = [CycInt.from_int(p, m, 1)]
+    for _ in range(max(map(len, factor.coeffs)) - 1):
+        pi_pows.append(pi_pows[-1] * pi)
+    e = phi_pm(p, m)
+    out = []
+    for row in factor.coeffs:
+        acc = CycInt.zero(p, m)
+        for t, cf in enumerate(row):
+            if cf:
+                acc = acc + pi_pows[t].scale(cf)
+        out.append(acc)
+    return out, [min(factor.digits * e, len(row)) for row in factor.coeffs]
+
+
 def reference_pack(coeffs, stride):
     """One packed entry, byte by byte: coefficient r in lane r."""
     return int.from_bytes(

@@ -246,12 +246,11 @@ def test_criterion_8_block_decomposition_and_weight_slope_law():
     for i, (f, g) in enumerate(zip(fa, fb), start=1):
         assert f.vertex == g.vertex == 3
         assert len(f.coeffs) == len(g.coeffs) == 4
-        for ts, gs in zip(f.coeffs, g.coeffs):
-            assert ts.coeffs == gs.coeffs
+        assert f.coeffs == g.coeffs
         # top coefficient leads with a unit at T^(3i-2)
-        lead = next(t for t, c in enumerate(f.coeffs[3].coeffs) if c)
+        lead = next(t for t, c in enumerate(f.coeffs[3]) if c)
         assert lead == 3 * i - 2
-        assert f.coeffs[3].coeffs[lead] % 2 == 1
+        assert f.coeffs[3][lead] % 2 == 1
 
     # specializing T to any uniformizer in the annulus reads off the same
     # slopes the block index predicts
@@ -269,7 +268,7 @@ def test_criterion_8_block_decomposition_and_weight_slope_law():
     zero = [0] * A.coeffs[0].order
     P = [list(A.coeffs[0].coeffs)] + [zero] * (width - 1)  # 1
     for f in fa:
-        P = _s_mul(P, [ts.coeffs for ts in f.coeffs] + [zero] * (width - len(f.coeffs)), mod)
+        P = _s_mul(P, f.coeffs + [zero] * (width - len(f.coeffs)), mod)
     R = _s_mul([col.coeffs for col in A.coeffs], _s_inverse(P, mod), mod)
     poly = observed_polygon(A)
     assert R[0] == [1] + [0] * (len(R[0]) - 1)

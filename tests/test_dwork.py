@@ -85,9 +85,9 @@ def test_pi_of_T_inverts_the_exponential():
 
 def test_splitting_coefficients_grid():
     # only the d-grid columns come back: c[J][g] is the w^(g d) digit, zero
-    # below the w-floor J; the off-grid zeros are asserted inside
+    # below the w-floor J; the off-grid digits of the w-grid oracle are zero
     d = SPEC2.d
-    c = splitting_coefficients(SPEC2, x_max=8, w_order=12, digits=5)
+    c = splitting_coefficients(SPEC2, x_max=8, t_order=12 // d, digits=5)
     full = reference_splitting_coefficients(SPEC2, 8, 12, 5)
     assert c[0][0] == 1 and len(c) == 8
     assert all(len(row) == 12 // d for row in c)
@@ -133,9 +133,10 @@ def test_splitting_coefficients_paths_agree():
     # Wrapped int64 sums would keep their residues mod 2^31, so only the
     # odd prime shows a wrong dtype.
     for spec in (SPEC2, TowerSpec(3, 1, [1, 1, 1])):
-        wide = splitting_coefficients(spec, 6, 9, 31)
-        fast = splitting_coefficients(spec, 6, 9, 4)
         d = spec.d
+        t = -(-9 // d)  # the pi-columns of a w-window of 9
+        wide = splitting_coefficients(spec, 6, t, 31)
+        fast = splitting_coefficients(spec, 6, t, 4)
         assert wide == [row[::d] for row in reference_splitting_coefficients(spec, 6, 9, 31)]
         assert fast == [row[::d] for row in reference_splitting_coefficients(spec, 6, 9, 4)]
         assert all(type(x) is int for row in wide + fast for x in row)

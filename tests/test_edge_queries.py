@@ -1,0 +1,61 @@
+"""Oversized but well-formed queries end with a documented exit code.
+
+Each query runs in its own interpreter under a 20 s timeout. A refusal
+exits 2 with one JSON line on stderr; a query the library can answer exits
+0. None may exit 4 (an internal error) or run past the timeout. The answered
+ones read the weight law at levels 30 and 999, where Z[zeta] has 2^29 and
+2^998 coordinates: a block's pi-digits are no longer than its T-rows, and
+every level in the annulus reads the slopes of level 2.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import asw_slopes
+
+SRC = os.path.dirname(os.path.dirname(asw_slopes.__file__))
+F2 = ["--p", "2", "--f", "1,0,0,1"]  # x^3 + 1 over F_2
+
+REFUSED = {
+    "slopes-m40": ["slopes", *F2, "--m", "40"],
+    "lfun-m30": ["lfun", "--p", "3", "--f", "1,0,2", "--m", "30"],
+    "charfn-s200000": ["charfn", *F2, "--s-order", "200000", "--t-order", "2"],
+    "expsum-k100000": ["expsum", *F2, "--k", "100000"],
+    "eigencurve-40-blocks": ["eigencurve", *F2, "--components", "40"],
+}
+ANSWERED = {
+    f"eigencurve-level-{top}": [
+        "eigencurve", *F2, "--components", "3", "--digits", "6", "--levels", f"2,{top}"
+    ]
+    for top in (30, 999)
+}
+
+
+def _run(argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys; from asw_slopes.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=20
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, want", [(a, 2) for a in REFUSED.values()] + [(a, 0) for a in ANSWERED.values()],
+    ids=[*REFUSED, *ANSWERED],
+)
+def test_oversized_queries_exit_with_a_documented_code(argv, want):
+    out = _run(argv)
+    assert out.returncode == want, out.stderr
+    if want == 2:
+        assert out.stdout == "" and out.stderr.count("\n") == 1
+        assert json.loads(out.stderr)["error"] == "BudgetExceeded"
+    else:
+        assert out.stderr == ""
+        for block in json.loads(out.stdout)["blocks"]:
+            low, high = block["law"]["levels"]
+            assert block["law"]["ok"] and low["m"] == 2 and high["slopes"] == low["slopes"]

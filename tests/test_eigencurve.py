@@ -29,9 +29,10 @@ from asw_slopes.errors import (
 )
 from asw_slopes.expsum import TowerSpec, char_series
 from asw_slopes.gf import int_dtype
+from asw_slopes.padic import cyc_valuation, phi_pm, pi_valuation
 from asw_slopes.series import TruncSeries
 from asw_slopes.tower import turning_window
-from oracles import reference_eliminate
+from oracles import reference_eliminate, reference_specialize_block
 
 SPEC2 = TowerSpec(2, 1, [0, 0, 0, 1])
 SPEC3 = TowerSpec(3, 1, [0, 0, 1])
@@ -49,7 +50,7 @@ def peel_factors():
 
 def _vals(factor):
     mod = factor.p**factor.digits
-    return [[c % mod for c in ts.coeffs] for ts in factor.coeffs]
+    return [[c % mod for c in row] for row in factor.coeffs]
 
 
 def test_observed_polygon_vertices():
@@ -134,7 +135,7 @@ def test_elimination_matches_the_scalar_oracle(monkeypatch, spec, count, digits)
 
     def run():
         facs, stats = nested_block_factors(C, spec.d, count)
-        return [(f.t_digits, [list(ts.coeffs) for ts in f.coeffs]) for f in facs], stats
+        return [(f.t_digits, f.coeffs) for f in facs], stats
 
     got = run()
     monkeypatch.setattr(eigencurve, "_eliminate", reference_eliminate)
@@ -173,18 +174,15 @@ def test_nested_rejects_corrupted_series():
 
 
 def test_block_product_fabricated():
-    def ts(vals):
-        return TruncSeries("T", vals, 6, 2)
-
     # lo x quotient = hi: (1 + T s)(1 + 3 T^2 s) = 1 + (T + 3T^2) s + 3 T^3 s^2
-    lo = BlockFactor(1, 2, 6, 5, [ts([1, 0, 0, 0, 0]), ts([0, 1, 0, 0, 0])])
-    quo = BlockFactor(1, 2, 6, 5, [ts([1, 0, 0, 0, 0]), ts([0, 0, 3, 0, 0])])
+    lo = BlockFactor(1, 2, 6, 5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+    quo = BlockFactor(1, 2, 6, 5, [[1, 0, 0, 0, 0], [0, 0, 3, 0, 0]])
     hi = block_product([lo, quo])
     assert (hi.vertex, hi.p, hi.digits, hi.t_digits) == (2, 2, 6, 5)
     # s^2 is known mod T^min(5 + 2, 5 + 1): one digit past both inputs
     assert _vals(hi) == [[1, 0, 0, 0, 0], [0, 1, 3, 0, 0], [0, 0, 0, 3, 0, 0]]
     # a coefficient known to be zero mod T^3 has valuation 3 in the rule
-    short = BlockFactor(1, 2, 6, 3, [ts([1, 0, 0, 0, 0]), ts([0, 0, 0])])
+    short = BlockFactor(1, 2, 6, 3, [[1, 0, 0, 0, 0], [0, 0, 0]])
     assert _vals(block_product([short, quo])) == [
         [1, 0, 0, 0, 0], [0, 0, 3], [0, 0, 0, 0, 0]
     ]
@@ -198,10 +196,36 @@ def test_predicted_block_slopes_values():
 
 def test_specialize_block_caps():
     facs, _ = peel_factors()
-    coeffs, caps = specialize_block(facs[0], 2)
+    rows, caps = specialize_block(facs[0], 2)
     e = 2  # (p-1) p^{m-1} at p = 2, m = 2
-    assert caps == [min(facs[0].digits * e, len(t.coeffs)) for t in facs[0].coeffs]
-    assert coeffs[0].coeffs == (1, 0)
+    assert caps == [min(facs[0].digits * e, len(row)) for row in facs[0].coeffs]
+    assert rows[0] == [1, 0]  # the constant row [1, 0, ...] reduced mod E_2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pi_digits_read_as_the_cyclotomic_route_seeded(p):
+    # random T-digit rows, shorter and longer than e, read in the pi-basis
+    # and by the exact Z[zeta] route, at their caps and at random caps below
+    rng = random.Random(1310 + p)
+    for m in (1, 2, 3):
+        e = phi_pm(p, m)
+        # the reference's pi-power table costs e^2 per power: one draw at 7^3
+        for _ in range(3 if e < 100 else 1):
+            digits = rng.randint(1, 8)
+            mod = p**digits
+            rows = [[0] * rng.randint(1, e + 12)]
+            for _ in range(5):
+                n = rng.choice([rng.randint(1, e), e, e + 1, rng.randint(e + 2, e + 12)])
+                row = [p ** rng.randrange(digits + 1) * rng.randrange(mod) % mod for _ in range(n)]
+                rows.append([x if rng.random() < 0.7 else 0 for x in row])
+            factor = BlockFactor(len(rows) - 1, p, digits, 1, rows)
+            got, caps = specialize_block(factor, m)
+            want, want_caps = reference_specialize_block(factor, m)
+            assert caps == want_caps
+            for b, z, cap in zip(got, want, caps):
+                assert len(b) <= e and all(0 <= x < mod for x in b)
+                for c in (cap, rng.randint(0, cap)):
+                    assert pi_valuation(b, p, e, c) == cyc_valuation(z, c)
 
 
 def test_weight_slope_law_per_block():

@@ -10,6 +10,9 @@ from asw_slopes.padic import (
     ZqCtx,
     binom_pow,
     cyc_valuation,
+    eisenstein,
+    phi_pm,
+    pi_valuation,
     teichmuller,
     vp,
     vp_factorial,
@@ -277,6 +280,36 @@ def test_cyc_valuation_matches_resultant_oracle(p, m):
             assert cyc_valuation(w, cap=want) == Valuation.at_least(want)
             assert cyc_valuation(w, cap=want + 1) == Valuation.exact(want)
     assert cyc_valuation(CycInt.zero(p, m), cap=e) == Valuation.at_least(e)
+
+
+def test_pi_valuation_reads_zero_and_capped_digits():
+    # 3 + 2 pi + 9 pi^2 at e = 4: terms of weight 4, 1 and 10
+    assert pi_valuation([3, 2, 9], 3, 4) == Valuation.exact(1)
+    assert pi_valuation([3, 3, 9], 3, 4) == Valuation.exact(4)
+    assert pi_valuation([9, 9, 9, 1], 3, 4) == Valuation.exact(3)
+    # a reading at the cap is a floor at the cap, one below it is exact
+    assert pi_valuation([3, 3, 9], 3, 4, cap=4) == Valuation.at_least(4)
+    assert pi_valuation([3, 3, 9], 3, 4, cap=5) == Valuation.exact(4)
+    # all-zero digits: infinite, or a floor at the cap when there is one
+    assert pi_valuation([0, 0, 0], 3, 4) == Valuation.infinite()
+    assert pi_valuation([], 3, 4) == Valuation.infinite()
+    assert pi_valuation([0, 0], 3, 4, cap=7) == Valuation.at_least(7)
+    assert cyc_valuation(CycInt.zero(3, 2)) == Valuation.infinite()
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2), (7, 1)])
+def test_eisenstein_is_the_minimal_polynomial_of_pi(p, m):
+    mod = p**12
+    E = eisenstein(p, m, mod)
+    e = phi_pm(p, m)
+    assert len(E) == e + 1 and E[-1] == 1 and E[0] == p
+    assert all(c % p == 0 for c in E[:-1]) and E[0] % p**2
+    # E(zeta - 1) = 0 in Z[zeta]
+    pi = CycInt.zeta_power(p, m, 1) - CycInt.from_int(p, m, 1)
+    acc, power = CycInt.zero(p, m), CycInt.from_int(p, m, 1)
+    for c in E:
+        acc, power = acc + power.scale(c), power * pi
+    assert all(c % mod == 0 for c in acc.coeffs)
 
 
 def test_binom_pow_homomorphism_seeded():
