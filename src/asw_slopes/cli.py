@@ -7,8 +7,9 @@ verifier (verify), slope-block factorization with the weight law
 (eigencurve), and histogram cache management (cache).
 
 Exit codes: 0 success, 1 a verification claim failed, 2 precision or
-budget exhausted, 3 configuration problems (including bad usage), 4 an
-internal error (any other exception, such as a failed assertion).
+budget exhausted (memory included: a MemoryError exits 2), 3 configuration
+problems (including bad usage), 4 an internal error (any other exception,
+such as a failed assertion).
 Polynomials on the command line are comma-separated and written leading
 coefficient first, the conventional written order: --f 1,0,0,0 is x^3.
 """
@@ -277,15 +278,14 @@ def _cmd_verify(args) -> int:
     )
     report: dict = dict(_base_payload(spec))
     ok = True
-    polygons: dict = {}  # level -> q-adic polygon, read once for both checks
     if "periodicity" in checks:
         m_max = args.m_max or tower.stable_level(spec) + 1
-        rep = tower.verify_periodicity(spec, m_max, polygons)
+        rep = tower.verify_periodicity(spec, m_max)
         report["periodicity"] = rep
         ok = ok and rep["ok"]
     if "hodge" in checks:
         m_max = args.m_max or tower.stable_level(spec) + 1
-        hs = [tower.verify_hodge(spec, m, polygons.get(m)) for m in range(1, m_max + 1)]
+        hs = [tower.verify_hodge(spec, m) for m in range(1, m_max + 1)]
         report["hodge"] = hs
         ok = ok and all(h["ok"] for h in hs)
     if "counts" in checks:
@@ -332,8 +332,7 @@ def _cmd_eigencurve(args) -> int:
         raise ConfigError(f"vertex {vertex} must be a multiple of d = {d}")
     count = args.components if vertex is None else vertex // d
     levels = None if args.levels is None else _ints(args.levels)
-    base = tower.base_slopes(spec)
-    t_order, s_order = block_window(spec, count, args.t_order, args.s_order, base)
+    t_order, s_order = block_window(spec, count, args.t_order, args.s_order)
     C = expsum.char_series(spec, t_order, s_order, args.digits)
     factors, stats = nested_block_factors(C, d, count)
     payload = _base_payload(spec)
@@ -342,18 +341,18 @@ def _cmd_eigencurve(args) -> int:
     if vertex is not None:
         factor = block_product(factors)
         spans = list(range(1, count + 1))
-        levels = pick_levels(spec, spans, factor.digits, levels, base)
-        law = verify_weight_slope_law(spec, factor, spans, levels, base)
+        levels = pick_levels(spec, spans, factor.digits, levels)
+        law = verify_weight_slope_law(spec, factor, spans, levels)
         payload.update(
             {"mode": "vertex", "vertex": vertex, "factor": _factor_json(factor), "law": law}
         )
         ok = law["ok"]
     else:
         # the deepest block needs the highest level; all share it
-        levels = pick_levels(spec, [count], factors[-1].digits, levels, base)
+        levels = pick_levels(spec, [count], factors[-1].digits, levels)
         blocks = []
         for i, factor in enumerate(factors, start=1):
-            law = verify_weight_slope_law(spec, factor, i, levels, base)
+            law = verify_weight_slope_law(spec, factor, i, levels)
             blocks.append({**_factor_json(factor), "block": i, "law": law})
         payload.update(
             {"mode": "components", "components": count, "engine": stats, "blocks": blocks}
@@ -468,7 +467,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except VerificationError as err:
         return _fail(err, EXIT_VERIFICATION)
-    except PrecisionError as err:
+    except (PrecisionError, MemoryError) as err:
         return _fail(err, EXIT_PRECISION)
     except ConfigError as err:
         return _fail(err, EXIT_CONFIG)

@@ -67,11 +67,12 @@ def pi_of_T(p: int, order: int, digits: int) -> TruncSeries:
 # splitting-function coefficients and the operator matrix
 
 def splitting_coefficients(spec, x_max: int, t_order: int, digits: int):
-    """Coefficients c_J (J < x_max) of the product splitting function.
+    """Coefficients c_J (J < x_max) of the product splitting function, as
+    an (x_max, t_order) array of residues mod p^digits.
 
     The w^r digit of c_J is nonzero only for r >= J and r a multiple of d,
     the load-bearing facts for nuclearity.  Term n of every factor carries
-    w^(d n) = pi^n, so the product is filled on the pi-grid: c[J][g] is the
+    w^(d n) = pi^n, so the product is filled on the pi-grid: c[J, g] is the
     w^(g d) digit, g < t_order, and the floor d g >= J is asserted.  An entry
     sums at most t_order products of two residues before it is reduced, so
     int64 is exact while t_order (p^digits - 1)^2 < 2^62; past that the same
@@ -98,7 +99,7 @@ def splitting_coefficients(spec, x_max: int, t_order: int, digits: int):
         F %= mod
     below = d * np.arange(t_order) < np.arange(x_max)[:, None]
     assert not (F[below] != 0).any(), "splitting coefficient below its w-floor"
-    return F.tolist()
+    return F
 
 
 class PackedMatrix:
@@ -188,7 +189,7 @@ def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatri
     lane_bits = 2 * (mod - 1).bit_length() + (R * R * t_order).bit_length() + 1
     stride = (lane_bits + 7) // 8
     # the splitting coefficients are residues below mod
-    packed = _write_lanes(np.array(c, dtype=int_dtype(mod)), stride)
+    packed = _write_lanes(c.astype(int_dtype(mod), copy=False), stride)
     # entry (i, j) is c_{pj-i}, so row i starts at column ceil(i/p)
     rows = [
         sorted(

@@ -62,37 +62,33 @@ def _slope_step(spec) -> int:
     return spec.a * phi_pm(spec.p, stable_level(spec))
 
 
-def corner_y(spec, i: int, base=None) -> int:
+def corner_y(spec, i: int) -> int:
     """T-adic hull height at the block corner x = i*d.
 
     Block j has slopes e0*(j-1) once and e0*(j-1+alpha) for each base slope
-    alpha, so the corners are integral; the ceiling is only a guard.  Here
-    and below, `base` passes the tower's base slopes when the caller has
-    them; None reads them.
+    alpha, so the corners are integral; the ceiling is only a guard.
     """
     e0 = _slope_step(spec)
-    s_alpha = sum(base_slopes(spec) if base is None else base, Fraction(0))
+    s_alpha = sum(base_slopes(spec), Fraction(0))
     return math.ceil(e0 * (Fraction(spec.d * i * (i - 1), 2) + i * s_alpha))
 
 
-def block_window(spec, count: int, t_order=None, s_order=None, base=None) -> tuple[int, int]:
+def block_window(spec, count: int, t_order=None, s_order=None) -> tuple[int, int]:
     """(T-order, s-order) that pins the first `count` blocks; None plans it.
 
     The s-order reaches one column past the last corner so that x = count*d
     is interior; the T-order anchors the hull there, e0*count past the corner.
     """
-    if base is None:
-        base = base_slopes(spec)
-    if max(base, default=0) >= 1:
+    if max(base_slopes(spec), default=0) >= 1:
         raise ConfigError("no slope gap at block vertices for this tower")
     if t_order is None:
-        t_order = corner_y(spec, count, base) + _slope_step(spec) * count + 2
+        t_order = corner_y(spec, count) + _slope_step(spec) * count + 2
     if s_order is None:
         s_order = count * spec.d + 1
     return t_order, s_order
 
 
-def pick_levels(spec, blocks, p_digits: int, levels=None, base=None) -> list[int]:
+def pick_levels(spec, blocks, p_digits: int, levels=None) -> list[int]:
     """Character levels for the weight law on a factor spanning `blocks`.
 
     None plans them: the smallest annulus level whose cap p_digits*e exceeds
@@ -101,7 +97,7 @@ def pick_levels(spec, blocks, p_digits: int, levels=None, base=None) -> list[int
     """
     if levels is not None:
         return levels
-    h_max = corner_y(spec, max(blocks), base) - corner_y(spec, min(blocks) - 1, base)
+    h_max = corner_y(spec, max(blocks)) - corner_y(spec, min(blocks) - 1)
     m = stable_level(spec)
     while p_digits * phi_pm(spec.p, m) <= h_max:
         m += 1
@@ -443,19 +439,17 @@ def specialize_block(factor: BlockFactor, m: int):
     return rows, [min(factor.digits * e, len(row)) for row in factor.coeffs]
 
 
-def predicted_block_slopes(spec, block_index: int, base=None) -> Counter:
+def predicted_block_slopes(spec, block_index: int) -> Counter:
     """Level-independent pi-adic slopes of block i: a(p-1)p^{m0-1}(i-1+alpha)."""
-    if base is None:
-        base = base_slopes(spec)
     e0 = _slope_step(spec)
     out: Counter = Counter()
     out[Fraction(e0 * (block_index - 1))] += 1
-    for alpha in base:
+    for alpha in base_slopes(spec):
         out[e0 * (block_index - 1) + e0 * alpha] += 1
     return out
 
 
-def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels, base=None) -> dict:
+def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels) -> dict:
     """Exact slope multisets of the specialized factor across character levels.
 
     The law: the pi-adic polygon of the factor is one and the same at every
@@ -475,11 +469,9 @@ def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels, base=None
     if not levels:
         raise ConfigError("no character levels to check the law at")
     floor = stable_level(spec)
-    if base is None:
-        base = base_slopes(spec)
     predicted: Counter = Counter()
     for b in blocks:
-        predicted += predicted_block_slopes(spec, b, base)
+        predicted += predicted_block_slopes(spec, b)
     results = []
     all_ok = True
     for m in levels:

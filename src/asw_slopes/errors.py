@@ -3,7 +3,8 @@
 Three families, matching the CLI exit codes: verification failures (an exact
 identity that should hold did not; exit 1), precision/budget problems (the
 requested computation cannot be certified at the configured truncations;
-exit 2), and invalid configuration (caller error; exit 3).  Any other
+exit 2), and invalid configuration (caller error; exit 3).  A MemoryError
+is a budget the machine set, so it exits 2 as well.  Any other
 exception reaching the CLI, such as a failed internal assertion, is a bug,
 not a verdict: it exits 4, never 1.
 """

@@ -32,6 +32,11 @@ from .newton import NewtonPolygon, lower_hull
 from .padic import CycInt, Valuation, ZqCtx, phi_pm, teichmuller, vp_factorial
 from .series import TruncSeries, exp_from_power_sums
 
+try:  # the C module alone: hashlib loads OpenSSL, about 2 MiB of RSS a process
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 MAX_POINTS = 2 * 10**7  # hard budget on |field| for histogram enumeration
 
 
@@ -107,9 +112,9 @@ class TraceHistogram:
         if digits == self.digits:
             return self
         mod = self.p**digits
-        folded: dict[int, int] = {}
+        folded: Counter = Counter()
         for t, c in self.counts.items():
-            folded[t % mod] = folded.get(t % mod, 0) + c
+            folded[t % mod] += c
         return TraceHistogram(self.p, self.k, digits, folded, self.zero_cell % mod)
 
     def to_json(self, spec: TowerSpec) -> dict:
@@ -121,7 +126,7 @@ class TraceHistogram:
             "k": self.k,
             "digits": self.digits,
             "zero_cell": self.zero_cell,
-            "counts": {str(t): self.counts[t] for t in sorted(self.counts)},
+            "counts": {str(t): c for t, c in self.counts.items()},
         }
 
     @classmethod
@@ -130,7 +135,7 @@ class TraceHistogram:
             data["p"],
             data["k"],
             data["digits"],
-            {int(t): c for t, c in data["counts"].items()},
+            data["counts"],
             data["zero_cell"],
         )
 
@@ -151,14 +156,20 @@ def _cache_name(spec: TowerSpec, k: int, digits: int) -> str:
 def _read_entry(path: str, spec: TowerSpec, k: int, digits: int):
     """The histogram stored at path, or None if it is not a sound entry.
 
-    An entry that does not parse, that belongs to another tower, extension
-    degree or precision, or whose counts do not cover q^k - 1 points is
-    treated as absent, so it gets recomputed rather than trusted.
+    An entry is the sha256 hex digest of its payload, a newline, and the
+    payload, the histogram's sorted JSON.  An entry whose digest is missing
+    or does not match the payload bytes, that does not parse, that belongs
+    to another tower, extension degree or precision, or whose counts do not
+    cover q^k - 1 points is treated as absent, so it gets recomputed rather
+    than trusted.
     """
     expected = (spec.p, spec.a, list(spec.ctx.h), spec.coeffs, k, digits)
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            digest, payload = fh.readline(), fh.read()
+        if digest != sha256(payload).hexdigest().encode() + b"\n":
+            return None
+        data = json.loads(payload)
         if tuple(data[key] for key in ("p", "a", "h", "f", "k", "digits")) != expected:
             return None
         hist = TraceHistogram.from_json(data)
@@ -168,26 +179,20 @@ def _read_entry(path: str, spec: TowerSpec, k: int, digits: int):
 
 
 def _load_cached(spec: TowerSpec, k: int, digits: int):
+    """The entry at `digits` if one is stored, else the shallowest sound
+    deeper one, reduced to `digits`; None if there is none."""
     cdir = cache_dir()
     prefix = f"hist_{spec.key()}_k{k}_N"  # _cache_name up to the digits
-    exact = os.path.join(cdir, f"{prefix}{digits}.json")
-    candidates = []
-    if os.path.exists(exact):
-        candidates.append(digits)
-    else:
+    depths = [digits]
+    if not os.path.exists(os.path.join(cdir, f"{prefix}{digits}.json")):
         try:
             names = os.listdir(cdir)
         except OSError:  # missing or unreadable: an empty cache
             names = []
-        for name in names:
-            if name.startswith(prefix) and name.endswith(".json"):
-                try:
-                    n = int(name[len(prefix) : -len(".json")])
-                except ValueError:
-                    continue
-                if n > digits:
-                    candidates.append(n)
-    for n in sorted(candidates):
+        ours = [n for n in names if n.startswith(prefix) and n.endswith(".json")]
+        tails = [n[len(prefix) : -len(".json")] for n in ours]
+        depths = sorted(int(t) for t in tails if t.isdecimal() and int(t) > digits)
+    for n in depths:
         hist = _read_entry(os.path.join(cdir, f"{prefix}{n}.json"), spec, k, n)
         if hist is not None:
             return hist.reduce(digits)
@@ -195,17 +200,19 @@ def _load_cached(spec: TowerSpec, k: int, digits: int):
 
 
 def _store_cached(spec: TowerSpec, hist: TraceHistogram):
-    """Store the entry; a cache that cannot take it is skipped, since the
-    cache only ever changes speed."""
+    """Store the entry, digest line first (see _read_entry); a cache that
+    cannot take it is skipped, since the cache only ever changes speed."""
     cdir = cache_dir()
     name = _cache_name(spec, hist.k, hist.digits)
+    payload = json.dumps(hist.to_json(spec), sort_keys=True).encode()
     tmp = None
     try:
         os.makedirs(cdir, exist_ok=True)
         # a unique temp name per writer, so concurrent stores never interleave
         fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=cdir)
-        with os.fdopen(fd, "w") as fh:
-            json.dump(hist.to_json(spec), fh, sort_keys=True)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(sha256(payload).hexdigest().encode() + b"\n")
+            fh.write(payload)
         os.replace(tmp, os.path.join(cdir, name))
         tmp = None
     except OSError:
@@ -324,7 +331,6 @@ def trace_histogram(spec: TowerSpec, k: int, digits: int) -> TraceHistogram:
 
     ctx_k = spec.ctx if k == 1 else gf.field(spec.p, spec.a * k)
     zctx = ZqCtx(ctx_k, digits)
-    mod = spec.p**digits
     lifted = []
     for i, b in spec.monomials():
         bk = gf.embed_element(spec.ctx, spec.ctx.element(b), ctx_k)
@@ -333,7 +339,7 @@ def trace_histogram(spec: TowerSpec, k: int, digits: int) -> TraceHistogram:
     zero_cell = zctx.trace(lifted[0][1]) if lifted[0][0] == 0 else 0
 
     ghat = teichmuller(zctx, ctx_k.multiplicative_generator())
-    dtype = gf.int_dtype(ctx_k.n * (mod - 1) ** 2)
+    dtype = gf.int_dtype(ctx_k.n * (zctx.mod - 1) ** 2)
     if dtype is object and Q - 1 > 500_000:
         raise BudgetExceeded(
             f"precision p^{digits} too high for the vectorized path at {Q} points"
@@ -348,13 +354,7 @@ def trace_histogram(spec: TowerSpec, k: int, digits: int) -> TraceHistogram:
 # ---------------------------------------------------------------------------
 # sums and series built on the histogram
 
-def t_adic_sum(
-    spec: TowerSpec,
-    k: int,
-    t_order: int,
-    digits: int,
-    hist: TraceHistogram | None = None,
-) -> TruncSeries:
+def t_adic_sum(spec: TowerSpec, k: int, t_order: int, digits: int) -> TruncSeries:
     """Sum of (1+T)^{Tr(f-hat(x-hat))} over nonzero x, mod (T^t_order, p^digits).
 
     With c_t points of trace t, [T^n] = sum_t c_t C(t, n) = S_n / n! for the
@@ -375,14 +375,7 @@ def t_adic_sum(
     e, pe = 0, p
     while pe < t_order:  # p^(e+1) <= t_order - 1
         e, pe = e + 1, pe * p
-    read = digits + e
-    if hist is None:
-        hist = trace_histogram(spec, k, read)
-    elif hist.digits < read:
-        raise InsufficientPrecision(
-            f"histogram digits {hist.digits} < required {read}"
-        )
-    hist = hist.reduce(read)
+    hist = trace_histogram(spec, k, digits + e)
     need = digits + vp_factorial(t_order - 1, p)
     M, out_mod = p**need, p**digits
     dtype = gf.int_dtype(max(M - 1, len(hist.counts)) * (M - 1))
@@ -465,10 +458,10 @@ def l_series(
 def _enumerate(spec: TowerSpec, m: int, c: int, K: int) -> TruncSeries:
     """The affine L-series mod s^{K+1} from character sums, k <= K."""
     _check_budget(spec.q, K)  # the largest field enumerated, before any work
-    sums = []
-    for k in range(1, K + 1):
-        hist = trace_histogram(spec, k, m)
-        sums.append(character_sum(hist, m, c, include_zero=True))
+    sums = [
+        character_sum(trace_histogram(spec, k, m), m, c, include_zero=True)
+        for k in range(1, K + 1)
+    ]
     if not sums:
         return TruncSeries("s", [CycInt.from_int(spec.p, m, 1)])
     return exp_from_power_sums(sums, "s")
@@ -570,8 +563,5 @@ def t_valuation_points(C: TruncSeries):
     pts = []
     for k, col in enumerate(C.coeffs):
         v = next((i for i, c in enumerate(col.coeffs) if c), None)
-        if v is None:
-            pts.append((k, Valuation.at_least(col.order)))
-        else:
-            pts.append((k, Valuation.exact(v)))
+        pts.append((k, Valuation.at_least(col.order) if v is None else Valuation.exact(v)))
     return pts

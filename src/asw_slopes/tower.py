@@ -132,26 +132,24 @@ def count_points_witt(spec: TowerSpec, m: int, k: int) -> int:
     return int(bins[code(target)].sum())
 
 
-def count_points_trace(spec: TowerSpec, m: int, k: int, hist=None) -> int:
-    """p^m * #{x : lifted trace vanishes mod p^m}, zero fiber included; `hist`
-    is trace_histogram(spec, k, m) when already read."""
-    hist = trace_histogram(spec, k, m) if hist is None else hist
+def count_points_trace(spec: TowerSpec, m: int, k: int) -> int:
+    """p^m * #{x : lifted trace vanishes mod p^m}, zero fiber included."""
+    hist = trace_histogram(spec, k, m)
     zeros = hist.counts.get(0, 0)
     if hist.zero_cell == 0:
         zeros += 1
     return spec.p**m * zeros
 
 
-def count_points_char(spec: TowerSpec, m: int, k: int, hist=None) -> int:
+def count_points_char(spec: TowerSpec, m: int, k: int) -> int:
     """Same count as the sum of the character sums over every c mod p^m
     (c = 0 gives q^k), each in Z[zeta_{p^m}]; the total must land in Z.
-    `hist` is trace_histogram(spec, k, m) when already read.
 
     All p^m sums go into one exponent vector, n at c t mod p^m for every c
     and every cell (t, n), the zero cell included, reduced once in Z[zeta].
     Its entries sum to p^m q^k, and the exponents c t stay below p^(2m).
     """
-    hist = (trace_histogram(spec, k, m) if hist is None else hist).reduce(m)
+    hist = trace_histogram(spec, k, m)
     pm = spec.p**m
     dtype = gf.int_dtype(pm * max(pm, spec.q**k))
     c = np.arange(pm, dtype=dtype)
@@ -225,10 +223,21 @@ def stable_level(spec: TowerSpec) -> int:
     return m
 
 
+# (spec.key(), m, c) -> q-adic polygon of the level-m L-series, per process
+_POLYGONS: dict = {}
+
+
 def l_newton(spec: TowerSpec, m: int, c: int = 1) -> NewtonPolygon:
     """q-adic Newton polygon of the level-m L-series, from its coefficients
-    up to floor(D/2) (enumerating F_{q^k} for k <= floor(D/2) only)."""
-    return series_newton(spec, m, l_series(spec, m, c, s_order=l_degree(spec, m) // 2))
+    up to floor(D/2) (enumerating F_{q^k} for k <= floor(D/2) only).
+
+    The one reader of a level polygon: each is read once per process and
+    then served from memory, so every check and planner may ask for it."""
+    key = (spec.key(), m, c)
+    if key not in _POLYGONS:
+        L = l_series(spec, m, c, s_order=l_degree(spec, m) // 2)
+        _POLYGONS[key] = series_newton(spec, m, L)
+    return _POLYGONS[key]
 
 
 def series_newton(spec: TowerSpec, m: int, L: TruncSeries) -> NewtonPolygon:
@@ -256,12 +265,11 @@ def base_slopes(spec: TowerSpec) -> list[Fraction]:
     return l_newton(spec, stable_level(spec)).slopes()
 
 
-def predicted_slopes(spec: TowerSpec, m: int, base=None) -> Counter:
+def predicted_slopes(spec: TowerSpec, m: int) -> Counter:
     m0 = stable_level(spec)
     if m < m0:
         raise ConfigError(f"prediction applies from level {m0} on, got {m}")
-    if base is None:
-        base = base_slopes(spec)
+    base = base_slopes(spec)
     P = spec.p ** (m - m0)
     out: Counter = Counter()
     for i in range(P):
@@ -274,23 +282,16 @@ def predicted_slopes(spec: TowerSpec, m: int, base=None) -> Counter:
     return out
 
 
-def verify_periodicity(spec: TowerSpec, m_max: int, polygons=None) -> dict:
-    """Exact multiset comparison of predicted vs computed slopes per level.
-    `polygons` maps levels to q-adic polygons already read, and gains those
-    read here."""
+def verify_periodicity(spec: TowerSpec, m_max: int) -> dict:
+    """Exact multiset comparison of predicted vs computed slopes per level."""
     m0 = stable_level(spec)
     if m_max < m0:
         raise ConfigError(f"periodicity starts at the stable level {m0}, got m_max = {m_max}")
-    polygons = {} if polygons is None else polygons
-    for m in range(m0, m_max + 1):
-        if m not in polygons:
-            polygons[m] = l_newton(spec, m)
-    base = polygons[m0].slopes()
     levels = []
     all_ok = True
     for m in range(m0, m_max + 1):
-        pred = predicted_slopes(spec, m, base)
-        act = polygons[m].slope_multiset()
+        pred = predicted_slopes(spec, m)
+        act = l_newton(spec, m).slope_multiset()
         ok = pred == act
         all_ok = all_ok and ok
         rows = []
@@ -317,11 +318,9 @@ def l_hodge_polygon(spec: TowerSpec, m: int) -> NewtonPolygon:
     )
 
 
-def verify_hodge(spec: TowerSpec, m: int, poly=None) -> dict:
-    """q-adic polygon of the level-m L-series (`poly`, when already read)
-    against its lower bound."""
-    if poly is None:
-        poly = l_newton(spec, m)
+def verify_hodge(spec: TowerSpec, m: int) -> dict:
+    """q-adic polygon of the level-m L-series against its lower bound."""
+    poly = l_newton(spec, m)
     bound = l_hodge_polygon(spec, m)
     ok = poly.dominates(bound)
     if not ok:
@@ -371,9 +370,8 @@ def verify_turning(spec: TowerSpec, digits: int, t_order=None, s_order=None) -> 
 
 def cross_check_counts(spec: TowerSpec, m: int, k: int) -> dict:
     """All three point counts for the m-th cover over the k-th extension."""
-    hist = trace_histogram(spec, k, m)
-    via_trace = count_points_trace(spec, m, k, hist)
-    via_char = count_points_char(spec, m, k, hist)
+    via_trace = count_points_trace(spec, m, k)
+    via_char = count_points_char(spec, m, k)
     out = {"m": m, "k": k, "trace": via_trace, "character": via_char}
     if witt_feasible(spec, m, k):
         out["witt"] = count_points_witt(spec, m, k)

@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from asw_slopes import tower
+
 
 @pytest.fixture(autouse=True, scope="session")
 def _hermetic_cache(tmp_path_factory):
@@ -14,4 +16,12 @@ def _hermetic_cache(tmp_path_factory):
         os.environ.pop("ASW_CACHE_DIR", None)
     else:
         os.environ["ASW_CACHE_DIR"] = old
+
+
+@pytest.fixture(autouse=True)
+def _fresh_polygons():
+    # each test reads level polygons as a fresh process does
+    tower._POLYGONS.clear()
+    yield
+    tower._POLYGONS.clear()
 

@@ -373,8 +373,8 @@ def test_exit_code_verification(capsys, monkeypatch):
 def test_slopes_exits_1_on_a_failed_verdict_in_every_format(capsys, monkeypatch):
     predicted = cli.tower.predicted_slopes
 
-    def one_more(spec, m, base=None):
-        return predicted(spec, m, base) + Counter({Fraction(1, 2): 1})
+    def one_more(spec, m):
+        return predicted(spec, m) + Counter({Fraction(1, 2): 1})
 
     monkeypatch.setattr(cli.tower, "predicted_slopes", one_more)
     for fmt, head in (("json", "{"), ("csv", "slope_num"), ("svg", "<svg")):
@@ -813,3 +813,68 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_an_edited_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
+    # one point moved between bins keeps the total of 7 points, so only the
+    # entry's digest tells the edit apart: the rerun prints the cold rows
+    monkeypatch.setenv("ASW_CACHE_DIR", str(tmp_path))
+    argv = ["charfn", "--p", "2", "--f", "1,0,0,1", "--t-order", "8", "--s-order", "4", "--digits", "4"]
+    cold = run(capsys, argv)
+    entry = tmp_path / "hist_p2_a1_h0-1_f1-0-0-1_k3_N8.json"
+    text = entry.read_text()
+    at = text.index("{")
+    data = json.loads(text[at:])
+    counts = data["counts"]
+    counts["168"] -= 1
+    counts["6"] = counts.get("6", 0) + 1
+    entry.write_text(text[:at] + json.dumps(data, sort_keys=True))
+    assert cold[0] == 0 and run(capsys, argv) == cold
+
+
+def test_running_out_of_memory_exits_2(capsys, monkeypatch):
+    message = "Unable to allocate 1.12 GiB for an array with shape (30006, 5000)"
+
+    def oom(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.dwork, "char_series_via_operator", oom)
+    code, out, err = run(capsys, ["charfn", *P2, "--method", "operator"])
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == {"error": "MemoryError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "queries",
+    [
+        [(["verify", *P2, "--check", "all"], [(1, 1), (2, 1)])],
+        [
+            (
+                ["eigencurve", "--p", "2", "--f", "1,0,0,1", "--components", "3",
+                 "--digits", "6", "--levels", "2,3"],
+                [(1, 1)],
+            )
+        ],
+        [
+            (["slopes", *P2, "--m", "2"], [(2, 1), (1, 1)]),
+            (["slopes", *P2, "--m", "3", "--c", "3"], [(3, 3)]),
+        ],
+    ],
+    ids=["verify", "eigencurve", "slopes"],
+)
+def test_each_level_polygon_is_read_once_per_process(capsys, monkeypatch, queries):
+    # the checks, the planners and the slope law all read level polygons
+    # through tower.l_newton, which reads each (tower, level, c) once
+    reads = []
+    real = tower.l_series
+
+    def spy(spec, m, c=1, **kwargs):
+        reads.append((m, c))
+        return real(spec, m, c, **kwargs)
+
+    monkeypatch.setattr(tower, "l_series", spy)
+    for argv, want in queries:
+        reads.clear()
+        assert run(capsys, argv)[0] == 0, argv
+        assert reads == want, argv
