@@ -208,7 +208,8 @@ def _cmd_charfn(args) -> int:
 
 def _cmd_slopes(args) -> int:
     spec = _spec(args)
-    poly = tower.l_newton(spec, args.m, c=args.c)
+    expsum.check_character(spec, args.m, args.c)  # every unit c has the slopes of c = 1
+    poly = tower.l_newton(spec, args.m)
     computed = poly.slope_multiset()
     m0 = tower.stable_level(spec)
     predicted = tower.predicted_slopes(spec, args.m) if args.m >= m0 else None

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientPrecision
+from .errors import BudgetExceeded, ConfigError, InsufficientPrecision
 from .gf import int_dtype
 from .padic import vp, vp_factorial
 from .series import TruncSeries, compose, exp_from_power_sums, reversion
@@ -77,8 +77,6 @@ def splitting_coefficients(spec, x_max: int, t_order: int, digits: int):
     sums at most t_order products of two residues before it is reduced, so
     int64 is exact while t_order (p^digits - 1)^2 < 2^62; past that the same
     code runs on Python ints (dtype=object)."""
-    if spec.a != 1:
-        raise ConfigError("operator pathway requires a prime base field (a = 1)")
     p, d = spec.p, spec.d
     mod = p**digits
     e = artin_hasse(p, t_order, digits).coeffs
@@ -166,28 +164,72 @@ def _entry(col: int, value: int, lane_bits: int):
     return v, col, value >> v * lane_bits
 
 
+def _shape(p: int, d: int, t_order: int, digits: int) -> tuple[int, int]:
+    """(R, stride) of the operator matrix of a window: its size and the
+    bytes of one pi-lane of a packed entry."""
+    R = -(-d * t_order // (p - 1))
+    # trace contractions sum R^2 entry products into one packed integer,
+    # each lane of a product a sum of at most t_order digit products
+    lane_bits = 2 * (p**digits - 1).bit_length() + (R * R * t_order).bit_length() + 1
+    return R, (lane_bits + 7) // 8
+
+
+OPERATOR_BYTES = 2**30  # budget on operator_bytes of one window
+
+
+def operator_bytes(p: int, d: int, s_order: int, t_order: int, digits: int) -> int:
+    """A bound on the bytes nuclear_traces holds for a window, computed
+    before any is allocated.
+
+    The splitting arrays are p R rows of t_order residues: two products,
+    one term and the w-floor mask at a time, then the words and bytes of
+    their packing.  A row of any power of M holds at most n = ceil(W/p)
+    entries: (i, k) of M^e has pi-valuation v with d v >= pk - i/p^(e-1)
+    >= 0, and pk - i/p^(e-1) steps by p along the row, so its r-th entry
+    keeps at most t_order - rp/d lanes.  M alone is alive up to s_order 2,
+    M and M^2 up to 4, and three matrices past that; the product being
+    built keeps one row of R sums of up to 2 t_order lanes, and 1 MiB
+    covers the repacking batches.
+    """
+    R, stride = _shape(p, d, t_order, digits)
+    n = -(-d * t_order // p)
+    wide = int_dtype(t_order * (p**digits - 1) ** 2) is object
+    cell = 64 + 2 * stride if wide else 8  # a pointer and its int past int64
+    splitting = p * R * t_order * (4 * cell + 8 * (stride // 8 + 2) + 2 * stride)
+    lanes = n * t_order - p * n * (n - 1) // (2 * d)
+    matrix = R * (lanes * stride + n * 160)  # each entry's int and (v, j, e) tuple
+    alive = min(3, 1 + (s_order - 1) // 2)
+    return splitting + alive * matrix + R * (2 * t_order * stride + 64) + 2**20
+
+
 def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatrix:
     """Truncated operator matrix, conjugated into pi-lanes, exact mod
-    (pi^t_order, p^digits).
+    (pi^t_order, p^digits), for the traces of its first s_order powers.
 
     Entry (i, j) of the operator is w^{i-j} c_{pj-i}; conjugating by
     diag(w^i) leaves exactly c_{pj-i}, which lies on the d-grid, so it packs
     as t_order pi-coefficients instead of W = d*t_order shifted w-lanes.
     Traces of powers are conjugation invariant, and every entry has
     nonnegative w-valuation, so dropping w^W and beyond from each entry
-    cannot touch tr(M^k) mod w^W.  Size R = s_order + ceil(W/(p-1))
-    suffices: any closed path through an index beyond R picks up
-    w^{(p-1)R} >= w^W, so the dropped tail cannot touch the kept window.
+    cannot touch tr(M^k) mod w^W.  Size R = ceil(W/(p-1)) suffices, for
+    every k: a closed path i_0 -> i_1 -> ... -> i_0 has w-valuation at least
+    sum_t (p i_(t+1) - i_t) = (p-1) sum_t i_t, so one through an index
+    i >= R already reaches w^((p-1)R) >= w^W.
+
+    A window whose operator_bytes exceed OPERATOR_BYTES is refused first.
     """
+    if spec.a != 1:
+        raise ConfigError("operator pathway requires a prime base field (a = 1)")
     p, d = spec.p, spec.d
-    W = d * t_order
-    R = s_order + -(-W // (p - 1))
+    need = operator_bytes(p, d, s_order, t_order, digits)
+    if need > OPERATOR_BYTES:
+        raise BudgetExceeded(
+            f"operator window (t_order {t_order}, s_order {s_order}, digits {digits}) "
+            f"needs about {need} bytes, over the budget of {OPERATOR_BYTES}"
+        )
+    R, stride = _shape(p, d, t_order, digits)
     c = splitting_coefficients(spec, p * R, t_order, digits)
     mod = p**digits
-    # trace contractions sum R^2 entry products into one packed integer,
-    # each lane of a product a sum of at most t_order digit products
-    lane_bits = 2 * (mod - 1).bit_length() + (R * R * t_order).bit_length() + 1
-    stride = (lane_bits + 7) // 8
     # the splitting coefficients are residues below mod
     packed = _write_lanes(c.astype(int_dtype(mod), copy=False), stride)
     # entry (i, j) is c_{pj-i}, so row i starts at column ceil(i/p)

@@ -29,7 +29,7 @@ from .errors import (
     VerificationError,
 )
 from .newton import NewtonPolygon, lower_hull
-from .padic import CycInt, Valuation, ZqCtx, phi_pm, teichmuller, vp_factorial
+from .padic import CycInt, Valuation, ZqCtx, phi_pm, teichmuller, vp, vp_factorial
 from .series import TruncSeries, exp_from_power_sums
 
 try:  # the C module alone: hashlib loads OpenSSL, about 2 MiB of RSS a process
@@ -381,13 +381,14 @@ def t_adic_sum(spec: TowerSpec, k: int, t_order: int, digits: int) -> TruncSerie
     dtype = gf.int_dtype(max(M - 1, len(hist.counts)) * (M - 1))
     t = np.array(list(hist.counts), dtype=dtype)
     w = np.array([c % M for c in hist.counts.values()], dtype=dtype)  # c_t ff_n(t)
-    coeffs = []
+    coeffs, unit = [], 1  # unit: n! / p^{v_p(n!)} mod p^digits
     for n in range(t_order):
         if n:
             w = w * ((t - (n - 1)) % M) % M
+            unit = unit * (n // p ** vp(n, p)) % out_mod
         S, pv = int(w.sum()) % M, p ** vp_factorial(n, p)
         assert S % pv == 0, "falling-factorial moment must be divisible by n!"
-        coeffs.append(S // pv * pow(math.factorial(n) // pv, -1, out_mod))
+        coeffs.append(S // pv * pow(unit, -1, out_mod))
     return TruncSeries("T", coeffs, digits, p)
 
 
@@ -414,6 +415,15 @@ def l_degree(spec: TowerSpec, m: int, punctured: bool = False) -> int:
     return deg if punctured else deg - 1
 
 
+def check_character(spec: TowerSpec, m: int, c: int) -> None:
+    """Refuse a character that is not primitive of level m >= 1: the level
+    first, then the index c, which must be a unit mod p."""
+    if m < 1:
+        raise ConfigError("character level m must be >= 1")
+    if c % spec.p == 0:
+        raise ConfigError("character index must be a unit mod p (else lower level)")
+
+
 def l_series(
     spec: TowerSpec,
     m: int,
@@ -432,10 +442,7 @@ def l_series(
     Without one, only k <= ceil(D/2) are enumerated and the functional
     equation rebuilds the rest (see _rebuild_upper), unless a_{floor(D/2)} = 0.
     """
-    if m < 1:
-        raise ConfigError("character level m must be >= 1")
-    if c % spec.p == 0:
-        raise ConfigError("character index must be a unit mod p (else lower level)")
+    check_character(spec, m, c)
     D = l_degree(spec, m)
     L = _rebuild_upper(spec, m, c) if s_order is None else None
     if L is None:

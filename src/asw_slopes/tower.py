@@ -223,19 +223,25 @@ def stable_level(spec: TowerSpec) -> int:
     return m
 
 
-# (spec.key(), m, c) -> q-adic polygon of the level-m L-series, per process
+# (spec.key(), m) -> q-adic polygon of the level-m L-series, per process
 _POLYGONS: dict = {}
 
 
-def l_newton(spec: TowerSpec, m: int, c: int = 1) -> NewtonPolygon:
+def l_newton(spec: TowerSpec, m: int) -> NewtonPolygon:
     """q-adic Newton polygon of the level-m L-series, from its coefficients
     up to floor(D/2) (enumerating F_{q^k} for k <= floor(D/2) only).
 
+    It is the polygon of every primitive character of level m: each is
+    psi^c = sigma_c(psi) for the Galois automorphism sigma_c: zeta -> zeta^c,
+    so L(psi^c, s) is sigma_c(L(psi, s)) coefficient by coefficient, and
+    v_pi is Galois-invariant (the one prime over p is totally ramified).
+    The series is read at c = 1.
+
     The one reader of a level polygon: each is read once per process and
     then served from memory, so every check and planner may ask for it."""
-    key = (spec.key(), m, c)
+    key = (spec.key(), m)
     if key not in _POLYGONS:
-        L = l_series(spec, m, c, s_order=l_degree(spec, m) // 2)
+        L = l_series(spec, m, s_order=l_degree(spec, m) // 2)
         _POLYGONS[key] = series_newton(spec, m, L)
     return _POLYGONS[key]
 

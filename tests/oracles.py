@@ -197,6 +197,23 @@ def reference_t_adic_sum(p, counts, t_order, digits):
     return acc
 
 
+def reference_factorial_t_adic_sum(p, counts, t_order, digits):
+    """[T^n] = S_n / n! for n < t_order, the falling-factorial moment S_n
+    taken in exact integers and n! built afresh at each n; counts maps each
+    trace t (a residue mod p^need) to its number of points."""
+    need = digits + vp_factorial(t_order - 1, p)
+    M, out_mod = p**need, p**digits
+    ff = dict.fromkeys(counts, 1)
+    coeffs = []
+    for n in range(t_order):
+        if n:
+            ff = {t: w * (t - n + 1) for t, w in ff.items()}
+        S = sum(counts[t] * w for t, w in ff.items()) % M
+        pv = p ** vp_factorial(n, p)
+        coeffs.append(S // pv * pow(math.factorial(n) // pv, -1, out_mod))
+    return TruncSeries("T", coeffs, digits, p)
+
+
 def reference_character_sum(hist, m, c=1, include_zero=False):
     """Sum of zeta^{c t} over the histogram with one CycInt per bin, the
     histogram first reduced to m digits."""

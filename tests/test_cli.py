@@ -845,6 +845,19 @@ def test_running_out_of_memory_exits_2(capsys, monkeypatch):
     assert json.loads(err) == {"error": "MemoryError", "message": message}
 
 
+def _record_level_reads(monkeypatch):
+    """The list that (m, c) of every l_series call in tower is appended to."""
+    reads = []
+    real = tower.l_series
+
+    def spy(spec, m, c=1, **kwargs):
+        reads.append((m, c))
+        return real(spec, m, c, **kwargs)
+
+    monkeypatch.setattr(tower, "l_series", spy)
+    return reads
+
+
 @pytest.mark.parametrize(
     "queries",
     [
@@ -857,24 +870,42 @@ def test_running_out_of_memory_exits_2(capsys, monkeypatch):
             )
         ],
         [
-            (["slopes", *P2, "--m", "2"], [(2, 1), (1, 1)]),
-            (["slopes", *P2, "--m", "3", "--c", "3"], [(3, 3)]),
+            (["slopes", *P2, "--m", "2", "--c", "1"], [(2, 1), (1, 1)]),
+            (["slopes", *P2, "--m", "2", "--c", "3"], []),
+            (["slopes", *P2, "--m", "3", "--c", "3"], [(3, 1)]),
         ],
     ],
     ids=["verify", "eigencurve", "slopes"],
 )
 def test_each_level_polygon_is_read_once_per_process(capsys, monkeypatch, queries):
     # the checks, the planners and the slope law all read level polygons
-    # through tower.l_newton, which reads each (tower, level, c) once
-    reads = []
-    real = tower.l_series
-
-    def spy(spec, m, c=1, **kwargs):
-        reads.append((m, c))
-        return real(spec, m, c, **kwargs)
-
-    monkeypatch.setattr(tower, "l_series", spy)
+    # through tower.l_newton, which reads each (tower, level) once, at the
+    # character c = 1: every unit c of a level has the same slopes
+    reads = _record_level_reads(monkeypatch)
     for argv, want in queries:
         reads.clear()
         assert run(capsys, argv)[0] == 0, argv
         assert reads == want, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "2", "--f", "1,0,0,1", "--m", "0", "--c", "2"], "character level m must be >= 1"),
+        (
+            ["--p", "3", "--f", "1,0,2", "--m", "2", "--c", "6"],
+            "character index must be a unit mod p (else lower level)",
+        ),
+    ],
+    ids=["level-first", "non-unit-c"],
+)
+def test_slopes_checks_its_character_before_any_read(capsys, monkeypatch, argv, message):
+    # the level is checked before c, and a level already read in the
+    # process refuses a non-unit c all the same
+    reads = _record_level_reads(monkeypatch)
+    if argv[argv.index("--m") + 1] != "0":
+        assert run(capsys, ["slopes", *argv[:-2]])[0] == 0
+        reads.clear()
+    code, out, err = run(capsys, ["slopes", *argv])
+    assert (code, out, reads) == (3, "", [])
+    assert json.loads(err) == {"error": "ConfigError", "message": message}

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from asw_slopes import dwork
 from asw_slopes.dwork import (
     _matmul,
     _read_lanes,
@@ -15,6 +17,7 @@ from asw_slopes.dwork import (
     char_series_via_operator,
     nuclear_matrix,
     nuclear_traces,
+    operator_bytes,
     pi_of_T,
     splitting_coefficients,
     t_adic_sum_via_operator,
@@ -305,6 +308,56 @@ def test_sparse_products_match_the_dense_oracle(p):
                 assert _trace_pair(powers[lo], powers[hi]) == want[-1], (p, d, t_order, k)
             assert nuclear_traces(spec, s_order, t_order, digits) == want
     assert set(range(9, 17)) <= strides
+
+
+def _shape_of_size(size):
+    """dwork._shape with R = size(p, d, t_order), the lane width as before."""
+
+    def shape(p, d, t_order, digits):
+        R = size(p, d, t_order)
+        lane_bits = 2 * (p**digits - 1).bit_length() + (R * R * t_order).bit_length() + 1
+        return R, (lane_bits + 7) // 8
+
+    return shape
+
+
+def test_traces_at_the_true_size_equal_the_old_size(monkeypatch):
+    # nuclear_matrix takes R = ceil(W/(p-1)); the size it took before,
+    # s_order + ceil(W/(p-1)), is the reference.  One index short of R
+    # changes a trace somewhere in the battery, so the battery sees a size
+    # that is too small.
+    short = 0
+    for p in (2, 3, 5, 7):
+        rng = random.Random(200 + p)
+        for _ in range(4):
+            d = rng.choice([e for e in (2, 3, 4, 5) if e % p])
+            spec = TowerSpec(p, 1, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+            window = rng.randrange(1, 8), rng.randrange(1, 13), rng.randrange(1, 9)
+            s_order, t_order, _ = window
+            R = -(-d * t_order // (p - 1))
+            assert nuclear_matrix(spec, *window).size == R
+            got = nuclear_traces(spec, *window)
+            with monkeypatch.context() as mp:
+                mp.setattr(dwork, "_shape", _shape_of_size(lambda p, d, t: s_order + R))
+                assert nuclear_traces(spec, *window) == got, (p, d, window)
+                mp.setattr(dwork, "_shape", _shape_of_size(lambda p, d, t: R - 1))
+                short += R > 1 and nuclear_traces(spec, *window) != got
+    assert short
+
+
+@pytest.mark.parametrize(
+    "spec, window", [(SPEC2, (6, 28, 6)), (SPEC3, (16, 40, 8))], ids=["p2-x3", "p3-x2"]
+)
+def test_operator_bytes_bound_the_traces_peak(spec, window):
+    # the estimate nuclear_matrix checks against OPERATOR_BYTES holds the
+    # traced peak, within a factor of 10 of it
+    tracemalloc.start()
+    try:
+        nuclear_traces(spec, *window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= operator_bytes(spec.p, spec.d, *window) <= 10 * peak
 
 
 def test_operator_requires_prime_base():

@@ -26,6 +26,9 @@ REFUSED = {
     "charfn-s200000": ["charfn", *F2, "--s-order", "200000", "--t-order", "2"],
     "expsum-k100000": ["expsum", *F2, "--k", "100000"],
     "eigencurve-40-blocks": ["eigencurve", *F2, "--components", "40"],
+    "charfn-operator-t5000": [
+        "charfn", *F2, "--method", "operator", "--t-order", "5000", "--s-order", "3", "--digits", "2"
+    ],
 }
 ANSWERED = {
     f"eigencurve-level-{top}": [

@@ -35,6 +35,7 @@ from oracles import (
     newton_from_cyclotomic,
     reference_char_series_at_character,
     reference_character_sum,
+    reference_factorial_t_adic_sum,
     reference_t_adic_sum,
 )
 
@@ -442,6 +443,22 @@ def test_t_adic_sum_matches_the_binomial_sum_seeded(monkeypatch):
         want = reference_t_adic_sum(p, hist.reduce(need).counts, t_order, digits)
         assert got == want and got.prec == want.prec == digits, (p, t_order, digits)
     assert wide >= 3
+
+
+def test_t_adic_sum_matches_the_factorial_formula_past_p_cubed(monkeypatch):
+    # t_adic_sum keeps the prime-to-p part of n! as a running product; the
+    # reference divides by a fresh n! at every n, on T-orders past p^3
+    rng = random.Random(97)
+    for p in (2, 3, 5):
+        for _ in range(3):
+            t_order, digits = p**3 + rng.randrange(1, p**3), rng.randrange(1, 5)
+            need = digits + vp_factorial(t_order - 1, p)
+            M = p**need
+            counts = {rng.randrange(M): rng.randrange(1, 3 * M) for _ in range(rng.randrange(1, 30))}
+            hist = TraceHistogram(p, 1, need, counts, 0)
+            monkeypatch.setattr(expsum, "trace_histogram", lambda spec, k, read: hist.reduce(read))
+            got = t_adic_sum(TowerSpec(p, 1, [0, 1]), 1, t_order, digits)
+            assert got == reference_factorial_t_adic_sum(p, counts, t_order, digits), (p, t_order)
 
 
 def test_binomials_mod_p_to_the_d_depend_on_y_mod_p_to_the_d_plus_e():

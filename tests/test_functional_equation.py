@@ -2,9 +2,9 @@
 
 Without an s_order, `l_series` enumerates F_{q^k} only for k <= ceil(D/2)
 and rebuilds the rest from a_D conj(a_{D-n}) = q^{D-n} a_n, and
-`tower.l_newton` reads k <= floor(D/2) and mirrors the valuations.  At every
-(tower, level) the other tests enumerate in full, both must give what
-enumerating every k <= D gives.
+`tower.l_newton` reads k <= floor(D/2) at c = 1 and mirrors the valuations.
+At every (tower, level) the other tests enumerate in full, and for every
+unit c, both must give what enumerating every k <= D for L(psi^c) gives.
 """
 
 import pytest
@@ -56,9 +56,11 @@ def _holds(L, q, D):
 
 @pytest.mark.parametrize("p, a, f, m", LEVELS)
 def test_half_read_equals_full_enumeration(p, a, f, m):
+    # every unit c: L(psi^c) = sigma_c(L(psi)) and v_pi is Galois-invariant,
+    # so the one level polygon l_newton reads at c = 1 is that of each psi^c
     spec = TowerSpec(p, a, f)
     D = l_degree(spec, m)
-    for c in _units(p, m)[:2]:
+    for c in _units(p, m):
         full = l_series(spec, m, c, s_order=D)
         assert _holds(full, spec.q, D)
         assert l_series(spec, m, c).coeffs == full.coeffs
@@ -69,7 +71,8 @@ def test_half_read_equals_full_enumeration(p, a, f, m):
         want = newton_from_cyclotomic(
             full.coeffs, scale=q_normalization(p, a, m), source=f"q-adic level {m}"
         )
-        assert tower.l_newton(spec, m, c) == want
+        assert tower.series_newton(spec, m, full) == want
+        assert tower.l_newton(spec, m) == want, c
 
 
 @pytest.mark.parametrize("p, a, f, m", LEVELS)
