@@ -173,7 +173,7 @@ def _cmd_lfun(args) -> int:
     if all(all(x == 0 for x in v[1:]) for v in raw):
         payload["rational_coefficients"] = [v[0] for v in raw]
     if not args.punctured:
-        poly = tower.series_newton(spec, args.m, L)
+        poly = expsum.series_newton(spec, args.m, L)
         payload["slopes"] = [[s.numerator, s.denominator] for s in poly.slopes()]
         payload["polygon"] = poly.to_json()
     _emit_json(args, payload)
@@ -209,7 +209,7 @@ def _cmd_charfn(args) -> int:
 def _cmd_slopes(args) -> int:
     spec = _spec(args)
     expsum.check_character(spec, args.m, args.c)  # every unit c has the slopes of c = 1
-    poly = tower.l_newton(spec, args.m)
+    poly = expsum.l_newton(spec, args.m)
     computed = poly.slope_multiset()
     m0 = tower.stable_level(spec)
     predicted = tower.predicted_slopes(spec, args.m) if args.m >= m0 else None
@@ -279,13 +279,12 @@ def _cmd_verify(args) -> int:
     )
     report: dict = dict(_base_payload(spec))
     ok = True
+    m_max = args.m_max or tower.stable_level(spec) + 1
     if "periodicity" in checks:
-        m_max = args.m_max or tower.stable_level(spec) + 1
         rep = tower.verify_periodicity(spec, m_max)
         report["periodicity"] = rep
         ok = ok and rep["ok"]
     if "hodge" in checks:
-        m_max = args.m_max or tower.stable_level(spec) + 1
         hs = [tower.verify_hodge(spec, m) for m in range(1, m_max + 1)]
         report["hodge"] = hs
         ok = ok and all(h["ok"] for h in hs)
@@ -353,7 +352,7 @@ def _cmd_eigencurve(args) -> int:
         levels = pick_levels(spec, [count], factors[-1].digits, levels)
         blocks = []
         for i, factor in enumerate(factors, start=1):
-            law = verify_weight_slope_law(spec, factor, i, levels)
+            law = verify_weight_slope_law(spec, factor, [i], levels)
             blocks.append({**_factor_json(factor), "block": i, "law": law})
         payload.update(
             {"mode": "components", "components": count, "engine": stats, "blocks": blocks}

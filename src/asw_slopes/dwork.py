@@ -175,6 +175,7 @@ def _shape(p: int, d: int, t_order: int, digits: int) -> tuple[int, int]:
 
 
 OPERATOR_BYTES = 2**30  # budget on operator_bytes of one window
+ELIMINATION_BYTES = 2**31  # budget on eigencurve.elimination_bytes of one block layout
 
 
 def operator_bytes(p: int, d: int, s_order: int, t_order: int, digits: int) -> int:
@@ -224,7 +225,7 @@ def nuclear_matrix(spec, s_order: int, t_order: int, digits: int) -> PackedMatri
     need = operator_bytes(p, d, s_order, t_order, digits)
     if need > OPERATOR_BYTES:
         raise BudgetExceeded(
-            f"operator window (t_order {t_order}, s_order {s_order}, digits {digits}) "
+            f"operator window (t_order {t_order}, s_order {s_order}, working digits {digits}) "
             f"needs about {need} bytes, over the budget of {OPERATOR_BYTES}"
         )
     R, stride = _shape(p, d, t_order, digits)

@@ -23,7 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dwork import ELIMINATION_BYTES
 from .errors import (
+    BudgetExceeded,
     ConfigError,
     InsufficientPrecision,
     NoGapAtVertex,
@@ -146,12 +148,16 @@ def nested_block_factors(C, block_size: int, count: int):
             f"s-order {K} cannot pin {count} blocks of degree {d}: "
             f"need at least {count * d + 1}"
         )
-    if (d + 1) ** count > 100_000:
-        raise ConfigError("block layout too wide for term enumeration")
     p = cols[0].p
     digits = min(c.prec for c in cols)
     mod = p**digits
     N = max(len(c.coeffs) for c in cols)
+    need = elimination_bytes(d, count, K, N, mod)
+    if need > ELIMINATION_BYTES:
+        raise BudgetExceeded(
+            f"elimination of {count} blocks of degree {d} at (t_order {N}, s_order {K}) "
+            f"needs about {need} bytes, over the budget of {ELIMINATION_BYTES}"
+        )
     # C_0 must be 1 mod p^digits: digit t of it is 1 at t = 0, else 0
     if any(cf % mod != (t == 0) for t, cf in enumerate(cols[0].coeffs)):
         raise VerificationError("constant term of the series is not 1")
@@ -219,6 +225,53 @@ def nested_block_factors(C, block_size: int, count: int):
         "tail_orders": [got for (i, _), got in mark.items() if i == count],
     }
     return factors, stats
+
+
+def elimination_bytes(d: int, count: int, K: int, N: int, mod: int) -> int:
+    """A bound on the bytes nested_block_factors holds for `count` blocks of
+    degree d at s-order K > count*d and T-order N, counted before any term
+    is built.
+
+    A term is a block choice jv in {0..d}^count, of s-degree s = sum(jv)
+    with z nonzero entries, closed by a tail slot: one term of z slots at
+    s^s if s > 0, and K - s terms of z + 1 slots above it.  A term of L
+    slots has 2^L - 1 splits, each an entry of the three split arrays and
+    of cid, and 2^(L-1) of them hold each of its slots.  T and the term
+    tuples take a row per term, and kval a row of N digits per known
+    product: one per term, and the empty one.  holds is built slot by slot
+    through an index intermediate and its mask of 2^count columns, a row
+    per term holding the slot; a block slot at j = 1 is in the most terms,
+    occ of them, and in as many products, whose rows a solved digit updates
+    through three temporaries.  The mixed-radix lookup has (d + 1)^count
+    (K + 1) entries.  Value rows hold int64, or Python ints below mod.
+    """
+    shapes = {(0, 0): 1}  # (z, s) -> block choices of that shape
+    for _ in range(count):
+        grown: Counter = Counter()
+        for (z, s), n in shapes.items():
+            for j in range(d + 1):
+                grown[z + (j > 0), s + j] += n
+        shapes = grown
+    # K - s' terms per choice of the other count - 1 blocks, whose s-degrees
+    # s' average (count - 1) d / 2
+    occ = (d + 1) ** (count - 1) * (2 * K - (count - 1) * d) // 2
+    nterms = splits = holds = 0
+    for (z, s), n in shapes.items():
+        for L, many in ((z, s > 0), (z + 1, K - s)):
+            nterms += n * many
+            splits += n * many * ((1 << L) - 1)
+            holds += n * many * (L << L) // 2
+    wide = int_dtype(max(2 * (mod - 1), (d + 1) ** count) * (mod - 1)) is object
+    cell = 40 + mod.bit_length() // 7 if wide else 8
+    return (
+        32 * splits  # reach_sum, cnum, lone and cid
+        + 8 * holds + 17 * (occ << count)  # holds, one slot's intermediate and mask
+        + nterms * (208 + 24 * (count + 1))  # the term tuples, T and the per-term vectors
+        + 48 * (d + 1) ** count * (K + 1)  # the lookup and the holders' number ranges
+        + cell * N * (nterms + 1 + 3 * occ + count * d + 2 * (K + 1))  # kval and the rest
+        + 300 * (K + 1) * N  # the digit rows of C and the verdicts
+        + 2**20
+    )
 
 
 def _eliminate(rows, terms, floors, p: int, mod: int):
@@ -453,14 +506,12 @@ def verify_weight_slope_law(spec, factor: BlockFactor, blocks, levels) -> dict:
     """Exact slope multisets of the specialized factor across character levels.
 
     The law: the pi-adic polygon of the factor is one and the same at every
-    level in the annulus.  `blocks` names the polygon blocks the factor is
-    claimed to span (a single index for a peeled block, 1..i for a lower
+    level in the annulus.  `blocks` lists the polygon blocks the factor is
+    claimed to span ([i] for a peeled block i, [1, ..., i] for a lower
     factor split at vertex i*d); the prediction is their union.  Levels below
     the annulus floor are refused, and a hull that the p-precision cannot pin
     all the way to s^degree is a precision error, not a law failure.
     """
-    if isinstance(blocks, int):
-        blocks = [blocks]
     if factor.vertex != spec.d * len(blocks):
         raise ConfigError(
             f"degree-{factor.vertex} factor cannot span {len(blocks)} blocks "

@@ -5,6 +5,10 @@ lifted trace values over the rational points of a field extension.  T-adic
 sums, finite-character L-series, and the bivariate characteristic series are
 all exact ring operations on top of it, which also makes the histogram the
 natural unit of caching (see ASW_CACHE_DIR).
+
+This module owns the L-series: l_series and the level-polygon reader
+l_newton both read half of it from character sums, and they are the only
+code that applies its functional equation and picks the half-read bound.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .newton import NewtonPolygon, lower_hull
-from .padic import CycInt, Valuation, ZqCtx, phi_pm, teichmuller, vp, vp_factorial
+from .padic import CycInt, Valuation, ZqCtx, cyc_valuation, phi_pm, teichmuller, vp, vp_factorial
 from .series import TruncSeries, exp_from_power_sums
 
 try:  # the C module alone: hashlib loads OpenSSL, about 2 MiB of RSS a process
@@ -392,11 +396,10 @@ def t_adic_sum(spec: TowerSpec, k: int, t_order: int, digits: int) -> TruncSerie
     return TruncSeries("T", coeffs, digits, p)
 
 
-def character_sum(
-    hist: TraceHistogram, m: int, c: int = 1, include_zero: bool = False
-) -> CycInt:
-    """Exact sum of zeta^{c * trace} over the histogram, in Z[zeta_{p^m}], for
-    any integer c: a non-unit c = p^v c' is the level-(m - v) character."""
+def character_sum(hist: TraceHistogram, m: int, c: int) -> CycInt:
+    """Exact sum of zeta^{c * trace} over every point of the histogram, x = 0
+    included, in Z[zeta_{p^m}], for any integer c: a non-unit c = p^v c' is
+    the level-(m - v) character."""
     if hist.digits < m:
         raise InsufficientPrecision(
             f"character mod p^{m} needs {m} trace digits, histogram has {hist.digits}"
@@ -405,8 +408,7 @@ def character_sum(
     vec = [0] * pm
     for t, n in hist.counts.items():
         vec[c * t % pm] += n
-    if include_zero:
-        vec[c * hist.zero_cell % pm] += 1
+    vec[c * hist.zero_cell % pm] += 1
     return CycInt(hist.p, m, vec)
 
 
@@ -424,51 +426,32 @@ def check_character(spec: TowerSpec, m: int, c: int) -> None:
         raise ConfigError("character index must be a unit mod p (else lower level)")
 
 
-def l_series(
-    spec: TowerSpec,
-    m: int,
-    c: int = 1,
-    punctured: bool = False,
-    s_order: int | None = None,
-) -> TruncSeries:
+def l_series(spec: TowerSpec, m: int, c: int = 1, punctured: bool = False) -> TruncSeries:
     """L-series of the order-p^m character mapping 1 -> zeta^c, exactly.
 
     Coefficients are exact Z[zeta_{p^m}] integers.  The affine variant (the
     factor appearing in the cover's zeta function) has degree D = p^{m-1}d - 1;
     the punctured variant (x = 0 removed) is always built as the affine one
-    times the factor (1 - w s) of x = 0, of degree D + 1.  An explicit
-    s_order enumerates F_{q^k} for k <= s_order; computing past the degree
-    asserts vanishing, and a full read checks the functional equation.
-    Without one, only k <= ceil(D/2) are enumerated and the functional
-    equation rebuilds the rest (see _rebuild_upper), unless a_{floor(D/2)} = 0.
+    times the factor (1 - w s) of x = 0, of degree D + 1.  Only k <=
+    ceil(D/2) are enumerated and the functional equation rebuilds the rest
+    (see _rebuild_upper), unless a_{floor(D/2)} = 0: then every k <= D is
+    read, and the leading coefficient and the functional equation are checked.
     """
     check_character(spec, m, c)
     D = l_degree(spec, m)
-    L = _rebuild_upper(spec, m, c) if s_order is None else None
+    L = _rebuild_upper(spec, m, c)
     if L is None:
-        # an explicit s_order, or a vanishing middle coefficient: read every k
-        K = D if s_order is None else s_order
-        L = _enumerate(spec, m, c, K)
-        for n in range(D + 1, K + 1):
-            if not L.coeffs[n].is_zero():
-                raise DegreeViolation(f"coefficient {n} past degree {D} is nonzero")
-        if K >= D:
-            if D >= 1 and L.coeffs[D].is_zero():
-                raise DegreeViolation(f"leading coefficient at degree {D} vanishes")
-            _check_functional_equation(L, D, spec.q)
-    if not punctured:
-        return L
-    P = _puncture(spec, m, c, L)
-    return P if s_order is None else TruncSeries("s", P.coeffs[: s_order + 1])
+        L = _enumerate(spec, m, c, D)
+        if D >= 1 and L.coeffs[D].is_zero():
+            raise DegreeViolation(f"leading coefficient at degree {D} vanishes")
+        _check_functional_equation(L, D, spec.q)
+    return _puncture(spec, m, c, L) if punctured else L
 
 
 def _enumerate(spec: TowerSpec, m: int, c: int, K: int) -> TruncSeries:
     """The affine L-series mod s^{K+1} from character sums, k <= K."""
     _check_budget(spec.q, K)  # the largest field enumerated, before any work
-    sums = [
-        character_sum(trace_histogram(spec, k, m), m, c, include_zero=True)
-        for k in range(1, K + 1)
-    ]
+    sums = [character_sum(trace_histogram(spec, k, m), m, c) for k in range(1, K + 1)]
     if not sums:
         return TruncSeries("s", [CycInt.from_int(spec.p, m, 1)])
     return exp_from_power_sums(sums, "s")
@@ -552,6 +535,50 @@ def char_series(
 def q_normalization(p: int, a: int, m: int) -> Fraction:
     """Factor converting pi-adic valuations to q-adic ones."""
     return Fraction(1, a * phi_pm(p, m))
+
+
+# (spec.key(), m) -> q-adic polygon of the level-m L-series, per process
+_POLYGONS: dict = {}
+
+
+def l_newton(spec: TowerSpec, m: int) -> NewtonPolygon:
+    """q-adic Newton polygon of the level-m L-series, from its coefficients
+    up to floor(D/2) (enumerating F_{q^k} for k <= floor(D/2) only; the
+    functional equation gives the rest, see series_newton).
+
+    It is the polygon of every primitive character of level m: each is
+    psi^c = sigma_c(psi) for the Galois automorphism sigma_c: zeta -> zeta^c,
+    so L(psi^c, s) is sigma_c(L(psi, s)) coefficient by coefficient, and
+    v_pi is Galois-invariant (the one prime over p is totally ramified).
+    The series is read at c = 1.
+
+    The one reader of a level polygon: each is read once per process and
+    then served from memory, so every check and planner may ask for it."""
+    key = (spec.key(), m)
+    if key not in _POLYGONS:
+        check_character(spec, m, 1)
+        L = _enumerate(spec, m, 1, l_degree(spec, m) // 2)
+        _POLYGONS[key] = series_newton(spec, m, L)
+    return _POLYGONS[key]
+
+
+def series_newton(spec: TowerSpec, m: int, L: TruncSeries) -> NewtonPolygon:
+    """q-adic Newton polygon of a level-m L-series of degree D, exactly.
+
+    Each coefficient a_n that L holds gives the point (n, v_pi(a_n)).  The
+    one prime over p is totally ramified, so valuations are Galois-invariant,
+    and the functional equation a_D conj(a_{D-n}) = q^{D-n} a_n (see
+    _rebuild_upper) gives v(a_{D-n}) = v(a_n) + (D - 2n) a phi(p^m)/2 for
+    every a_{D-n} past L's end; a zero a_n mirrors to a zero.
+    """
+    D = l_degree(spec, m)
+    pts = [(n, cyc_valuation(z)) for n, z in enumerate(L.coeffs)]
+    half = Fraction(spec.a * phi_pm(spec.p, m), 2)
+    for n in range(D + 1 - len(pts)):
+        v = pts[n][1]
+        pts.append((D - n, Valuation.exact(v.value + (D - 2 * n) * half) if v.is_exact() else v))
+    source = f"q-adic level {m}"
+    return lower_hull(pts, source).rescale(q_normalization(spec.p, spec.a, m), source)
 
 
 def observed_polygon(C: TruncSeries) -> NewtonPolygon:

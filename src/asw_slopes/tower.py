@@ -4,6 +4,9 @@ Point counts over each cover come three independent ways -- brute-force
 Witt-vector enumeration, the lifted-trace histogram, and a full character
 sum -- and the slope verdicts compare exact Newton-polygon multisets, so a
 single wrong digit anywhere upstream shows up as a mismatch here.
+
+The L-series and their level polygons come from expsum (l_series,
+l_newton); this module only assembles and compares them.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from .expsum import (
     TowerSpec,
     char_series,
     l_degree,
+    l_newton,
     l_series,
     observed_polygon,
-    q_normalization,
     trace_histogram,
 )
-from .newton import NewtonPolygon, hodge_polygon, lower_hull, turning_points
-from .padic import CycInt, Valuation, cyc_valuation, phi_pm
+from .newton import NewtonPolygon, hodge_polygon, turning_points
+from .padic import CycInt, phi_pm
 from .series import TruncSeries
 
 # ---------------------------------------------------------------------------
@@ -221,48 +224,6 @@ def stable_level(spec: TowerSpec) -> int:
     while p ** (m - 1) < bound:
         m += 1
     return m
-
-
-# (spec.key(), m) -> q-adic polygon of the level-m L-series, per process
-_POLYGONS: dict = {}
-
-
-def l_newton(spec: TowerSpec, m: int) -> NewtonPolygon:
-    """q-adic Newton polygon of the level-m L-series, from its coefficients
-    up to floor(D/2) (enumerating F_{q^k} for k <= floor(D/2) only).
-
-    It is the polygon of every primitive character of level m: each is
-    psi^c = sigma_c(psi) for the Galois automorphism sigma_c: zeta -> zeta^c,
-    so L(psi^c, s) is sigma_c(L(psi, s)) coefficient by coefficient, and
-    v_pi is Galois-invariant (the one prime over p is totally ramified).
-    The series is read at c = 1.
-
-    The one reader of a level polygon: each is read once per process and
-    then served from memory, so every check and planner may ask for it."""
-    key = (spec.key(), m)
-    if key not in _POLYGONS:
-        L = l_series(spec, m, s_order=l_degree(spec, m) // 2)
-        _POLYGONS[key] = series_newton(spec, m, L)
-    return _POLYGONS[key]
-
-
-def series_newton(spec: TowerSpec, m: int, L: TruncSeries) -> NewtonPolygon:
-    """q-adic Newton polygon of a level-m L-series of degree D, exactly.
-
-    Each coefficient a_n that L holds gives the point (n, v_pi(a_n)).  The
-    one prime over p is totally ramified, so valuations are Galois-invariant,
-    and the functional equation a_D conj(a_{D-n}) = q^{D-n} a_n (see
-    expsum._rebuild_upper) gives v(a_{D-n}) = v(a_n) + (D - 2n) a phi(p^m)/2
-    for every a_{D-n} past L's end; a zero a_n mirrors to a zero.
-    """
-    D = l_degree(spec, m)
-    pts = [(n, cyc_valuation(z)) for n, z in enumerate(L.coeffs)]
-    half = Fraction(spec.a * phi_pm(spec.p, m), 2)
-    for n in range(D + 1 - len(pts)):
-        v = pts[n][1]
-        pts.append((D - n, Valuation.exact(v.value + (D - 2 * n) * half) if v.is_exact() else v))
-    source = f"q-adic level {m}"
-    return lower_hull(pts, source).rescale(q_normalization(spec.p, spec.a, m), source)
 
 
 def base_slopes(spec: TowerSpec) -> list[Fraction]:

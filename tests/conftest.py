@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from asw_slopes import tower
+from asw_slopes import expsum
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -21,7 +21,7 @@ def _hermetic_cache(tmp_path_factory):
 @pytest.fixture(autouse=True)
 def _fresh_polygons():
     # each test reads level polygons as a fresh process does
-    tower._POLYGONS.clear()
+    expsum._POLYGONS.clear()
     yield
-    tower._POLYGONS.clear()
+    expsum._POLYGONS.clear()
 

@@ -214,16 +214,22 @@ def reference_factorial_t_adic_sum(p, counts, t_order, digits):
     return TruncSeries("T", coeffs, digits, p)
 
 
-def reference_character_sum(hist, m, c=1, include_zero=False):
-    """Sum of zeta^{c t} over the histogram with one CycInt per bin, the
-    histogram first reduced to m digits."""
+def reference_character_sum(hist, m, c):
+    """Sum of zeta^{c t} over the histogram and its zero cell with one CycInt
+    per bin, the histogram first reduced to m digits."""
     h = hist.reduce(m)
-    acc = CycInt.zero(h.p, m)
+    acc = CycInt.zeta_power(h.p, m, c * h.zero_cell)
     for t in sorted(h.counts):
         acc = acc + CycInt.zeta_power(h.p, m, c * t).scale(h.counts[t])
-    if include_zero:
-        acc = acc + CycInt.zeta_power(h.p, m, c * h.zero_cell)
     return acc
+
+
+def punctured_character_sum(hist, m, c):
+    """The character sum over the nonzero points: expsum.character_sum less
+    the term zeta^{c t} of the point x = 0."""
+    from asw_slopes.expsum import character_sum
+
+    return character_sum(hist, m, c) - CycInt.zeta_power(hist.p, m, c * hist.zero_cell)
 
 
 def reference_char_series_at_character(spec, m, s_order, digits, c=1):
@@ -231,13 +237,13 @@ def reference_char_series_at_character(spec, m, s_order, digits, c=1):
     sum_k S_k/(1 - q^k) s^k/k, on CycInt mod p^(digits + v_p(s_order!)):
     the unit part of each n divides by a modular inverse, the p-part
     exactly, and the trusted modulus drops by v_p(n)."""
-    from asw_slopes.expsum import character_sum, trace_histogram
+    from asw_slopes.expsum import trace_histogram
 
     p = spec.p
     work = p ** (digits + vp_factorial(s_order, p))
     sums = []
     for k in range(1, s_order + 1):
-        sk = character_sum(trace_histogram(spec, k, m), m, c, include_zero=False)
+        sk = punctured_character_sum(trace_histogram(spec, k, m), m, c)
         sums.append(cyc_reduce_mod(sk.scale(pow(1 - spec.q**k, -1, work)), work))
     coeffs = [CycInt.from_int(p, m, 1)]
     for n in range(1, s_order + 1):
@@ -275,10 +281,13 @@ def _dilate(L, factor):
 def char_series_at_character(spec, m, s_order, digits, c=1):
     """Characteristic series at a fixed character, mod (p^digits, s^{s_order+1}),
     as the finite product of q-power dilates of the punctured L-series:
-    factor j is 1 + O(q^j), so j < ceil(digits/a) terms suffice."""
+    factor j is 1 + O(q^j), so j < ceil(digits/a) terms suffice.  The
+    L-series is a polynomial, so zeros carry it past its degree."""
     from asw_slopes.expsum import l_series
 
-    L = l_series(spec, m, c, punctured=True, s_order=s_order)
+    L = l_series(spec, m, c, punctured=True)
+    zero = L.coeffs[0].zero_like()
+    L = TruncSeries("s", L.coeffs + [zero] * (s_order + 1 - len(L.coeffs)))
     acc = None
     for j in range(-(-digits // spec.a)):
         factor = truncate(_dilate(L, spec.q**j), s_order + 1)

@@ -25,6 +25,7 @@ from asw_slopes.expsum import (
     TowerSpec,
     char_series,
     l_degree,
+    l_newton,
     l_series,
     q_normalization,
     trace_histogram,
@@ -36,7 +37,6 @@ from asw_slopes.tower import (
     assemble_block,
     cross_check_counts,
     genus_double,
-    l_newton,
     verify_periodicity,
     zeta_numerator,
 )
@@ -255,7 +255,7 @@ def test_criterion_8_block_decomposition_and_weight_slope_law():
     # specializing T to any uniformizer in the annulus reads off the same
     # slopes the block index predicts
     for i, f in enumerate(fa, start=1):
-        rep = verify_weight_slope_law(SPEC2, f, i, [2, 3])
+        rep = verify_weight_slope_law(SPEC2, f, [i], [2, 3])
         assert rep["ok"] and [lvl["m"] for lvl in rep["levels"]] == [2, 3]
         want = predicted_block_slopes(SPEC2, i)
         assert rep["predicted"] == sorted(

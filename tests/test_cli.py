@@ -407,15 +407,16 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     ],
 )
 def test_each_l_series_is_computed_once_per_command(capsys, monkeypatch, argv, calls):
+    # every L-series, in full or its half for a level polygon, is read
+    # from character sums by expsum._enumerate
     levels = []
-    l_series = expsum.l_series
+    enumerate_ = expsum._enumerate
 
-    def counting(spec, m, *args, **kwargs):
+    def counting(spec, m, *args):
         levels.append(m)
-        return l_series(spec, m, *args, **kwargs)
+        return enumerate_(spec, m, *args)
 
-    monkeypatch.setattr(cli.expsum, "l_series", counting)
-    monkeypatch.setattr(cli.tower, "l_series", counting)
+    monkeypatch.setattr(expsum, "_enumerate", counting)
     assert run(capsys, argv)[0] == 0
     assert len(levels) == len(set(levels)) == calls
 
@@ -845,16 +846,30 @@ def test_running_out_of_memory_exits_2(capsys, monkeypatch):
     assert json.loads(err) == {"error": "MemoryError", "message": message}
 
 
+def test_the_operator_refusal_names_its_working_digits(capsys):
+    # --digits 2 at s-order 3 runs the operator at 2 + v_2(3!) = 3 digits;
+    # the refusal says which, so it cannot be read as the digits asked for
+    argv = ["charfn", "--p", "2", "--f", "1,0,0,1", "--method", "operator"]
+    code, out, err = run(capsys, [*argv, "--t-order", "5000", "--s-order", "3", "--digits", "2"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "operator window (t_order 5000, s_order 3, working digits 3) "
+        "needs about 3421352008576 bytes, over the budget of 1073741824",
+    }
+
+
 def _record_level_reads(monkeypatch):
-    """The list that (m, c) of every l_series call in tower is appended to."""
+    """The list that (m, c) of every character-sum read of an L-series is
+    appended to."""
     reads = []
-    real = tower.l_series
+    real = expsum._enumerate
 
-    def spy(spec, m, c=1, **kwargs):
+    def spy(spec, m, c, K):
         reads.append((m, c))
-        return real(spec, m, c, **kwargs)
+        return real(spec, m, c, K)
 
-    monkeypatch.setattr(tower, "l_series", spy)
+    monkeypatch.setattr(expsum, "_enumerate", spy)
     return reads
 
 
@@ -879,7 +894,7 @@ def _record_level_reads(monkeypatch):
 )
 def test_each_level_polygon_is_read_once_per_process(capsys, monkeypatch, queries):
     # the checks, the planners and the slope law all read level polygons
-    # through tower.l_newton, which reads each (tower, level) once, at the
+    # through expsum.l_newton, which reads each (tower, level) once, at the
     # character c = 1: every unit c of a level has the same slopes
     reads = _record_level_reads(monkeypatch)
     for argv, want in queries:

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -8,11 +9,13 @@ from functools import lru_cache
 import pytest
 
 from asw_slopes import eigencurve
+from asw_slopes.dwork import ELIMINATION_BYTES
 from asw_slopes.eigencurve import (
     BlockFactor,
     block_product,
     block_window,
     corner_y,
+    elimination_bytes,
     nested_block_factors,
     observed_polygon,
     pick_levels,
@@ -21,6 +24,7 @@ from asw_slopes.eigencurve import (
     verify_weight_slope_law,
 )
 from asw_slopes.errors import (
+    BudgetExceeded,
     ConfigError,
     InsufficientPrecision,
     NoGapAtVertex,
@@ -153,6 +157,51 @@ def test_nested_validates_input():
         nested_block_factors(C, 3, 0)
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "spec, count, digits",
+    [(TowerSpec(2, 1, [1, 0, 0, 1]), 4, 6), (TowerSpec(2, 1, [1, 1]), 9, 4)],
+    ids=["p2-x3+1-4-blocks", "p2-x+1-9-blocks"],
+)
+def test_elimination_bytes_bound_the_peak(spec, count, digits):
+    # the estimate nested_block_factors checks against ELIMINATION_BYTES
+    # holds the traced peak, within a factor of 2 of it
+    C = char_series(spec, *block_window(spec, count), digits)
+    K, N = len(C.coeffs) - 1, max(len(c.coeffs) for c in C.coeffs)
+    peak = _traced_peak(nested_block_factors, C, spec.d, count)
+    assert peak <= elimination_bytes(spec.d, count, K, N, spec.p**digits) <= 2 * peak
+
+
+def test_the_elimination_budget_admits_the_layouts_that_finish():
+    # (d, count, s-order, T-order) as eigencurve plans them: 7 blocks of
+    # x^3 + 1 at 6 digits and 12 of x + 1 at 4 finish in a 3 GiB address
+    # space, 13 of x + 1 asked numpy for more than that
+    assert elimination_bytes(3, 7, 22, 79, 2**6) <= ELIMINATION_BYTES
+    assert elimination_bytes(1, 12, 13, 80, 2**4) <= ELIMINATION_BYTES
+    assert elimination_bytes(1, 13, 14, 93, 2**4) > ELIMINATION_BYTES
+
+
+def test_a_layout_past_the_budget_is_refused_before_any_term():
+    # 14 blocks of x + 1 would build 58,842,495 splits and a (69632, 16384)
+    # index intermediate
+    spec = TowerSpec(2, 1, [1, 1])
+    C = char_series(spec, *block_window(spec, 14), 4)
+
+    def refused():
+        with pytest.raises(BudgetExceeded, match=f"over the budget of {ELIMINATION_BYTES}$"):
+            nested_block_factors(C, 1, 14)
+
+    assert _traced_peak(refused) < 2**20
+
+
 def _corrupt(C, n, t):
     col = C.coeffs[n]
     vals = list(col.coeffs)
@@ -231,11 +280,11 @@ def test_pi_digits_read_as_the_cyclotomic_route_seeded(p):
 def test_weight_slope_law_per_block():
     # at 4 digits the level-1 readings of block 2 are capped before s^3
     facs, _ = nested_block_factors(char_series(SPEC2, 9, 7, 5), 3, 2)
-    rep1 = verify_weight_slope_law(SPEC2, facs[0], 1, [1, 2])
+    rep1 = verify_weight_slope_law(SPEC2, facs[0], [1], [1, 2])
     assert rep1["ok"] and rep1["blocks"] == [1]
     assert rep1["predicted"] == [[0, 1, 1], [1, 2, 2]]
     assert all(r["slopes"] == rep1["predicted"] for r in rep1["levels"])
-    rep2 = verify_weight_slope_law(SPEC2, facs[1], 2, [1, 3])
+    rep2 = verify_weight_slope_law(SPEC2, facs[1], [2], [1, 3])
     assert rep2["ok"]
     assert rep2["predicted"] == [[1, 1, 1], [3, 2, 2]]
 
@@ -245,14 +294,14 @@ def test_weight_slope_law_guards():
     with pytest.raises(ConfigError):
         verify_weight_slope_law(SPEC2, facs[0], [1, 2], [1])  # degree 3 != 2 blocks
     with pytest.raises(WeightOutsideAnnulus):
-        verify_weight_slope_law(SPEC2, facs[0], 1, [0])
+        verify_weight_slope_law(SPEC2, facs[0], [1], [0])
     f = facs[1]
     shallow = BlockFactor(f.vertex, f.p, 1, f.t_digits, f.coeffs)
     with pytest.raises(InsufficientPrecision):
         # one p-digit cannot pin the T^4 leading reading at level 1
-        verify_weight_slope_law(SPEC2, shallow, 2, [1])
+        verify_weight_slope_law(SPEC2, shallow, [2], [1])
     with pytest.raises(ConfigError):
-        verify_weight_slope_law(SPEC2, facs[0], 1, [])  # a law at no level is vacuous
+        verify_weight_slope_law(SPEC2, facs[0], [1], [])  # a law at no level is vacuous
 
 
 def test_window_planners_are_pinned():

@@ -228,7 +228,7 @@ def test_trace_histogram_budget_and_args():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: l_series(SPEC2, 1, s_order=10),
+        lambda: expsum._enumerate(SPEC2, 1, 1, 10),
         lambda: char_series(SPEC2, t_order=3, s_order=10, digits=2),
     ],
     ids=["l_series", "char_series"],
@@ -309,10 +309,12 @@ def test_t_adic_sum_hand_checks():
 
 def test_character_sum_exact_values():
     h1 = trace_histogram(SPEC2, 1, 1)
-    assert character_sum(h1, 1).coeffs == (-1,)  # zeta_2 = -1
-    assert character_sum(h1, 1, include_zero=True).coeffs == (0,)
+    # x = 1 has trace 1 and x = 0 trace 0: zeta_2 + 1 = 0
+    assert (h1.counts, h1.zero_cell) == ({1: 1}, 0)
+    assert character_sum(h1, 1, 1).coeffs == (0,)
+    assert character_sum(h1, 1, 0).coeffs == (2,)
     with pytest.raises(InsufficientPrecision):
-        character_sum(trace_histogram(SPEC3, 1, 1), 2)
+        character_sum(trace_histogram(SPEC3, 1, 1), 2, 1)
 
 
 def _random_tower(rng, p):
@@ -340,10 +342,9 @@ def test_character_sum_folds_like_the_per_bin_sum(p):
         for hist in hists:
             assert hist.digits >= m
             for c in range(p**m):
-                for include_zero in (False, True):
-                    got = character_sum(hist, m, c, include_zero)
-                    want = reference_character_sum(hist, m, c, include_zero)
-                    assert (got.p, got.m, got.coeffs) == (want.p, want.m, want.coeffs)
+                got = character_sum(hist, m, c)
+                want = reference_character_sum(hist, m, c)
+                assert (got.p, got.m, got.coeffs) == (want.p, want.m, want.coeffs)
 
 
 def test_l_series_worked_example():
@@ -353,9 +354,8 @@ def test_l_series_worked_example():
 
 
 def test_l_series_degree_self_check():
-    # computing past the degree asserts the tail vanishes
-    L = l_series(SPEC2, 1, s_order=5)
-    assert all(z.is_zero() for z in L.coeffs[3:])
+    # the punctured series has degree D + 1 = 3 (the tail past D of a full
+    # read is checked in test_functional_equation.py)
     Lp = l_series(SPEC2, 1, punctured=True)
     assert len(Lp.coeffs) == 4 and not Lp.coeffs[3].is_zero()
 

@@ -1,24 +1,29 @@
 """The half read of each L-series against full enumeration.
 
-Without an s_order, `l_series` enumerates F_{q^k} only for k <= ceil(D/2)
-and rebuilds the rest from a_D conj(a_{D-n}) = q^{D-n} a_n, and
-`tower.l_newton` reads k <= floor(D/2) at c = 1 and mirrors the valuations.
-At every (tower, level) the other tests enumerate in full, and for every
-unit c, both must give what enumerating every k <= D for L(psi^c) gives.
+`l_series` enumerates F_{q^k} only for k <= ceil(D/2) and rebuilds the rest
+from a_D conj(a_{D-n}) = q^{D-n} a_n, and `expsum.l_newton` reads
+k <= floor(D/2) at c = 1 and mirrors the valuations.  At every (tower,
+level) the other tests enumerate in full, and for every unit c, both must
+give what enumerating every k <= D for L(psi^c) gives.  That full read is
+checked on its own: enumerated past D it vanishes there, its leading
+coefficient a_D is nonzero, and it satisfies the functional equation.
 """
 
 import pytest
 
-from asw_slopes import expsum, tower
+from asw_slopes import expsum
 from asw_slopes.errors import VerificationError
 from asw_slopes.expsum import (
     TowerSpec,
+    _enumerate,
     l_degree,
     l_series,
     q_normalization,
+    trace_histogram,
 )
 from asw_slopes.padic import CycInt
-from oracles import newton_from_cyclotomic
+from asw_slopes.series import exp_from_power_sums
+from oracles import newton_from_cyclotomic, punctured_character_sum
 
 # (p, a, f ascending, levels); the first three have a_{floor(D/2)} = 0 at
 # m = 1, where the exact read falls back to enumerating every k <= D
@@ -54,6 +59,27 @@ def _holds(L, q, D):
     return all(a[D] * a[D - n].conjugate(-1) == a[n].scale(q ** (D - n)) for n in range(D + 1))
 
 
+def _past_degree(spec, D):
+    """D + 2, or the largest k <= D + 2 whose field the budget admits."""
+    k = D + 2
+    while spec.q**k - 1 > expsum.MAX_POINTS:
+        k -= 1
+    return k
+
+
+@pytest.mark.parametrize("p, a, f, m", LEVELS)
+def test_the_full_read_meets_the_identities(p, a, f, m):
+    spec = TowerSpec(p, a, f)
+    D = l_degree(spec, m)
+    K = _past_degree(spec, D)
+    assert K > D
+    for c in _units(p, m):
+        L = _enumerate(spec, m, c, K)
+        assert all(z.is_zero() for z in L.coeffs[D + 1 :]), c
+        assert not L.coeffs[D].is_zero(), c
+        assert _holds(L, spec.q, D), c
+
+
 @pytest.mark.parametrize("p, a, f, m", LEVELS)
 def test_half_read_equals_full_enumeration(p, a, f, m):
     # every unit c: L(psi^c) = sigma_c(L(psi)) and v_pi is Galois-invariant,
@@ -61,18 +87,17 @@ def test_half_read_equals_full_enumeration(p, a, f, m):
     spec = TowerSpec(p, a, f)
     D = l_degree(spec, m)
     for c in _units(p, m):
-        full = l_series(spec, m, c, s_order=D)
-        assert _holds(full, spec.q, D)
+        full = _enumerate(spec, m, c, D)
         assert l_series(spec, m, c).coeffs == full.coeffs
-        assert (
-            l_series(spec, m, c, punctured=True).coeffs
-            == l_series(spec, m, c, punctured=True, s_order=D + 1).coeffs
-        )
+        # the punctured series from the sums over the nonzero points alone
+        hists = [trace_histogram(spec, k, m) for k in range(1, D + 2)]
+        punctured = exp_from_power_sums([punctured_character_sum(h, m, c) for h in hists], "s")
+        assert l_series(spec, m, c, punctured=True).coeffs == punctured.coeffs
         want = newton_from_cyclotomic(
             full.coeffs, scale=q_normalization(p, a, m), source=f"q-adic level {m}"
         )
-        assert tower.series_newton(spec, m, full) == want
-        assert tower.l_newton(spec, m) == want, c
+        assert expsum.series_newton(spec, m, full) == want
+        assert expsum.l_newton(spec, m) == want, c
 
 
 @pytest.mark.parametrize("p, a, f, m", LEVELS)
@@ -87,13 +112,13 @@ def test_the_half_read_enumerates_no_field_past_half_the_degree(p, a, f, m, monk
         return histogram(spec, k, digits)
 
     monkeypatch.setattr(expsum, "trace_histogram", recording)
-    tower.l_newton(spec, m)
+    expsum.l_newton(spec, m)
     assert max(read, default=0) == D // 2
     read.clear()
     l_series(spec, m)
     fallback = m == 1 and (p, a, tuple(f)) in FALLBACK
     assert max(read, default=0) == (D if fallback else (D + 1) // 2)
-    assert l_series(spec, m, s_order=D // 2).coeffs[D // 2].is_zero() == fallback
+    assert _enumerate(spec, m, 1, D // 2).coeffs[D // 2].is_zero() == fallback
 
 
 def _perturbed_at(n, monkeypatch):
@@ -130,6 +155,6 @@ def test_a_perturbed_low_coefficient_never_passes(p, a, f, m, monkeypatch):
                 pass
             else:
                 assert rebuilt.coeffs[top:] != truth.coeffs[top:]
-            # a full read fails its functional-equation self-check
+            # a full read fails the functional-equation check
             with pytest.raises(VerificationError):
-                l_series(spec, m, s_order=D)
+                expsum._check_functional_equation(_enumerate(spec, m, 1, D), D, spec.q)
